@@ -32,7 +32,7 @@ use crate::harness::HarnessConfig;
 use crate::report::{print_table, write_json};
 use laf_cardest::{NetConfig, TrainingSetBuilder};
 use laf_core::{LafConfig, LafPipeline};
-use laf_serve::{LafServer, ServeConfig, ServeStatsReport, Ticket};
+use laf_serve::{LafServer, QueryRequest, QueryResponse, ServeConfig, ServeStatsReport, Ticket};
 use laf_synth::EmbeddingMixtureConfig;
 use laf_vector::Dataset;
 use serde::Serialize;
@@ -173,14 +173,18 @@ fn drive(
                     let mut out = DriveOutcome::default();
                     // Staggered offsets so clients do not march in lockstep.
                     let mut i = (c * 17) % queries.len();
-                    let mut inflight: VecDeque<(usize, Instant, Ticket<usize>)> =
+                    let mut inflight: VecDeque<(usize, Instant, Ticket<QueryResponse>)> =
                         VecDeque::with_capacity(PIPELINE);
                     loop {
                         if Instant::now() < deadline {
                             while inflight.len() < PIPELINE {
                                 i = (i + 1) % queries.len();
                                 let submitted = Instant::now();
-                                match server.range_count_async(&queries[i], eps) {
+                                let request = QueryRequest::RangeCount {
+                                    query: queries[i].clone(),
+                                    eps,
+                                };
+                                match server.submit_async(request) {
                                     Ok(ticket) => inflight.push_back((i, submitted, ticket)),
                                     // The caller owns the retry policy; a
                                     // closed-loop client waits out its oldest
@@ -198,7 +202,11 @@ fn drive(
                             out.latencies_us
                                 .push(submitted.elapsed().as_micros() as u64);
                             out.completed += 1;
-                            if served.value != expected[qi] {
+                            let correct = matches!(
+                                served.value,
+                                QueryResponse::Count(n) if n == expected[qi]
+                            );
+                            if !correct {
                                 out.mismatches += 1;
                             }
                         }

@@ -23,7 +23,10 @@ use crate::report::{print_table, write_json};
 use laf_cardest::TrainingSetBuilder;
 use laf_core::{LafConfig, LafPipeline};
 use laf_index::{EngineChoice, Neighbor};
-use laf_serve::{CacheConfig, CacheError, CacheStatsReport, SnapshotCache, TenantServer};
+use laf_serve::{
+    CacheConfig, CacheError, CacheStatsReport, QueryRequest, QueryResponse, SnapshotCache,
+    TenantServer,
+};
 use laf_synth::EmbeddingMixtureConfig;
 use laf_vector::Dataset;
 use serde::Serialize;
@@ -259,12 +262,13 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
             for burst in 0..2 {
                 let qi = (round * SHARD_SWEEP.len() + shards + burst) % queries.len();
                 cache_accesses += 1;
-                match server.range_count(&tenant, &queries[qi], eps) {
-                    Ok(count) => {
-                        if count != want.count[qi] {
-                            cache_divergences += 1;
-                        }
-                    }
+                let request = QueryRequest::RangeCount {
+                    query: queries[qi].clone(),
+                    eps,
+                };
+                match server.submit(&tenant, request) {
+                    Ok(QueryResponse::Count(count)) if count == want.count[qi] => {}
+                    Ok(_) => cache_divergences += 1,
                     Err(CacheError::Overloaded { .. }) => {}
                     Err(e) => panic!("cache phase: unexpected error {e}"),
                 }

@@ -597,11 +597,7 @@ impl MutablePipeline {
         }
         let cfg = self.base.config().clone();
         let data = self.live_dataset()?;
-        let persisted = if cfg.engine.persistable() {
-            build_engine(cfg.engine, &data, cfg.metric, cfg.eps).persist()
-        } else {
-            None
-        };
+        let persisted = build_engine(cfg.engine, &data, cfg.metric, cfg.eps).persist();
         let snapshot = Snapshot {
             config: cfg,
             data,

@@ -142,9 +142,7 @@ impl LafPipelineBuilder {
             None
         };
         // Persist the built engine structure(s) so warm starts (and this
-        // pipeline's own clustering runs) skip the construction cost. Engines
-        // with nothing worth saving are skipped up front instead of being
-        // built purely to discover `persist()` returns `None`.
+        // pipeline's own clustering runs) skip the construction cost.
         let shard_map = if self.shards >= 2 {
             let map = ShardMap::even_split(data.len(), self.shards);
             // A dataset smaller than two rows degenerates to one shard;
@@ -154,17 +152,13 @@ impl LafPipelineBuilder {
             None
         };
         let build_persisted = |slice: &Dataset| {
-            if self.config.engine.persistable() {
-                build_engine(
-                    self.config.engine,
-                    slice,
-                    self.config.metric,
-                    self.config.eps,
-                )
-                .persist()
-            } else {
-                None
-            }
+            build_engine(
+                self.config.engine,
+                slice,
+                self.config.metric,
+                self.config.eps,
+            )
+            .persist()
         };
         let (data, shards, engine) = match shard_map {
             Some(map) => {
@@ -522,18 +516,6 @@ impl LafPipeline {
         LafDbscan::new(self.snapshot.config.clone(), &self.snapshot.estimator)
             .cluster_with_stats_using(&self.snapshot.data, engine.get())
     }
-
-    /// Run LAF-DBSCAN with this pipeline's estimator over a **different**
-    /// dataset of the same dimensionality (e.g. the latest batch of
-    /// embeddings in a serve loop).
-    ///
-    /// Deliberately *not* a [`laf_clustering::Clusterer`] impl: the trait's
-    /// one-arg `cluster` would be shadowed by the inherent zero-arg
-    /// [`LafPipeline::cluster`] and become uncallable through method syntax.
-    pub fn cluster_dataset(&self, data: &Dataset) -> (Clustering, LafStats) {
-        LafDbscan::new(self.snapshot.config.clone(), &self.snapshot.estimator)
-            .cluster_with_stats(data)
-    }
 }
 
 #[cfg(test)]
@@ -822,24 +804,6 @@ mod tests {
         assert_eq!(engine.num_points(), warm.data().len());
         let hits = engine.range(warm.data().row(0), 0.3);
         assert!(hits.contains(&0));
-    }
-
-    #[test]
-    fn pipeline_clusters_fresh_datasets() {
-        let pipeline = builder().train(data()).unwrap();
-        let fresh = EmbeddingMixtureConfig {
-            n_points: 80,
-            dim: 10,
-            clusters: 2,
-            seed: 99,
-            ..Default::default()
-        }
-        .generate()
-        .unwrap()
-        .0;
-        let (labels, stats) = pipeline.cluster_dataset(&fresh);
-        assert_eq!(labels.len(), fresh.len());
-        assert_eq!(stats.cardest_calls as usize, fresh.len());
     }
 
     #[test]

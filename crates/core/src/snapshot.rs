@@ -437,8 +437,8 @@ pub struct Snapshot {
     pub estimator: MlpEstimator,
     /// Calibration summary captured at training time, when requested.
     pub calibration: Option<QErrorReport>,
-    /// The built range-query engine structure, when the engine choice is
-    /// persistable (see [`laf_index::EngineChoice::persistable`]). `None` for
+    /// The built range-query engine structure, when the engine persists one
+    /// ([`laf_index::RangeQueryEngine::persist`] returns `Some`). `None` for
     /// v1 snapshots and non-persistable engines; the serving side then
     /// rebuilds from [`LafConfig::engine`].
     ///

@@ -210,17 +210,6 @@ pub enum EngineChoice {
     },
 }
 
-impl EngineChoice {
-    /// Whether engines of this kind support structure persistence
-    /// ([`RangeQueryEngine::persist`] returns `Some`). Every kind now does —
-    /// the cover tree's arena flattening was the last to land — but the
-    /// method is kept so callers stay robust to future non-persistable
-    /// engines (and so older call sites keep compiling).
-    pub fn persistable(&self) -> bool {
-        true
-    }
-}
-
 /// Build the engine described by `choice` over `data` under `metric`.
 ///
 /// The grid engine additionally needs the query radius ε at construction

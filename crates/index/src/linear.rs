@@ -62,44 +62,6 @@ impl<'a> LinearScan<'a> {
         self.mode
     }
 
-    /// Exact range query executed in parallel across the **dataset rows**.
-    /// Produces the same result as [`RangeQueryEngine::range`]; used when a
-    /// single query dominates wall-clock time — the batch kernels cannot
-    /// help there because they parallelize across *queries*.
-    pub fn par_range(&self, q: &[f32], eps: f32) -> Vec<u32> {
-        self.evaluations
-            .fetch_add(self.data.len() as u64, Ordering::Relaxed);
-        let mut hits: Vec<u32> = match self.mode {
-            KernelMode::Generic => (0..self.data.len())
-                .into_par_iter()
-                .filter(|&i| self.metric.dist(q, self.data.row(i)) < eps)
-                .map(|i| i as u32)
-                .collect(),
-            KernelMode::Specialized => {
-                let norms = self.data.row_norms();
-                let probe = self.kernel.probe(q, eps);
-                (0..self.data.len())
-                    .into_par_iter()
-                    .filter(|&i| {
-                        self.kernel
-                            .within(&probe, self.data.row(i), norms.norm(i), norms.sq(i))
-                    })
-                    .map(|i| i as u32)
-                    .collect()
-            }
-        };
-        hits.sort_unstable();
-        hits
-    }
-
-    /// Exact range queries for a batch of dataset rows. Returns one neighbor
-    /// list per requested row index. Thin wrapper over the blocked
-    /// [`RangeQueryEngine::range_batch`] kernel.
-    pub fn batch_range_rows(&self, rows: &[usize], eps: f32) -> Vec<Vec<u32>> {
-        let queries: Vec<&[f32]> = rows.iter().map(|&r| self.data.row(r)).collect();
-        self.range_batch(&queries, eps)
-    }
-
     /// One full-scan range query without touching the evaluation counter
     /// (the batch entry points account for the whole batch up front).
     fn range_uncounted(&self, q: &[f32], eps: f32) -> Vec<u32> {
@@ -422,28 +384,6 @@ mod tests {
                     assert_eq!(g.dist.to_bits(), e.dist.to_bits(), "{metric:?} k={k}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn par_range_matches_serial_range() {
-        let data = toy();
-        let engine = LinearScan::new(&data, Metric::Cosine);
-        for eps in [0.01f32, 0.2, 1.0, 2.0] {
-            let mut serial = engine.range(data.row(2), eps);
-            serial.sort_unstable();
-            assert_eq!(engine.par_range(data.row(2), eps), serial);
-        }
-    }
-
-    #[test]
-    fn batch_range_rows_matches_individual_queries() {
-        let data = toy();
-        let engine = LinearScan::new(&data, Metric::Cosine);
-        let batch = engine.batch_range_rows(&[0, 3, 5], 0.5);
-        assert_eq!(batch.len(), 3);
-        for (slot, &row) in [0usize, 3, 5].iter().enumerate() {
-            assert_eq!(batch[slot], engine.range(data.row(row), 0.5));
         }
     }
 

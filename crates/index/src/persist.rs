@@ -1001,8 +1001,6 @@ mod tests {
             0.3,
         );
         assert!(built.persist().is_some(), "cover tree flattens its arena");
-        assert!(EngineChoice::CoverTree { basis: 2.0 }.persistable());
-        assert!(EngineChoice::Linear.persistable());
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //! [`index`], [`cardest`], [`clustering`], [`core`], [`metrics`].
 //!
 //! For production serving, train once and persist the pipeline with
-//! [`save_snapshot`], then restore it in any number of serving processes
-//! with [`load_snapshot`] — no retraining, bit-exact results. See
-//! [`core::LafPipeline`] and the `train_serve` example.
+//! [`core::LafPipeline::save`], then restore it in any number of serving
+//! processes with [`core::LafPipeline::load`] (or
+//! [`core::LafPipeline::load_mmap`] for the zero-copy warm start) — no
+//! retraining, bit-exact results. See the `train_serve` example.
 
 #![warn(missing_docs)]
 
@@ -147,70 +148,13 @@ impl From<serve::WriteError> for Error {
     }
 }
 
-/// Persist a trained [`core::LafPipeline`] as a versioned, checksummed
-/// binary snapshot at `path`.
-///
-/// This is the **train-once** half of the train-once/serve-many split: one
-/// process pays the estimator training cost, saves a snapshot, and any number
-/// of serving processes restore it with [`load_snapshot`] — producing
-/// byte-identical estimates, gate decisions and cluster labels. See
-/// [`core::snapshot`] for the wire format.
-///
-/// # Errors
-/// Propagates encoding and filesystem failures as [`core::SnapshotError`].
-pub fn save_snapshot<P: AsRef<std::path::Path>>(
-    pipeline: &core::LafPipeline,
-    path: P,
-) -> Result<(), core::SnapshotError> {
-    pipeline.save(path)
-}
-
-/// Restore a [`core::LafPipeline`] from a snapshot written by
-/// [`save_snapshot`] — the **serve-many** half: no retraining, ready to
-/// cluster immediately, bit-exact with the training process. Format-v2
-/// snapshots restore the **built** range-query engine structure too (see
-/// [`index::persist`]), so the grid bucketing / k-means construction cost is
-/// also paid once, at training time; v1 snapshots fall back to rebuilding the
-/// engine from the restored [`index::EngineChoice`].
-///
-/// # Errors
-/// Returns [`core::SnapshotError`] on I/O failures, checksum mismatches
-/// (format v2 names the corrupt section), unsupported format versions or
-/// malformed sections.
-pub fn load_snapshot<P: AsRef<std::path::Path>>(
-    path: P,
-) -> Result<core::LafPipeline, core::SnapshotError> {
-    core::LafPipeline::load(path)
-}
-
-/// Restore a [`core::LafPipeline`] by **memory-mapping** the snapshot
-/// instead of reading and copying it — the zero-copy warm start.
-///
-/// Same validation and bit-exact results as [`load_snapshot`], but a
-/// format-v3 snapshot's dataset is served in place from the kernel mapping
-/// (see [`vector::mapped`]): startup cost no longer scales with the dataset
-/// section, only read access to the file is needed, and all serving
-/// processes mapping one snapshot share a single set of page-cache pages.
-/// Older format versions fall back to copying transparently.
-///
-/// # Errors
-/// Returns [`core::SnapshotError`] on I/O/`mmap(2)` failures, checksum
-/// mismatches, unsupported format versions or malformed sections.
-pub fn load_snapshot_mmap<P: AsRef<std::path::Path>>(
-    path: P,
-) -> Result<core::LafPipeline, core::SnapshotError> {
-    core::LafPipeline::load_mmap(path)
-}
-
 /// One-stop import for applications.
 ///
-/// Error handling: the prelude exports the unified [`crate::Error`]; the
-/// per-layer error names (`SnapshotError`, `ServeError`, `CacheError`) are
-/// still present as **deprecated aliases** and will be removed — match on
-/// `laf::Error`, or import the layer types from their modules
-/// ([`crate::core`], [`crate::serve`]) when a single layer is meant.
+/// Error handling: the prelude exports the unified [`crate::Error`]; import
+/// the per-layer error types from their modules ([`crate::core`],
+/// [`crate::serve`]) when a single layer is meant.
 pub mod prelude {
-    pub use crate::{load_snapshot, load_snapshot_mmap, save_snapshot, Error};
+    pub use crate::Error;
     pub use laf_cardest::{
         CardinalityEstimator, ConstantEstimator, ExactEstimator, HistogramEstimator, Mlp,
         MlpEstimator, NetConfig, RmiConfig, RmiEstimator, SamplingEstimator, TrainingSet,
@@ -249,27 +193,6 @@ pub mod prelude {
         DeltaSegment, DistanceMetric, EuclideanDistance, GaussianRandomProjection, Metric,
         ShardMap, TombstoneSet,
     };
-
-    /// Deprecated alias kept for migration; see the prelude docs.
-    #[deprecated(
-        since = "0.1.0",
-        note = "match on `laf::Error` or import `laf::core::SnapshotError`"
-    )]
-    pub type SnapshotError = laf_core::SnapshotError;
-
-    /// Deprecated alias kept for migration; see the prelude docs.
-    #[deprecated(
-        since = "0.1.0",
-        note = "match on `laf::Error` or import `laf::serve::ServeError`"
-    )]
-    pub type ServeError = laf_serve::ServeError;
-
-    /// Deprecated alias kept for migration; see the prelude docs.
-    #[deprecated(
-        since = "0.1.0",
-        note = "match on `laf::Error` or import `laf::serve::CacheError`"
-    )]
-    pub type CacheError = laf_serve::CacheError;
 }
 
 #[cfg(test)]
@@ -319,8 +242,8 @@ mod tests {
         let dir = std::env::temp_dir().join("laf_facade_snapshot_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("facade.lafs");
-        crate::save_snapshot(&pipeline, &path).unwrap();
-        let warm = crate::load_snapshot(&path).unwrap();
+        pipeline.save(&path).unwrap();
+        let warm = LafPipeline::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(pipeline.cluster().labels(), warm.cluster().labels());
     }

@@ -116,6 +116,16 @@ pub enum CacheError {
         /// The tenant whose snapshot the write targeted.
         tenant: String,
     },
+    /// A read's query vector does not have the dimensionality of the
+    /// tenant's snapshot; rejected before any engine work.
+    DimensionMismatch {
+        /// The tenant the read targeted.
+        tenant: String,
+        /// The dimensionality of the tenant's rows.
+        expected: usize,
+        /// The length of the offered query vector.
+        actual: usize,
+    },
     /// [`SnapshotCache::register`] validated the snapshot eagerly and the
     /// file failed: bad magic, unsupported version, damaged header or an
     /// out-of-bounds section table. The path names exactly which file to
@@ -170,6 +180,14 @@ impl fmt::Display for CacheError {
                     "tenant `{tenant}` snapshot is read-only: writes need a mutable server"
                 )
             }
+            CacheError::DimensionMismatch {
+                tenant,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "tenant `{tenant}` serves {expected}-dimensional rows, got a {actual}-dimensional query"
+            ),
             CacheError::Corrupt {
                 tenant,
                 path,

@@ -19,9 +19,8 @@
 //! batch entry points are bit-identical to its per-query forms, so
 //! coalescing is invisible to callers — same results, better throughput.
 //!
-//! Submission comes in two shapes: the blocking methods
-//! ([`LafServer::range`], [`LafServer::range_count`], …) block until their
-//! result is served, and the `*_async` variants return a [`Ticket`]
+//! Submission comes in two shapes: [`LafServer::submit`] blocks until its
+//! result is served, and [`LafServer::submit_async`] returns a [`Ticket`]
 //! immediately so one caller can keep several requests in flight. Pipelined
 //! tickets are how a single connection still feeds full tiles: the
 //! dispatcher coalesces whatever is queued, no matter how many threads
@@ -30,12 +29,13 @@
 //! ## One front door
 //!
 //! Every request kind — the four reads and the two writes — is a variant of
-//! [`QueryRequest`], answered by the matching [`QueryResponse`] variant
-//! through [`LafServer::submit`] / [`LafServer::submit_async`] (and
-//! [`TenantServer::submit`] for multi-tenant routing). The per-kind typed
-//! methods are thin wrappers over the same submission path, kept so
-//! existing call sites read naturally; routers and protocol shims should
-//! hold `QueryRequest` values and call `submit`.
+//! [`QueryRequest`], answered by the matching [`QueryResponse`] variant.
+//! [`LafServer::submit`] / [`LafServer::submit_async`] (and
+//! [`TenantServer::submit`] for multi-tenant routing) are the only request
+//! methods, and the dispatcher queues, groups and answers the caller's
+//! `QueryRequest` as submitted. The served dimensionality is fixed at
+//! start: a read of another length fails at submission with
+//! [`ServeError::DimensionMismatch`] and never reaches the kernels.
 //!
 //! ## Mutable serving
 //!
@@ -116,7 +116,7 @@
 //! every transition is counted on [`CacheStatsReport`].
 //!
 //! ```
-//! use laf_serve::{LafServer, ServeConfig};
+//! use laf_serve::{LafServer, QueryRequest, QueryResponse, ServeConfig};
 //! # use laf_core::{LafConfig, LafPipeline};
 //! # use laf_cardest::{NetConfig, TrainingSetBuilder};
 //! # let (data, _) = laf_synth::EmbeddingMixtureConfig {
@@ -132,8 +132,11 @@
 //!     for _ in 0..8 {
 //!         let (server, query) = (&server, &query);
 //!         scope.spawn(move || {
-//!             let served = server.range(query, 0.3).expect("admitted");
-//!             assert!(served.value.contains(&0));
+//!             let request = QueryRequest::Range { query: query.clone(), eps: 0.3 };
+//!             match server.submit(request).expect("admitted").value {
+//!                 QueryResponse::Range(hits) => assert!(hits.contains(&0)),
+//!                 other => panic!("range request answered with {other:?}"),
+//!             }
 //!         });
 //!     }
 //! });

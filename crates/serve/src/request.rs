@@ -1,12 +1,13 @@
-//! The unified request/response surface shared by every serving front.
+//! The request/response surface shared by every serving front.
 //!
 //! [`QueryRequest`] is the single front door: one enum covers the four read
-//! kinds that used to be four separate per-kind request paths, plus the two
-//! write kinds of the mutable plane. [`crate::LafServer::submit`] /
+//! kinds plus the two write kinds of the mutable plane, and
+//! [`QueryResponse`] is the one answer type. [`crate::LafServer::submit`] /
 //! [`crate::LafServer::submit_async`] and [`crate::TenantServer::submit`]
-//! accept it; the per-kind typed methods remain as thin wrappers over the
-//! same path. Both enums are `#[non_exhaustive]`: new request kinds are an
-//! additive change, so routers matching on them must carry a wildcard arm.
+//! are the only request methods, and the dispatcher queues the caller's
+//! request as it was submitted. Both enums are `#[non_exhaustive]`: new
+//! request kinds are an additive change, so routers matching on them must
+//! carry a wildcard arm.
 
 use laf_index::Neighbor;
 
@@ -43,8 +44,11 @@ impl std::error::Error for WriteError {}
 /// One request, any kind: the argument to [`crate::LafServer::submit`],
 /// [`crate::LafServer::submit_async`] and [`crate::TenantServer::submit`].
 ///
-/// Read kinds are answered on every server; the write kinds route through
-/// the write-ahead log of a mutable server
+/// Read kinds are answered on every server; their query vector must have
+/// the served dimensionality, or the request is rejected with
+/// [`crate::ServeError::DimensionMismatch`] (or
+/// [`crate::CacheError::DimensionMismatch`] on a tenant server). The write
+/// kinds route through the write-ahead log of a mutable server
 /// ([`crate::LafServer::start_mutable`]) and are rejected with
 /// [`crate::ServeError::ReadOnly`] (or [`crate::CacheError::ReadOnly`] on a
 /// tenant server) everywhere else.
@@ -90,6 +94,19 @@ pub enum QueryRequest {
         /// processed (earlier queued deletes shift later ids down).
         dense: u64,
     },
+}
+
+impl QueryRequest {
+    /// The query vector of a read kind; `None` for the write kinds.
+    pub(crate) fn read_query(&self) -> Option<&[f32]> {
+        match self {
+            QueryRequest::Range { query, .. }
+            | QueryRequest::RangeCount { query, .. }
+            | QueryRequest::Knn { query, .. }
+            | QueryRequest::Estimate { query, .. } => Some(query),
+            QueryRequest::Insert { .. } | QueryRequest::Delete { .. } => None,
+        }
+    }
 }
 
 /// The answer to a [`QueryRequest`], same-kind by construction: `Range`

@@ -5,7 +5,6 @@ use crate::request::{QueryRequest, QueryResponse, WriteError};
 use crate::stats::{ServeStats, ServeStatsReport};
 use laf_core::fault;
 use laf_core::{LafPipeline, MutablePipeline, SharedEngine, SnapshotError};
-use laf_index::Neighbor;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
@@ -69,6 +68,18 @@ pub enum ServeError {
     /// the previous epoch. The caller still owns the replacement workflow
     /// (rebuild the pipeline and reload again).
     ReloadFailed,
+    /// A read's query vector, or a [`LafServer::reload`] replacement's
+    /// rows, do not have the dimensionality the server was started with.
+    /// Rejected before anything is queued or swapped.
+    DimensionMismatch {
+        /// The served dimensionality, fixed at start.
+        expected: usize,
+        /// The length that was offered.
+        actual: usize,
+    },
+    /// [`LafServer::reload`] was called on a mutable server, whose epochs
+    /// are published by its own compactions.
+    Mutable,
 }
 
 impl fmt::Display for ServeError {
@@ -86,6 +97,18 @@ impl fmt::Display for ServeError {
                 write!(
                     f,
                     "epoch flip failed: the previous snapshot is still serving"
+                )
+            }
+            ServeError::DimensionMismatch { expected, actual } => {
+                write!(
+                    f,
+                    "dimensionality mismatch: served {expected}, got {actual}"
+                )
+            }
+            ServeError::Mutable => {
+                write!(
+                    f,
+                    "reload on a mutable server: compaction publishes its epochs"
                 )
             }
         }
@@ -108,69 +131,43 @@ pub struct Served<T> {
     pub value: T,
 }
 
-/// One queued request kind, query vector owned so it outlives the caller's
-/// borrow while the batch waits in the window.
-enum Work {
-    Range { query: Vec<f32>, eps: f32 },
-    RangeCount { query: Vec<f32>, eps: f32 },
-    Knn { query: Vec<f32>, k: usize },
-    Estimate { query: Vec<f32>, eps: f32 },
-    Insert { row: Vec<f32> },
-    Delete { dense: u64 },
-}
-
-impl Work {
-    fn query(&self) -> &[f32] {
-        match self {
-            Work::Range { query, .. }
-            | Work::RangeCount { query, .. }
-            | Work::Knn { query, .. }
-            | Work::Estimate { query, .. } => query,
-            Work::Insert { row } => row,
-            Work::Delete { .. } => &[],
-        }
-    }
-
-    /// Batch-grouping key: requests dispatch through one kernel call iff
-    /// they share a kind and its parameter (ε compared by bit pattern — the
-    /// kernels take one ε per batch). Writes never group (they only occur
-    /// on the mutable path, which processes the batch in queue order).
-    fn group_key(&self) -> (u8, u64) {
-        match self {
-            Work::Range { eps, .. } => (0, eps.to_bits() as u64),
-            Work::RangeCount { eps, .. } => (1, eps.to_bits() as u64),
-            Work::Knn { k, .. } => (2, *k as u64),
-            Work::Estimate { eps, .. } => (3, eps.to_bits() as u64),
-            Work::Insert { .. } => (4, 0),
-            Work::Delete { dense } => (5, *dense),
-        }
+/// Batch-grouping key: requests dispatch through one kernel call iff they
+/// share a kind and its parameter (ε compared by bit pattern — the kernels
+/// take one ε per batch). Writes never group (they only occur on the
+/// mutable path, which processes the batch in queue order).
+fn group_key(request: &QueryRequest) -> (u8, u64) {
+    match request {
+        QueryRequest::Range { eps, .. } => (0, eps.to_bits() as u64),
+        QueryRequest::RangeCount { eps, .. } => (1, eps.to_bits() as u64),
+        QueryRequest::Knn { k, .. } => (2, *k as u64),
+        QueryRequest::Estimate { eps, .. } => (3, eps.to_bits() as u64),
+        QueryRequest::Insert { .. } => (4, 0),
+        QueryRequest::Delete { dense } => (5, *dense),
     }
 }
 
-/// An answered request's payload.
-enum Reply {
-    Range(Vec<u32>),
-    Count(usize),
-    Knn(Vec<Neighbor>),
-    Estimate(f32),
-    Written(u64),
-    Rejected(WriteError),
+/// `Ok` when `actual` matches the dimensionality the server was started with.
+fn check_dim(expected: usize, actual: usize) -> Result<(), ServeError> {
+    if actual == expected {
+        Ok(())
+    } else {
+        Err(ServeError::DimensionMismatch { expected, actual })
+    }
 }
 
 /// The rendezvous cell a blocked caller waits on.
-#[derive(Default)]
-struct Slot {
-    filled: Mutex<Option<Served<Reply>>>,
+struct Slot<T> {
+    filled: Mutex<Option<Served<T>>>,
     ready: Condvar,
 }
 
-impl Slot {
-    fn deliver(&self, epoch: u64, value: Reply) {
+impl<T> Slot<T> {
+    fn deliver(&self, epoch: u64, value: T) {
         *self.filled.lock().unwrap() = Some(Served { epoch, value });
         self.ready.notify_one();
     }
 
-    fn wait(&self) -> Served<Reply> {
+    fn wait(&self) -> Served<T> {
         let mut guard = self.filled.lock().unwrap();
         loop {
             match guard.take() {
@@ -182,7 +179,7 @@ impl Slot {
 
     /// Like [`Slot::wait`], but give up after `timeout`; `Err` carries the
     /// microseconds actually waited.
-    fn wait_deadline(&self, timeout: Duration) -> Result<Served<Reply>, u64> {
+    fn wait_deadline(&self, timeout: Duration) -> Result<Served<T>, u64> {
         let start = Instant::now();
         let mut guard = self.filled.lock().unwrap();
         loop {
@@ -198,35 +195,33 @@ impl Slot {
     }
 }
 
+/// A queued request: the caller's own [`QueryRequest`], which owns its
+/// query vector so it outlives the caller's borrow while the batch waits in
+/// the window.
 struct Pending {
-    work: Work,
-    slot: Arc<Slot>,
+    request: QueryRequest,
+    slot: Arc<Slot<QueryResponse>>,
     submitted: Instant,
 }
 
 /// A handle to a submitted-but-not-yet-answered request.
 ///
-/// Returned by the `*_async` submission methods. Holding several tickets
-/// pipelines requests: a client keeps N submissions in flight and the
-/// dispatcher sees a deeper queue to coalesce from, which is how a
-/// single-connection caller still feeds full dot4 tiles. Waiting consumes
-/// the ticket; dropping it abandons the result (the request is still
-/// answered and counted, nobody observes the value).
+/// Returned by [`LafServer::submit_async`] as a `Ticket<QueryResponse>`.
+/// Holding several tickets pipelines requests: a client keeps N submissions
+/// in flight and the dispatcher sees a deeper queue to coalesce from, which
+/// is how a single-connection caller still feeds full dot4 tiles. Waiting
+/// consumes the ticket; dropping it abandons the result (the request is
+/// still answered and counted, nobody observes the value).
 #[must_use = "a ticket does nothing until waited on; drop abandons the result"]
 pub struct Ticket<T> {
-    slot: Arc<Slot>,
+    slot: Arc<Slot<T>>,
     shared: Arc<Shared>,
-    extract: fn(Reply) -> T,
 }
 
 impl<T> Ticket<T> {
     /// Block until the dispatcher delivers this request's result.
     pub fn wait(self) -> Served<T> {
-        let served = self.slot.wait();
-        Served {
-            epoch: served.epoch,
-            value: (self.extract)(served.value),
-        }
+        self.slot.wait()
     }
 
     /// Block at most `timeout` for the result. On expiry the ticket is
@@ -234,16 +229,10 @@ impl<T> Ticket<T> {
     /// counts the request, exactly as if the ticket were dropped — and the
     /// timeout is counted on [`crate::ServeStats`].
     pub fn wait_timeout(self, timeout: Duration) -> Result<Served<T>, ServeError> {
-        match self.slot.wait_deadline(timeout) {
-            Ok(served) => Ok(Served {
-                epoch: served.epoch,
-                value: (self.extract)(served.value),
-            }),
-            Err(waited_us) => {
-                self.shared.stats.record_timeout();
-                Err(ServeError::Timeout { waited_us })
-            }
-        }
+        self.slot.wait_deadline(timeout).map_err(|waited_us| {
+            self.shared.stats.record_timeout();
+            ServeError::Timeout { waited_us }
+        })
     }
 
     /// Whether the result is already delivered (a `wait` would not block).
@@ -276,6 +265,9 @@ struct QueueState {
 
 struct Shared {
     config: ServeConfig,
+    /// Row dimensionality, fixed at start: every read's query vector and
+    /// every reloaded pipeline must match it.
+    dim: usize,
     state: Mutex<QueueState>,
     /// Signals the dispatcher: work arrived or shutdown was requested.
     wake: Condvar,
@@ -290,8 +282,8 @@ struct Shared {
 
 /// A concurrent serving front over a [`LafPipeline`].
 ///
-/// Callers from any number of threads submit range / range-count / knn /
-/// estimate requests and block until their result is ready. A dedicated
+/// Callers from any number of threads submit [`QueryRequest`]s and block
+/// until their [`QueryResponse`] is ready, or hold a [`Ticket`]. A dedicated
 /// dispatcher thread coalesces queued requests into merged batches and runs
 /// them through the engine's batch kernels, so concurrent single-query
 /// callers get the query-major mini-GEMM path that a synchronous
@@ -365,6 +357,7 @@ impl LafServer {
     ) -> Self {
         let shared = Arc::new(Shared {
             config,
+            dim: epoch.pipeline.data().dim(),
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 shutdown: false,
@@ -393,203 +386,46 @@ impl LafServer {
         self.shared.mutable.is_some()
     }
 
-    /// The single submission path every entry point funnels through:
-    /// admission control, the queue, and the wake policy live in
-    /// [`LafServer::enqueue`]; `extract` narrows the delivered [`Reply`] to
-    /// the caller's type.
-    fn submit_work<T>(&self, work: Work, extract: fn(Reply) -> T) -> Result<Ticket<T>, ServeError> {
-        Ok(Ticket {
-            slot: self.enqueue(work)?,
-            shared: Arc::clone(&self.shared),
-            extract,
-        })
-    }
-
-    /// Wait policy of the blocking entry points: apply the configured
-    /// per-request deadline when one is set, wait indefinitely otherwise.
-    fn await_ticket<T>(&self, ticket: Ticket<T>) -> Result<Served<T>, ServeError> {
-        match self.shared.config.deadline() {
-            Some(deadline) => ticket.wait_timeout(deadline),
-            None => Ok(ticket.wait()),
-        }
-    }
-
     /// Submit any request kind without blocking on its result.
     ///
-    /// This is the unified front door: one entry point for every read and
-    /// write kind, so routers hold a single `QueryRequest` value instead of
-    /// dispatching across per-kind methods. The typed methods
-    /// ([`LafServer::range_async`], …) remain as thin wrappers. Write kinds
-    /// require a mutable server ([`LafServer::start_mutable`]) and fail at
-    /// submission with [`ServeError::ReadOnly`] otherwise.
+    /// This is the server's only front door: one entry point for every read
+    /// and write kind, so routers hold a single `QueryRequest` value. The
+    /// returned [`Ticket`] resolves to the same bits as the synchronous
+    /// engine call on the snapshot of the resolved epoch (for example
+    /// `pipeline.engine().range(query, eps)` for a
+    /// [`QueryRequest::Range`]); submitting several tickets before waiting
+    /// pipelines requests from one thread.
+    ///
+    /// # Errors
+    /// Besides admission control ([`ServeError::Overloaded`],
+    /// [`ServeError::ShuttingDown`]): a read whose query vector does not have
+    /// the served dimensionality fails with
+    /// [`ServeError::DimensionMismatch`], and the write kinds fail with
+    /// [`ServeError::ReadOnly`] unless the server is mutable
+    /// ([`LafServer::start_mutable`]). An inserted row of the wrong length is
+    /// admitted and answered with [`WriteError::DimensionMismatch`].
     pub fn submit_async(&self, request: QueryRequest) -> Result<Ticket<QueryResponse>, ServeError> {
-        let work = match request {
-            QueryRequest::Range { query, eps } => Work::Range { query, eps },
-            QueryRequest::RangeCount { query, eps } => Work::RangeCount { query, eps },
-            QueryRequest::Knn { query, k } => Work::Knn { query, k },
-            QueryRequest::Estimate { query, eps } => Work::Estimate { query, eps },
-            QueryRequest::Insert { row } => {
-                self.require_mutable()?;
-                Work::Insert { row }
-            }
-            QueryRequest::Delete { dense } => {
-                self.require_mutable()?;
-                Work::Delete { dense }
-            }
-        };
-        self.submit_work(work, |reply| match reply {
-            Reply::Range(hits) => QueryResponse::Range(hits),
-            Reply::Count(n) => QueryResponse::Count(n),
-            Reply::Knn(neighbors) => QueryResponse::Knn(neighbors),
-            Reply::Estimate(est) => QueryResponse::Estimate(est),
-            Reply::Written(lsn) => QueryResponse::Written { lsn },
-            Reply::Rejected(err) => QueryResponse::Rejected(err),
+        match request.read_query() {
+            Some(query) => check_dim(self.shared.dim, query.len())?,
+            None if self.shared.mutable.is_none() => return Err(ServeError::ReadOnly),
+            None => {}
+        }
+        Ok(Ticket {
+            slot: self.enqueue(request)?,
+            shared: Arc::clone(&self.shared),
         })
     }
 
     /// Submit any request kind and block until it is served; see
-    /// [`LafServer::submit_async`].
+    /// [`LafServer::submit_async`]. Applies
+    /// [`ServeConfig::request_deadline_us`] when one is set and waits
+    /// indefinitely otherwise.
     pub fn submit(&self, request: QueryRequest) -> Result<Served<QueryResponse>, ServeError> {
         let ticket = self.submit_async(request)?;
-        self.await_ticket(ticket)
-    }
-
-    fn require_mutable(&self) -> Result<(), ServeError> {
-        if self.shared.mutable.is_some() {
-            Ok(())
-        } else {
-            Err(ServeError::ReadOnly)
+        match self.shared.config.deadline() {
+            Some(deadline) => ticket.wait_timeout(deadline),
+            None => Ok(ticket.wait()),
         }
-    }
-
-    /// Submit an ε-range query without blocking on its result.
-    ///
-    /// The returned [`Ticket`] resolves (via [`Ticket::wait`]) to the same
-    /// bits as `pipeline.engine().range(query, eps)` on the snapshot of the
-    /// resolved epoch. Submitting several tickets before waiting pipelines
-    /// requests from one thread.
-    pub fn range_async(&self, query: &[f32], eps: f32) -> Result<Ticket<Vec<u32>>, ServeError> {
-        self.submit_work(
-            Work::Range {
-                query: query.to_vec(),
-                eps,
-            },
-            |reply| match reply {
-                Reply::Range(hits) => hits,
-                _ => unreachable!("dispatcher answered a range request with another kind"),
-            },
-        )
-    }
-
-    /// Submit a neighbor-count query without blocking; see
-    /// [`LafServer::range_async`].
-    pub fn range_count_async(&self, query: &[f32], eps: f32) -> Result<Ticket<usize>, ServeError> {
-        self.submit_work(
-            Work::RangeCount {
-                query: query.to_vec(),
-                eps,
-            },
-            |reply| match reply {
-                Reply::Count(n) => n,
-                _ => unreachable!("dispatcher answered a count request with another kind"),
-            },
-        )
-    }
-
-    /// Submit a k-nearest-neighbor query without blocking; see
-    /// [`LafServer::range_async`].
-    pub fn knn_async(&self, query: &[f32], k: usize) -> Result<Ticket<Vec<Neighbor>>, ServeError> {
-        self.submit_work(
-            Work::Knn {
-                query: query.to_vec(),
-                k,
-            },
-            |reply| match reply {
-                Reply::Knn(neighbors) => neighbors,
-                _ => unreachable!("dispatcher answered a knn request with another kind"),
-            },
-        )
-    }
-
-    /// Submit a learned cardinality estimate without blocking; see
-    /// [`LafServer::range_async`].
-    pub fn estimate_async(&self, query: &[f32], eps: f32) -> Result<Ticket<f32>, ServeError> {
-        self.submit_work(
-            Work::Estimate {
-                query: query.to_vec(),
-                eps,
-            },
-            |reply| match reply {
-                Reply::Estimate(est) => est,
-                _ => unreachable!("dispatcher answered an estimate request with another kind"),
-            },
-        )
-    }
-
-    /// Submit a row insert without blocking (mutable servers only).
-    ///
-    /// The ticket resolves to the write's WAL sequence number, delivered
-    /// after the batch's group commit reaches stable storage, or to a
-    /// [`WriteError`] when the pipeline rejected the write.
-    pub fn insert_async(&self, row: &[f32]) -> Result<Ticket<Result<u64, WriteError>>, ServeError> {
-        self.require_mutable()?;
-        self.submit_work(Work::Insert { row: row.to_vec() }, |reply| match reply {
-            Reply::Written(lsn) => Ok(lsn),
-            Reply::Rejected(err) => Err(err),
-            _ => unreachable!("dispatcher answered an insert request with another kind"),
-        })
-    }
-
-    /// Submit a delete of dense live id `dense` without blocking (mutable
-    /// servers only); see [`LafServer::insert_async`].
-    pub fn delete_async(&self, dense: u64) -> Result<Ticket<Result<u64, WriteError>>, ServeError> {
-        self.require_mutable()?;
-        self.submit_work(Work::Delete { dense }, |reply| match reply {
-            Reply::Written(lsn) => Ok(lsn),
-            Reply::Rejected(err) => Err(err),
-            _ => unreachable!("dispatcher answered a delete request with another kind"),
-        })
-    }
-
-    /// ε-range query through the coalescing front. Blocks until served;
-    /// bit-identical to `pipeline.engine().range(query, eps)` on the
-    /// snapshot of the returned epoch.
-    pub fn range(&self, query: &[f32], eps: f32) -> Result<Served<Vec<u32>>, ServeError> {
-        let ticket = self.range_async(query, eps)?;
-        self.await_ticket(ticket)
-    }
-
-    /// Neighbor count within `eps`, served like [`LafServer::range`].
-    pub fn range_count(&self, query: &[f32], eps: f32) -> Result<Served<usize>, ServeError> {
-        let ticket = self.range_count_async(query, eps)?;
-        self.await_ticket(ticket)
-    }
-
-    /// k-nearest-neighbor query, served like [`LafServer::range`].
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Served<Vec<Neighbor>>, ServeError> {
-        let ticket = self.knn_async(query, k)?;
-        self.await_ticket(ticket)
-    }
-
-    /// Learned cardinality estimate, served like [`LafServer::range`].
-    pub fn estimate(&self, query: &[f32], eps: f32) -> Result<Served<f32>, ServeError> {
-        let ticket = self.estimate_async(query, eps)?;
-        self.await_ticket(ticket)
-    }
-
-    /// Insert a row through the write-ahead log, blocking until the write's
-    /// group commit is durable (mutable servers only). Resolves to the
-    /// write's WAL sequence number.
-    pub fn insert(&self, row: &[f32]) -> Result<Served<Result<u64, WriteError>>, ServeError> {
-        let ticket = self.insert_async(row)?;
-        self.await_ticket(ticket)
-    }
-
-    /// Delete the row with dense live id `dense`, blocking like
-    /// [`LafServer::insert`] (mutable servers only).
-    pub fn delete(&self, dense: u64) -> Result<Served<Result<u64, WriteError>>, ServeError> {
-        let ticket = self.delete_async(dense)?;
-        self.await_ticket(ticket)
     }
 
     /// Atomically swap the served snapshot: an epoch-tagged
@@ -606,14 +442,15 @@ impl LafServer {
     /// `serve.reload.swap` failpoint under fault injection). The failure is
     /// atomic: the previous epoch keeps serving, the replacement is
     /// discarded, and [`ServeStatsReport::reload_failures`] counts it.
-    ///
-    /// Immutable servers only: a mutable server publishes new epochs
-    /// itself, through compaction.
+    /// [`ServeError::DimensionMismatch`] when the replacement's rows do not
+    /// have the served dimensionality, and [`ServeError::Mutable`] on a
+    /// mutable server, which publishes new epochs itself through
+    /// compaction; both are rejected before the engine is built.
     pub fn reload(&self, pipeline: LafPipeline) -> Result<u64, ServeError> {
-        debug_assert!(
-            self.shared.mutable.is_none(),
-            "reload() on a mutable server: compaction publishes its epochs"
-        );
+        if self.is_mutable() {
+            return Err(ServeError::Mutable);
+        }
+        check_dim(self.shared.dim, pipeline.data().dim())?;
         let engine = pipeline.engine();
         let pipeline = Arc::new(pipeline);
         let mut current = self.shared.current.lock().unwrap();
@@ -674,8 +511,11 @@ impl LafServer {
         }
     }
 
-    fn enqueue(&self, work: Work) -> Result<Arc<Slot>, ServeError> {
-        let slot = Arc::new(Slot::default());
+    fn enqueue(&self, request: QueryRequest) -> Result<Arc<Slot<QueryResponse>>, ServeError> {
+        let slot = Arc::new(Slot {
+            filled: Mutex::new(None),
+            ready: Condvar::new(),
+        });
         let depth = {
             let mut state = self.shared.state.lock().unwrap();
             if state.shutdown {
@@ -690,7 +530,7 @@ impl LafServer {
                 });
             }
             state.queue.push_back(Pending {
-                work,
+                request,
                 slot: Arc::clone(&slot),
                 submitted: Instant::now(),
             });
@@ -815,32 +655,40 @@ fn answer_mutable(
 ) {
     let mut pipeline = mutable.lock().unwrap();
     let epoch = shared.current.lock().unwrap().epoch;
-    let mut replies: Vec<Reply> = Vec::with_capacity(batch.len());
+    let mut responses: Vec<QueryResponse> = Vec::with_capacity(batch.len());
     let mut wrote = false;
     for pending in batch {
-        let reply = match &pending.work {
-            Work::Range { query, eps } => Reply::Range(pipeline.range(query, *eps)),
-            Work::RangeCount { query, eps } => Reply::Count(pipeline.range_count(query, *eps)),
-            Work::Knn { query, k } => Reply::Knn(pipeline.knn(query, *k)),
-            Work::Estimate { query, eps } => Reply::Estimate(pipeline.estimate(query, *eps)),
-            Work::Insert { row } => match pipeline.insert(row) {
+        let response = match &pending.request {
+            QueryRequest::Range { query, eps } => QueryResponse::Range(pipeline.range(query, *eps)),
+            QueryRequest::RangeCount { query, eps } => {
+                QueryResponse::Count(pipeline.range_count(query, *eps))
+            }
+            QueryRequest::Knn { query, k } => QueryResponse::Knn(pipeline.knn(query, *k)),
+            QueryRequest::Estimate { query, eps } => {
+                QueryResponse::Estimate(pipeline.estimate(query, *eps))
+            }
+            QueryRequest::Insert { row } => match pipeline.insert(row) {
                 Ok(lsn) => {
                     wrote = true;
-                    Reply::Written(lsn)
+                    QueryResponse::Written { lsn }
                 }
-                Err(SnapshotError::Malformed(_)) => Reply::Rejected(WriteError::DimensionMismatch),
-                Err(_) => Reply::Rejected(WriteError::Storage),
+                Err(SnapshotError::Malformed(_)) => {
+                    QueryResponse::Rejected(WriteError::DimensionMismatch)
+                }
+                Err(_) => QueryResponse::Rejected(WriteError::Storage),
             },
-            Work::Delete { dense } => match pipeline.delete(*dense as usize) {
+            QueryRequest::Delete { dense } => match pipeline.delete(*dense as usize) {
                 Ok(lsn) => {
                     wrote = true;
-                    Reply::Written(lsn)
+                    QueryResponse::Written { lsn }
                 }
-                Err(SnapshotError::Malformed(_)) => Reply::Rejected(WriteError::OutOfBounds),
-                Err(_) => Reply::Rejected(WriteError::Storage),
+                Err(SnapshotError::Malformed(_)) => {
+                    QueryResponse::Rejected(WriteError::OutOfBounds)
+                }
+                Err(_) => QueryResponse::Rejected(WriteError::Storage),
             },
         };
-        replies.push(reply);
+        responses.push(response);
     }
     // Group commit with bounded retry: a transient sync failure (a busy
     // device, an injected fault) is retried with doubling backoff before
@@ -860,12 +708,14 @@ fn answer_mutable(
             }
         }
     }
-    for (pending, reply) in batch.iter().zip(replies) {
-        let reply = match reply {
-            Reply::Written(_) if commit_failed => Reply::Rejected(WriteError::Storage),
+    for (pending, response) in batch.iter().zip(responses) {
+        let response = match response {
+            QueryResponse::Written { .. } if commit_failed => {
+                QueryResponse::Rejected(WriteError::Storage)
+            }
             other => other,
         };
-        pending.slot.deliver(epoch, reply);
+        pending.slot.deliver(epoch, response);
     }
 
     let threshold = shared.config.compact_threshold;
@@ -918,15 +768,15 @@ fn answer(epoch: &EpochState, batch: &[Pending]) {
     // bit-identical to the per-query forms, which is what makes coalescing
     // invisible to callers. A uniform batch (one kind, one parameter — the
     // common serving shape) skips the partition map entirely.
-    let first_key = batch[0].work.group_key();
-    if batch.iter().all(|p| p.work.group_key() == first_key) {
+    let first_key = group_key(&batch[0].request);
+    if batch.iter().all(|p| group_key(&p.request) == first_key) {
         let group: Vec<&Pending> = batch.iter().collect();
         return answer_group(epoch, &group);
     }
     let mut groups: HashMap<(u8, u64), Vec<&Pending>> = HashMap::new();
     for pending in batch {
         groups
-            .entry(pending.work.group_key())
+            .entry(group_key(&pending.request))
             .or_default()
             .push(pending);
     }
@@ -937,35 +787,33 @@ fn answer(epoch: &EpochState, batch: &[Pending]) {
 
 /// One batch-kernel call for a group that shares a (kind, parameter) key.
 fn answer_group(epoch: &EpochState, group: &[&Pending]) {
-    let queries: Vec<&[f32]> = group.iter().map(|p| p.work.query()).collect();
-    match &group[0].work {
-        Work::Range { eps, .. } => {
-            let results = epoch.engine.range_batch(&queries, *eps);
-            for (pending, hits) in group.iter().zip(results) {
-                pending.slot.deliver(epoch.epoch, Reply::Range(hits));
-            }
+    let queries: Vec<&[f32]> = group
+        .iter()
+        .filter_map(|p| p.request.read_query())
+        .collect();
+    let responses: Vec<QueryResponse> = match group[0].request {
+        QueryRequest::Range { eps, .. } => {
+            let results = epoch.engine.range_batch(&queries, eps);
+            results.into_iter().map(QueryResponse::Range).collect()
         }
-        Work::RangeCount { eps, .. } => {
-            let results = epoch.engine.range_count_batch(&queries, *eps);
-            for (pending, count) in group.iter().zip(results) {
-                pending.slot.deliver(epoch.epoch, Reply::Count(count));
-            }
+        QueryRequest::RangeCount { eps, .. } => {
+            let results = epoch.engine.range_count_batch(&queries, eps);
+            results.into_iter().map(QueryResponse::Count).collect()
         }
-        Work::Knn { k, .. } => {
-            let results = epoch.engine.knn_batch(&queries, *k);
-            for (pending, neighbors) in group.iter().zip(results) {
-                pending.slot.deliver(epoch.epoch, Reply::Knn(neighbors));
-            }
+        QueryRequest::Knn { k, .. } => {
+            let results = epoch.engine.knn_batch(&queries, k);
+            results.into_iter().map(QueryResponse::Knn).collect()
         }
-        Work::Estimate { eps, .. } => {
-            let results = epoch.pipeline.estimate_batch(&queries, *eps);
-            for (pending, estimate) in group.iter().zip(results) {
-                pending.slot.deliver(epoch.epoch, Reply::Estimate(estimate));
-            }
+        QueryRequest::Estimate { eps, .. } => {
+            let results = epoch.pipeline.estimate_batch(&queries, eps);
+            results.into_iter().map(QueryResponse::Estimate).collect()
         }
-        Work::Insert { .. } | Work::Delete { .. } => {
+        QueryRequest::Insert { .. } | QueryRequest::Delete { .. } => {
             unreachable!("writes are admitted only on mutable servers, which answer in order")
         }
+    };
+    for (pending, response) in group.iter().zip(responses) {
+        pending.slot.deliver(epoch.epoch, response);
     }
 }
 
@@ -974,13 +822,14 @@ mod tests {
     use super::*;
     use laf_cardest::{NetConfig, TrainingSetBuilder};
     use laf_core::LafConfig;
+    use laf_index::Neighbor;
     use laf_synth::EmbeddingMixtureConfig;
     use laf_vector::Dataset;
 
-    fn data(seed: u64) -> Dataset {
+    fn data(seed: u64, dim: usize) -> Dataset {
         EmbeddingMixtureConfig {
             n_points: 300,
-            dim: 12,
+            dim,
             clusters: 4,
             noise_fraction: 0.2,
             seed,
@@ -991,15 +840,67 @@ mod tests {
         .0
     }
 
-    fn pipeline(seed: u64) -> LafPipeline {
+    fn pipeline_of_dim(seed: u64, dim: usize) -> LafPipeline {
         LafPipeline::builder(LafConfig::new(0.3, 4, 1.0))
             .net(NetConfig::tiny())
             .training(TrainingSetBuilder {
                 max_queries: Some(60),
                 ..Default::default()
             })
-            .train(data(seed))
+            .train(data(seed, dim))
             .unwrap()
+    }
+
+    fn pipeline(seed: u64) -> LafPipeline {
+        pipeline_of_dim(seed, 12)
+    }
+
+    fn range(query: &[f32], eps: f32) -> QueryRequest {
+        QueryRequest::Range {
+            query: query.to_vec(),
+            eps,
+        }
+    }
+
+    fn count(query: &[f32], eps: f32) -> QueryRequest {
+        QueryRequest::RangeCount {
+            query: query.to_vec(),
+            eps,
+        }
+    }
+
+    fn insert(row: &[f32]) -> QueryRequest {
+        QueryRequest::Insert { row: row.to_vec() }
+    }
+
+    fn hits(response: QueryResponse) -> Vec<u32> {
+        match response {
+            QueryResponse::Range(hits) => hits,
+            other => panic!("expected a range response, got {other:?}"),
+        }
+    }
+
+    fn n(response: QueryResponse) -> usize {
+        match response {
+            QueryResponse::Count(n) => n,
+            other => panic!("expected a count response, got {other:?}"),
+        }
+    }
+
+    fn lsn(response: QueryResponse) -> Result<u64, WriteError> {
+        match response {
+            QueryResponse::Written { lsn } => Ok(lsn),
+            QueryResponse::Rejected(err) => Err(err),
+            other => panic!("expected a write response, got {other:?}"),
+        }
+    }
+
+    fn assert_knn_bits(got: &[Neighbor], want: &[Neighbor], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.index, b.index, "{what}");
+            assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "{what}");
+        }
     }
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -1031,19 +932,31 @@ mod tests {
                 let expected_knn = &expected_knn;
                 let expected_est = &expected_est;
                 scope.spawn(move || {
-                    let served = server.range(q, 0.3).unwrap();
+                    let served = server.submit(range(q, 0.3)).unwrap();
                     assert_eq!(served.epoch, 1);
-                    assert_eq!(served.value, expected_range[i], "range query {i}");
-                    let count = server.range_count(q, 0.3).unwrap().value;
-                    assert_eq!(count, expected_count[i], "count query {i}");
-                    let knn = server.knn(q, 5).unwrap().value;
-                    assert_eq!(knn.len(), expected_knn[i].len(), "knn query {i}");
-                    for (a, b) in knn.iter().zip(&expected_knn[i]) {
-                        assert_eq!(a.index, b.index, "knn query {i}");
-                        assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "knn query {i}");
+                    assert_eq!(hits(served.value), expected_range[i], "range query {i}");
+                    let served = server.submit(count(q, 0.3)).unwrap();
+                    assert_eq!(n(served.value), expected_count[i], "count query {i}");
+                    let knn = QueryRequest::Knn {
+                        query: q.clone(),
+                        k: 5,
+                    };
+                    match server.submit(knn).unwrap().value {
+                        QueryResponse::Knn(got) => {
+                            assert_knn_bits(&got, &expected_knn[i], &format!("knn query {i}"))
+                        }
+                        other => panic!("knn request answered with {other:?}"),
                     }
-                    let est = server.estimate(q, 0.3).unwrap().value;
-                    assert_eq!(est.to_bits(), expected_est[i].to_bits(), "estimate {i}");
+                    let est = QueryRequest::Estimate {
+                        query: q.clone(),
+                        eps: 0.3,
+                    };
+                    match server.submit(est).unwrap().value {
+                        QueryResponse::Estimate(est) => {
+                            assert_eq!(est.to_bits(), expected_est[i].to_bits(), "estimate {i}")
+                        }
+                        other => panic!("estimate request answered with {other:?}"),
+                    }
                 });
             }
         });
@@ -1060,14 +973,14 @@ mod tests {
         let queries: Vec<Vec<f32>> = (0..12).map(|i| pipeline.data().row(i).to_vec()).collect();
         let expected: Vec<usize> = queries.iter().map(|q| engine.range_count(q, 0.3)).collect();
         let server = LafServer::start(pipeline, ServeConfig::default());
-        let tickets: Vec<Ticket<usize>> = queries
+        let tickets: Vec<Ticket<QueryResponse>> = queries
             .iter()
-            .map(|q| server.range_count_async(q, 0.3).unwrap())
+            .map(|q| server.submit_async(count(q, 0.3)).unwrap())
             .collect();
         for (i, ticket) in tickets.into_iter().enumerate() {
             let served = ticket.wait();
             assert_eq!(served.epoch, 1);
-            assert_eq!(served.value, expected[i], "pipelined count query {i}");
+            assert_eq!(n(served.value), expected[i], "pipelined count query {i}");
         }
         let report = server.shutdown();
         assert_eq!(report.completed, 12);
@@ -1084,8 +997,8 @@ mod tests {
         let pipeline = pipeline(37);
         let q: Vec<f32> = pipeline.data().row(0).to_vec();
         let server = LafServer::start(pipeline, ServeConfig::default());
-        let kept = server.range_count_async(&q, 0.3).unwrap();
-        drop(server.range_count_async(&q, 0.3).unwrap());
+        let kept = server.submit_async(count(&q, 0.3)).unwrap();
+        drop(server.submit_async(count(&q, 0.3)).unwrap());
         let served = kept.wait();
         assert_eq!(served.epoch, 1);
         let report = server.shutdown();
@@ -1100,7 +1013,7 @@ mod tests {
         let q: Vec<f32> = pipeline.data().row(3).to_vec();
         let expected = engine.range(&q, 0.3);
         let server = LafServer::start(pipeline, ServeConfig::uncoalesced());
-        assert_eq!(server.range(&q, 0.3).unwrap().value, expected);
+        assert_eq!(hits(server.submit(range(&q, 0.3)).unwrap().value), expected);
     }
 
     #[test]
@@ -1118,7 +1031,7 @@ mod tests {
             for q in &queries {
                 let server = &server;
                 scope.spawn(move || {
-                    server.range(q, 0.3).unwrap();
+                    server.submit(range(q, 0.3)).unwrap();
                 });
             }
         });
@@ -1171,13 +1084,13 @@ mod tests {
                 let server = &server;
                 let q = &q;
                 scope.spawn(move || {
-                    let _ = server.range(q, 0.3);
+                    let _ = server.submit(range(q, 0.3));
                 });
             }
             wait_for_depth(&server, 3);
             // The queue is pinned at the bound until the window expires; one
             // more submission must bounce rather than buffer.
-            match server.range_count(&q, 0.3) {
+            match server.submit(count(&q, 0.3)) {
                 Err(ServeError::Overloaded { depth, limit }) => {
                     assert_eq!(limit, 3);
                     assert!(depth >= limit);
@@ -1207,7 +1120,7 @@ mod tests {
                 scope.spawn(move || {
                     // Queued mid-window; shutdown must still answer it
                     // rather than losing it.
-                    server.range(q, 0.3).unwrap();
+                    server.submit(range(q, 0.3)).unwrap();
                 });
             }
             wait_for_depth(&server, 3);
@@ -1227,9 +1140,9 @@ mod tests {
         let expected = replacement.engine().range(&q, 0.3);
         assert_eq!(server.reload(replacement).unwrap(), 2);
         assert_eq!(server.current_epoch(), 2);
-        let served = server.range(&q, 0.3).unwrap();
+        let served = server.submit(range(&q, 0.3)).unwrap();
         assert_eq!(served.epoch, 2);
-        assert_eq!(served.value, expected);
+        assert_eq!(hits(served.value), expected);
         assert_eq!(server.stats_report().reloads, 1);
     }
 
@@ -1241,37 +1154,24 @@ mod tests {
     }
 
     #[test]
-    fn unified_submit_matches_the_typed_methods() {
+    fn submit_answers_every_kind_like_the_synchronous_engine() {
         let pipeline = pipeline(43);
         let engine = pipeline.engine();
         let q: Vec<f32> = pipeline.data().row(5).to_vec();
         let expected_range = engine.range(&q, 0.3);
         let expected_count = engine.range_count(&q, 0.3);
+        let expected_knn = engine.knn(&q, 3);
         let expected_est = pipeline.estimate(&q, 0.3);
         let server = LafServer::start(pipeline, ServeConfig::default());
         assert!(!server.is_mutable());
-        match server
-            .submit(QueryRequest::Range {
-                query: q.clone(),
-                eps: 0.3,
-            })
-            .unwrap()
-            .value
-        {
-            QueryResponse::Range(hits) => assert_eq!(hits, expected_range),
-            other => panic!("range request answered with {other:?}"),
-        }
-        match server
-            .submit(QueryRequest::RangeCount {
-                query: q.clone(),
-                eps: 0.3,
-            })
-            .unwrap()
-            .value
-        {
-            QueryResponse::Count(n) => assert_eq!(n, expected_count),
-            other => panic!("count request answered with {other:?}"),
-        }
+        assert_eq!(
+            hits(server.submit(range(&q, 0.3)).unwrap().value),
+            expected_range
+        );
+        assert_eq!(
+            n(server.submit(count(&q, 0.3)).unwrap().value),
+            expected_count
+        );
         match server
             .submit(QueryRequest::Knn {
                 query: q.clone(),
@@ -1280,7 +1180,7 @@ mod tests {
             .unwrap()
             .value
         {
-            QueryResponse::Knn(neighbors) => assert_eq!(neighbors.len(), 3),
+            QueryResponse::Knn(neighbors) => assert_knn_bits(&neighbors, &expected_knn, "knn"),
             other => panic!("knn request answered with {other:?}"),
         }
         match server
@@ -1295,14 +1195,109 @@ mod tests {
             other => panic!("estimate request answered with {other:?}"),
         }
         // Writes bounce at submission on a read-only server.
+        assert_eq!(server.submit(insert(&q)).unwrap_err(), ServeError::ReadOnly);
         assert_eq!(
             server
-                .submit(QueryRequest::Insert { row: q.clone() })
+                .submit_async(QueryRequest::Delete { dense: 0 })
                 .unwrap_err(),
             ServeError::ReadOnly
         );
-        assert_eq!(server.insert(&q).unwrap_err(), ServeError::ReadOnly);
-        assert_eq!(server.delete(0).unwrap_err(), ServeError::ReadOnly);
+    }
+
+    #[test]
+    fn malformed_reads_are_rejected_and_the_frozen_server_keeps_serving() {
+        let pipeline = pipeline(79);
+        let q: Vec<f32> = pipeline.data().row(2).to_vec();
+        let expected = pipeline.engine().range_count(&q, 0.3);
+        let server = LafServer::start(pipeline, ServeConfig::default());
+        let short = &q[..11];
+        let malformed = [
+            range(short, 0.3),
+            count(short, 0.3),
+            QueryRequest::Knn {
+                query: short.to_vec(),
+                k: 3,
+            },
+            QueryRequest::Estimate {
+                query: short.to_vec(),
+                eps: 0.3,
+            },
+        ];
+        for request in malformed {
+            assert_eq!(
+                server.submit_async(request).unwrap_err(),
+                ServeError::DimensionMismatch {
+                    expected: 12,
+                    actual: 11
+                }
+            );
+        }
+        let long = [q.as_slice(), &[0.5]].concat();
+        assert_eq!(
+            server.submit(count(&long, 0.3)).unwrap_err(),
+            ServeError::DimensionMismatch {
+                expected: 12,
+                actual: 13
+            }
+        );
+        // The dispatcher never saw them: a well-formed read is still served.
+        let ticket = server.submit_async(count(&q, 0.3)).unwrap();
+        let served = ticket.wait_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(n(served.value), expected);
+
+        // A replacement of another dimensionality is refused before the
+        // swap; the old epoch keeps serving.
+        assert_eq!(
+            server.reload(pipeline_of_dim(83, 8)).unwrap_err(),
+            ServeError::DimensionMismatch {
+                expected: 12,
+                actual: 8
+            }
+        );
+        assert_eq!(server.current_epoch(), 1);
+        assert_eq!(server.stats_report().reloads, 0);
+        assert!(ServeError::DimensionMismatch {
+            expected: 12,
+            actual: 8
+        }
+        .to_string()
+        .contains("served 12, got 8"));
+        let report = server.shutdown();
+        assert_eq!(report.submitted, 1, "rejected reads are never queued");
+    }
+
+    #[test]
+    fn malformed_reads_are_rejected_and_the_mutable_server_keeps_serving() {
+        use laf_core::MutablePipeline;
+        let frozen = pipeline(89);
+        let q: Vec<f32> = frozen.data().row(0).to_vec();
+        let expected = frozen.engine().range_count(&q, 0.3);
+        let dir = mutable_dir("malformed");
+        let mutable = MutablePipeline::create(&dir, &frozen).unwrap();
+        let server = LafServer::start_mutable(mutable, ServeConfig::default());
+        assert_eq!(
+            server.submit_async(count(&q[..7], 0.3)).unwrap_err(),
+            ServeError::DimensionMismatch {
+                expected: 12,
+                actual: 7
+            }
+        );
+        // The pipeline lock is not poisoned and the dispatcher is alive:
+        // reads and writes after the rejected one are answered in time.
+        let wait = Duration::from_secs(10);
+        let t_count = server.submit_async(count(&q, 0.3)).unwrap();
+        let t_short_row = server.submit_async(insert(&q[..7])).unwrap();
+        assert_eq!(n(t_count.wait_timeout(wait).unwrap().value), expected);
+        assert_eq!(
+            lsn(t_short_row.wait_timeout(wait).unwrap().value),
+            Err(WriteError::DimensionMismatch),
+            "inserted rows keep their processing-time rejection"
+        );
+        // A mutable server's epochs come from its compactions only.
+        assert_eq!(server.reload(frozen).unwrap_err(), ServeError::Mutable);
+        assert_eq!(server.current_epoch(), 1);
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1318,22 +1313,35 @@ mod tests {
         // Pipeline an insert, a read that must see it, a delete, and a read
         // that must see the delete — all in flight before any wait.
         let row = vec![9.0f32; 12];
-        let t_insert = server.insert_async(&row).unwrap();
-        let t_seen = server.range_count_async(&row, 1e-3).unwrap();
-        let t_delete = server.delete_async(n_base as u64).unwrap();
-        let t_gone = server.range_count_async(&row, 1e-3).unwrap();
-        assert_eq!(t_insert.wait().value, Ok(1), "first WAL record is LSN 1");
-        assert_eq!(t_seen.wait().value, 1, "a pipelined read sees the insert");
-        assert_eq!(t_delete.wait().value, Ok(2));
-        assert_eq!(t_gone.wait().value, 0, "and then sees the delete");
+        let t_insert = server.submit_async(insert(&row)).unwrap();
+        let t_seen = server.submit_async(count(&row, 1e-3)).unwrap();
+        let t_delete = server
+            .submit_async(QueryRequest::Delete {
+                dense: n_base as u64,
+            })
+            .unwrap();
+        let t_gone = server.submit_async(count(&row, 1e-3)).unwrap();
+        assert_eq!(
+            lsn(t_insert.wait().value),
+            Ok(1),
+            "first WAL record is LSN 1"
+        );
+        assert_eq!(
+            n(t_seen.wait().value),
+            1,
+            "a pipelined read sees the insert"
+        );
+        assert_eq!(lsn(t_delete.wait().value), Ok(2));
+        assert_eq!(n(t_gone.wait().value), 0, "and then sees the delete");
 
         // Processing-time rejections come back through the response.
         assert_eq!(
-            server.insert(&[1.0]).unwrap().value,
+            lsn(server.submit(insert(&[1.0])).unwrap().value),
             Err(WriteError::DimensionMismatch)
         );
+        let delete = QueryRequest::Delete { dense: u64::MAX };
         assert_eq!(
-            server.delete(u64::MAX).unwrap().value,
+            lsn(server.submit(delete).unwrap().value),
             Err(WriteError::OutOfBounds)
         );
         server.shutdown();
@@ -1354,17 +1362,17 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        let before = server.range(&q, 0.3).unwrap();
+        let before = server.submit(range(&q, 0.3)).unwrap();
         assert_eq!(before.epoch, 1);
         let row = vec![4.0f32; 12];
-        server.insert(&row).unwrap().value.unwrap();
+        lsn(server.submit(insert(&row)).unwrap().value).unwrap();
         // The write batch left pending_ops >= 1, so the dispatcher folded
         // the delta into a new base and published it as epoch 2; answers
         // are unchanged by the fold.
-        let after = server.range(&q, 0.3).unwrap();
+        let after = server.submit(range(&q, 0.3)).unwrap();
         assert_eq!(after.epoch, 2, "compaction bumps the served epoch");
-        assert_eq!(after.value, before.value);
-        assert_eq!(server.range_count(&row, 1e-3).unwrap().value, 1);
+        assert_eq!(hits(after.value), hits(before.value));
+        assert_eq!(n(server.submit(count(&row, 1e-3)).unwrap().value), 1);
         assert_eq!(server.stats_report().reloads, 1);
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
@@ -1390,16 +1398,16 @@ mod tests {
             },
         );
         let row = vec![4.0f32; 12];
-        server.insert(&row).unwrap().value.unwrap();
-        let reads = server.range(&q, 0.3).unwrap();
+        lsn(server.submit(insert(&row)).unwrap().value).unwrap();
+        let reads = server.submit(range(&q, 0.3)).unwrap();
         assert_eq!(reads.epoch, 1, "no epoch published by a failed compaction");
         let report = server.stats_report();
         assert_eq!(report.reloads, 0);
         assert_eq!(report.compact_failures, 1, "failure surfaced in stats");
         // Backoff: read-only batches (backlog unchanged) must not retry the
         // failing full rebuild.
-        server.range(&q, 0.3).unwrap();
-        server.range_count(&q, 0.3).unwrap();
+        server.submit(range(&q, 0.3)).unwrap();
+        server.submit(count(&q, 0.3)).unwrap();
         assert_eq!(
             server.stats_report().compact_failures,
             1,
@@ -1409,14 +1417,14 @@ mod tests {
         // 1 = 2) and the blocker is gone, compaction recovers, publishes an
         // epoch, and resets the latch.
         std::fs::remove_dir(&blocker).unwrap();
-        server.insert(&row).unwrap().value.unwrap();
-        let after = server.range(&q, 0.3).unwrap();
+        lsn(server.submit(insert(&row)).unwrap().value).unwrap();
+        let after = server.submit(range(&q, 0.3)).unwrap();
         assert_eq!(after.epoch, 2, "recovered compaction publishes an epoch");
-        assert_eq!(after.value, reads.value);
+        assert_eq!(hits(after.value), hits(reads.value));
         let report = server.stats_report();
         assert_eq!(report.reloads, 1);
         assert_eq!(report.compact_failures, 1);
-        assert_eq!(server.range_count(&row, 1e-3).unwrap().value, 2);
+        assert_eq!(n(server.submit(count(&row, 1e-3)).unwrap().value), 2);
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1430,8 +1438,9 @@ mod tests {
         let n_before = mutable.len();
         let server = LafServer::start_mutable(mutable, ServeConfig::default());
         let row = vec![2.5f32; 12];
-        server.insert(&row).unwrap().value.unwrap();
-        server.delete(0).unwrap().value.unwrap();
+        lsn(server.submit(insert(&row)).unwrap().value).unwrap();
+        let delete = QueryRequest::Delete { dense: 0 };
+        lsn(server.submit(delete).unwrap().value).unwrap();
         server.shutdown();
         let reopened = MutablePipeline::open(&dir).unwrap();
         assert_eq!(reopened.len(), n_before, "+1 insert, -1 delete");
@@ -1452,7 +1461,7 @@ mod tests {
         );
         // One parked request — below the dot4 tile, inside the long window —
         // must unblock with a typed timeout, not hang for the window.
-        match server.range(&q, 0.3) {
+        match server.submit(range(&q, 0.3)) {
             Err(ServeError::Timeout { waited_us }) => assert!(waited_us >= 2_000, "{waited_us}"),
             other => panic!("expected Timeout, got {other:?}"),
         }
@@ -1470,9 +1479,9 @@ mod tests {
         let q: Vec<f32> = pipeline.data().row(1).to_vec();
         let expected = engine.range_count(&q, 0.3);
         let server = LafServer::start(pipeline, ServeConfig::default());
-        let ticket = server.range_count_async(&q, 0.3).unwrap();
+        let ticket = server.submit_async(count(&q, 0.3)).unwrap();
         let served = ticket.wait_timeout(Duration::from_secs(30)).unwrap();
-        assert_eq!(served.value, expected);
+        assert_eq!(n(served.value), expected);
         assert_eq!(server.stats_report().timeouts, 0);
         assert!(ServeError::Timeout { waited_us: 7 }
             .to_string()
@@ -1494,9 +1503,9 @@ mod tests {
         let mut absorbed = false;
         for _ in 0..5 {
             fault::install(FaultPlan::new(1).with_site("wal.sync", FaultMode::OnceAt(0)));
-            let lsn = server.insert(&row).unwrap().value;
+            let written = lsn(server.submit(insert(&row)).unwrap().value);
             assert!(
-                lsn.is_ok(),
+                written.is_ok(),
                 "a single transient sync failure must be retried away"
             );
             if server.stats_report().wal_sync_retries > 0 {
@@ -1526,12 +1535,12 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        let before = server.range(&q, 0.3).unwrap();
+        let before = server.submit(range(&q, 0.3)).unwrap();
         fault::install(FaultPlan::new(2).with_site("compact.dir_fsync", FaultMode::OnceAt(0)));
         let row = vec![4.0f32; 12];
-        server.insert(&row).unwrap().value.unwrap();
+        lsn(server.submit(insert(&row)).unwrap().value).unwrap();
         fault::clear();
-        let after = server.range(&q, 0.3).unwrap();
+        let after = server.submit(range(&q, 0.3)).unwrap();
         let report = server.stats_report();
         assert_eq!(
             report.compact_failures, 0,
@@ -1541,7 +1550,7 @@ mod tests {
             after.epoch, 2,
             "retried compaction still publishes its epoch"
         );
-        assert_eq!(after.value, before.value);
+        assert_eq!(hits(after.value), hits(before.value));
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1551,7 +1560,10 @@ mod tests {
         let mut server = LafServer::start(pipeline(29), ServeConfig::default());
         let q = vec![0.0f32; 12];
         server.shutdown_inner();
-        assert_eq!(server.range(&q, 0.3), Err(ServeError::ShuttingDown));
+        assert_eq!(
+            server.submit(range(&q, 0.3)).unwrap_err(),
+            ServeError::ShuttingDown
+        );
         assert_eq!(
             ServeError::ShuttingDown.to_string(),
             "server is shutting down"

@@ -14,7 +14,6 @@ use crate::maintenance::{MaintenanceConfig, MaintenanceSupervisor, SnapshotSourc
 use crate::request::{QueryRequest, QueryResponse};
 use laf_clustering::Clustering;
 use laf_core::LafStats;
-use laf_index::Neighbor;
 use std::sync::Arc;
 
 /// Routes per-tenant queries through a shared [`SnapshotCache`].
@@ -50,29 +49,35 @@ impl TenantServer {
         MaintenanceSupervisor::start(Arc::clone(&self.cache), source, config)
     }
 
-    /// Pin `tenant`'s pipeline for a multi-query request. Prefer the
-    /// one-shot query methods below for single lookups; use an explicit pin
-    /// when several queries must see the same snapshot generation.
+    /// Pin `tenant`'s pipeline for a multi-query request. Prefer
+    /// [`TenantServer::submit`] for single lookups; use an explicit pin when
+    /// several queries must see the same snapshot generation.
     pub fn pin(&self, tenant: &str) -> Result<PinnedSnapshot, CacheError> {
         self.cache.pin(tenant)
     }
 
-    /// Answer any [`QueryRequest`] over `tenant`'s snapshot — the unified
-    /// request path every typed method below funnels through. Read kinds
-    /// pin the tenant's pipeline for exactly one query; write kinds fail
-    /// with [`CacheError::ReadOnly`] (cached snapshots are shared, mmap'd
-    /// and immutable — a tenant that takes writes needs its own mutable
-    /// server, [`crate::LafServer::start_mutable`]).
+    /// Answer any [`QueryRequest`] over `tenant`'s snapshot. Read kinds pin
+    /// the tenant's pipeline for exactly one query and fail with
+    /// [`CacheError::DimensionMismatch`] when the query vector does not
+    /// have the tenant's dimensionality. Write kinds fail with
+    /// [`CacheError::ReadOnly`] (cached snapshots are shared, mmap'd and
+    /// immutable — a tenant that takes writes needs its own mutable server,
+    /// [`crate::LafServer::start_mutable`]).
     pub fn submit(&self, tenant: &str, request: QueryRequest) -> Result<QueryResponse, CacheError> {
-        match request {
-            QueryRequest::Insert { .. } | QueryRequest::Delete { .. } => {
-                return Err(CacheError::ReadOnly {
-                    tenant: tenant.to_string(),
-                })
-            }
-            _ => {}
-        }
+        let Some(actual) = request.read_query().map(<[f32]>::len) else {
+            return Err(CacheError::ReadOnly {
+                tenant: tenant.to_string(),
+            });
+        };
         let pin = self.cache.pin(tenant)?;
+        let expected = pin.data().dim();
+        if actual != expected {
+            return Err(CacheError::DimensionMismatch {
+                tenant: tenant.to_string(),
+                expected,
+                actual,
+            });
+        }
         Ok(match request {
             QueryRequest::Range { query, eps } => {
                 QueryResponse::Range(pin.engine().get().range(&query, eps))
@@ -88,62 +93,6 @@ impl TenantServer {
                 unreachable!("write kinds rejected before pinning")
             }
         })
-    }
-
-    /// ε-range query over `tenant`'s snapshot: row ids within `eps`.
-    pub fn range(&self, tenant: &str, query: &[f32], eps: f32) -> Result<Vec<u32>, CacheError> {
-        match self.submit(
-            tenant,
-            QueryRequest::Range {
-                query: query.to_vec(),
-                eps,
-            },
-        )? {
-            QueryResponse::Range(hits) => Ok(hits),
-            _ => unreachable!("range requests resolve to range responses"),
-        }
-    }
-
-    /// ε-range count over `tenant`'s snapshot.
-    pub fn range_count(&self, tenant: &str, query: &[f32], eps: f32) -> Result<usize, CacheError> {
-        match self.submit(
-            tenant,
-            QueryRequest::RangeCount {
-                query: query.to_vec(),
-                eps,
-            },
-        )? {
-            QueryResponse::Count(n) => Ok(n),
-            _ => unreachable!("count requests resolve to count responses"),
-        }
-    }
-
-    /// k-nearest-neighbor query over `tenant`'s snapshot.
-    pub fn knn(&self, tenant: &str, query: &[f32], k: usize) -> Result<Vec<Neighbor>, CacheError> {
-        match self.submit(
-            tenant,
-            QueryRequest::Knn {
-                query: query.to_vec(),
-                k,
-            },
-        )? {
-            QueryResponse::Knn(neighbors) => Ok(neighbors),
-            _ => unreachable!("knn requests resolve to knn responses"),
-        }
-    }
-
-    /// Learned cardinality estimate from `tenant`'s trained estimator.
-    pub fn estimate(&self, tenant: &str, query: &[f32], eps: f32) -> Result<f32, CacheError> {
-        match self.submit(
-            tenant,
-            QueryRequest::Estimate {
-                query: query.to_vec(),
-                eps,
-            },
-        )? {
-            QueryResponse::Estimate(est) => Ok(est),
-            _ => unreachable!("estimate requests resolve to estimate responses"),
-        }
     }
 
     /// Run LAF-DBSCAN over `tenant`'s snapshot dataset.
@@ -201,19 +150,35 @@ mod tests {
         for (tenant, direct) in [("a", &direct_a), ("b", &direct_b)] {
             let q: Vec<f32> = direct.data().row(0).to_vec();
             let engine = direct.engine();
-            assert_eq!(
-                server.range(tenant, &q, 0.3).unwrap(),
-                engine.get().range(&q, 0.3)
-            );
-            assert_eq!(
-                server.range_count(tenant, &q, 0.3).unwrap(),
-                engine.get().range_count(&q, 0.3)
-            );
-            assert_eq!(server.knn(tenant, &q, 5).unwrap(), engine.get().knn(&q, 5));
-            assert_eq!(
-                server.estimate(tenant, &q, 0.3).unwrap(),
-                direct.estimate(&q, 0.3)
-            );
+            let submit = |request| server.submit(tenant, request).unwrap();
+            match submit(QueryRequest::Range {
+                query: q.clone(),
+                eps: 0.3,
+            }) {
+                QueryResponse::Range(hits) => assert_eq!(hits, engine.get().range(&q, 0.3)),
+                other => panic!("range request answered with {other:?}"),
+            }
+            match submit(QueryRequest::RangeCount {
+                query: q.clone(),
+                eps: 0.3,
+            }) {
+                QueryResponse::Count(n) => assert_eq!(n, engine.get().range_count(&q, 0.3)),
+                other => panic!("count request answered with {other:?}"),
+            }
+            match submit(QueryRequest::Knn {
+                query: q.clone(),
+                k: 5,
+            }) {
+                QueryResponse::Knn(neighbors) => assert_eq!(neighbors, engine.get().knn(&q, 5)),
+                other => panic!("knn request answered with {other:?}"),
+            }
+            match submit(QueryRequest::Estimate {
+                query: q.clone(),
+                eps: 0.3,
+            }) {
+                QueryResponse::Estimate(est) => assert_eq!(est, direct.estimate(&q, 0.3)),
+                other => panic!("estimate request answered with {other:?}"),
+            }
             let (clustering, stats) = server.cluster_with_stats(tenant).unwrap();
             let (want_clustering, want_stats) = direct.cluster_with_stats();
             assert_eq!(clustering.labels(), want_clustering.labels());
@@ -253,9 +218,67 @@ mod tests {
     fn unknown_tenants_surface_the_cache_error() {
         let cache = SnapshotCache::new(CacheConfig::default());
         let server = TenantServer::new(cache);
+        let request = QueryRequest::Range {
+            query: vec![0.0],
+            eps: 0.3,
+        };
         assert!(matches!(
-            server.range("ghost", &[0.0], 0.3).unwrap_err(),
+            server.submit("ghost", request).unwrap_err(),
             CacheError::UnknownTenant(_)
         ));
+    }
+
+    #[test]
+    fn tenant_reads_of_the_wrong_dimensionality_are_typed_errors() {
+        let (path, _, direct) = snapshot_file("dim", 33);
+        let cache = SnapshotCache::new(CacheConfig::default());
+        cache.register("t", &path).unwrap();
+        let server = TenantServer::new(Arc::clone(&cache));
+        let q: Vec<f32> = direct.data().row(0).to_vec();
+        let short = q[..5].to_vec();
+        let malformed = [
+            QueryRequest::Range {
+                query: short.clone(),
+                eps: 0.3,
+            },
+            QueryRequest::RangeCount {
+                query: short.clone(),
+                eps: 0.3,
+            },
+            QueryRequest::Knn {
+                query: short.clone(),
+                k: 3,
+            },
+            QueryRequest::Estimate {
+                query: short,
+                eps: 0.3,
+            },
+        ];
+        for request in malformed {
+            let err = server.submit("t", request).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    CacheError::DimensionMismatch { tenant, expected: 6, actual: 5 } if tenant == "t"
+                ),
+                "{err}"
+            );
+            assert!(err.to_string().contains("6-dimensional rows"), "{err}");
+        }
+        // The caller survived, and the tenant still answers well-formed reads.
+        let request = QueryRequest::RangeCount {
+            query: q.clone(),
+            eps: 0.3,
+        };
+        match server.submit("t", request).unwrap() {
+            QueryResponse::Count(n) => assert_eq!(n, direct.engine().get().range_count(&q, 0.3)),
+            other => panic!("count request answered with {other:?}"),
+        }
+        let report = cache.report();
+        assert_eq!(
+            report.pins, report.unpins,
+            "rejected reads release their pin"
+        );
+        std::fs::remove_file(path).ok();
     }
 }

@@ -116,11 +116,11 @@ fn check_v4(path: &str) {
     for (name, pipeline) in [
         (
             "load",
-            load_snapshot(path).expect("golden v4 fixture must load"),
+            LafPipeline::load(path).expect("golden v4 fixture must load"),
         ),
         (
             "load_mmap",
-            load_snapshot_mmap(path).expect("golden v4 fixture must mmap"),
+            LafPipeline::load_mmap(path).expect("golden v4 fixture must mmap"),
         ),
     ] {
         let snapshot = pipeline.snapshot_arc();
@@ -145,7 +145,7 @@ fn check_v4(path: &str) {
 }
 
 fn check(path: &str) {
-    let pipeline = load_snapshot(path).expect("golden v1 fixture must load");
+    let pipeline = LafPipeline::load(path).expect("golden v1 fixture must load");
     assert!(
         pipeline.persisted_engine().is_none(),
         "a v1 snapshot carries no engine section; the fallback path must be exercised"

@@ -146,7 +146,7 @@ fn train(snapshot_path: &str, engine: EngineChoice) {
     }
 
     let t = Instant::now();
-    save_snapshot(&pipeline, snapshot_path).expect("snapshot save");
+    pipeline.save(snapshot_path).expect("snapshot save");
     let size = std::fs::metadata(snapshot_path).map_or(0, |m| m.len());
     println!(
         "[train] snapshot saved to {snapshot_path} ({size} bytes, engine structure {}) in {:.2?}",
@@ -183,9 +183,9 @@ fn snapshot_format_version(snapshot_path: &str) -> Option<u32> {
 fn serve(snapshot_path: &str, mmap: bool) {
     let t = Instant::now();
     let pipeline = if mmap {
-        load_snapshot_mmap(snapshot_path).expect("snapshot mmap load")
+        LafPipeline::load_mmap(snapshot_path).expect("snapshot mmap load")
     } else {
-        load_snapshot(snapshot_path).expect("snapshot load")
+        LafPipeline::load(snapshot_path).expect("snapshot load")
     };
     println!(
         "[serve] warm start: {} points x {} dims restored in {:.2?} (no retraining; dataset {}; engine {})",
@@ -252,7 +252,7 @@ fn serve_concurrent(snapshot_path: &str, n_clients: usize) {
     const N_QUERIES: usize = 64;
     const EPS: f32 = 0.35;
 
-    let pipeline = load_snapshot(snapshot_path).expect("snapshot load");
+    let pipeline = LafPipeline::load(snapshot_path).expect("snapshot load");
     let stride = (pipeline.data().len() / N_QUERIES).max(1);
     let queries: Vec<Vec<f32>> = (0..N_QUERIES.min(pipeline.data().len()))
         .map(|i| pipeline.data().row(i * stride).to_vec())
@@ -276,14 +276,18 @@ fn serve_concurrent(snapshot_path: &str, n_clients: usize) {
         for client in 0..n_clients {
             let (server, queries, expected) = (&server, &queries, &expected);
             scope.spawn(move || {
-                let mut inflight: std::collections::VecDeque<(usize, Ticket<usize>)> =
+                let mut inflight: std::collections::VecDeque<(usize, Ticket<QueryResponse>)> =
                     std::collections::VecDeque::with_capacity(PIPELINE_DEPTH);
                 let mut issued = 0usize;
                 let mut i = client; // stagger the query cycle per client
                 while issued < REQUESTS_PER_CLIENT || !inflight.is_empty() {
                     while issued < REQUESTS_PER_CLIENT && inflight.len() < PIPELINE_DEPTH {
                         i = (i + 1) % queries.len();
-                        match server.range_count_async(&queries[i], EPS) {
+                        let request = QueryRequest::RangeCount {
+                            query: queries[i].clone(),
+                            eps: EPS,
+                        };
+                        match server.submit_async(request) {
                             Ok(ticket) => {
                                 inflight.push_back((i, ticket));
                                 issued += 1;
@@ -296,11 +300,13 @@ fn serve_concurrent(snapshot_path: &str, n_clients: usize) {
                     let Some((qi, ticket)) = inflight.pop_front() else {
                         break;
                     };
-                    let served = ticket.wait();
-                    assert_eq!(
-                        served.value, expected[qi],
-                        "served result diverged from the synchronous path"
-                    );
+                    match ticket.wait().value {
+                        QueryResponse::Count(n) => assert_eq!(
+                            n, expected[qi],
+                            "served result diverged from the synchronous path"
+                        ),
+                        other => panic!("range-count request answered with {other:?}"),
+                    }
                 }
             });
         }

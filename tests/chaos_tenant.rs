@@ -27,8 +27,8 @@ use laf::cardest::{NetConfig, TrainingSetBuilder};
 use laf::core::fault::{self, FaultMode, FaultPlan};
 use laf::core::{LafConfig, LafPipeline};
 use laf::serve::{
-    CacheConfig, MaintenanceConfig, ReplicaSet, SnapshotCache, SnapshotSource, TenantHealth,
-    TenantServer,
+    CacheConfig, MaintenanceConfig, QueryRequest, QueryResponse, ReplicaSet, SnapshotCache,
+    SnapshotSource, TenantHealth, TenantServer,
 };
 use laf::synth::EmbeddingMixtureConfig;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -221,55 +221,36 @@ fn check_query(
     kind: u64,
     context: &str,
 ) -> bool {
-    let tenant = fixture.name;
-    let q = &fixture.queries[qi];
+    let query = fixture.queries[qi].clone();
     let want = &fixture.expect[qi];
-    match kind % 4 {
-        0 => match server.range(tenant, q, EPS) {
-            Ok(hits) => {
-                assert_eq!(hits, want.range, "{context}: range diverged");
-                false
-            }
-            Err(e) => {
-                assert!(!e.to_string().is_empty(), "{context}");
-                true
-            }
-        },
-        1 => match server.range_count(tenant, q, EPS) {
-            Ok(n) => {
-                assert_eq!(n, want.count, "{context}: range_count diverged");
-                false
-            }
-            Err(e) => {
-                assert!(!e.to_string().is_empty(), "{context}");
-                true
-            }
-        },
-        2 => match server.knn(tenant, q, KNN_K) {
-            Ok(neighbors) => {
-                let bits: Vec<(u32, u32)> = neighbors
-                    .into_iter()
-                    .map(|n| (n.index, n.dist.to_bits()))
-                    .collect();
-                assert_eq!(bits, want.knn, "{context}: knn diverged");
-                false
-            }
-            Err(e) => {
-                assert!(!e.to_string().is_empty(), "{context}");
-                true
-            }
-        },
-        _ => match server.estimate(tenant, q, EPS) {
-            Ok(est) => {
-                assert_eq!(est.to_bits(), want.estimate, "{context}: estimate diverged");
-                false
-            }
-            Err(e) => {
-                assert!(!e.to_string().is_empty(), "{context}");
-                true
-            }
-        },
+    let request = match kind % 4 {
+        0 => QueryRequest::Range { query, eps: EPS },
+        1 => QueryRequest::RangeCount { query, eps: EPS },
+        2 => QueryRequest::Knn { query, k: KNN_K },
+        _ => QueryRequest::Estimate { query, eps: EPS },
+    };
+    match server.submit(fixture.name, request) {
+        Ok(QueryResponse::Range(hits)) => assert_eq!(hits, want.range, "{context}: range diverged"),
+        Ok(QueryResponse::Count(n)) => {
+            assert_eq!(n, want.count, "{context}: range_count diverged")
+        }
+        Ok(QueryResponse::Knn(neighbors)) => {
+            let bits: Vec<(u32, u32)> = neighbors
+                .into_iter()
+                .map(|n| (n.index, n.dist.to_bits()))
+                .collect();
+            assert_eq!(bits, want.knn, "{context}: knn diverged");
+        }
+        Ok(QueryResponse::Estimate(est)) => {
+            assert_eq!(est.to_bits(), want.estimate, "{context}: estimate diverged")
+        }
+        Ok(other) => panic!("{context}: read answered with {other:?}"),
+        Err(e) => {
+            assert!(!e.to_string().is_empty(), "{context}");
+            return true;
+        }
     }
+    false
 }
 
 /// One chaos run: a seed-deterministic op stream of queries, real

@@ -19,7 +19,7 @@ fn fixture_path(name: &str) -> PathBuf {
 #[test]
 fn committed_v1_fixture_loads_and_reproduces_its_labels() {
     let snapshot = fixture_path("golden_v1.lafs");
-    let pipeline = load_snapshot(&snapshot)
+    let pipeline = LafPipeline::load(&snapshot)
         .unwrap_or_else(|e| panic!("v1 backward compatibility broken: {e} (fixture {snapshot:?})"));
     assert!(
         pipeline.persisted_engine().is_none(),

@@ -51,14 +51,14 @@ fn committed_v4_fixture_loads_by_copy_and_by_mmap() {
         "the v4 fixture must be written at format version 4"
     );
 
-    let cold = load_snapshot(&file).expect("v4 fixture must load by copy");
+    let cold = LafPipeline::load(&file).expect("v4 fixture must load by copy");
     assert!(
         cold.snapshot_arc().shards.is_empty(),
         "the unsharded fixture decodes to the classic (shard-free) layout"
     );
     assert_reproduces_sidecar(fixture, &cold, "copy");
 
-    let warm = load_snapshot_mmap(&file).expect("v4 fixture must load by mmap");
+    let warm = LafPipeline::load_mmap(&file).expect("v4 fixture must load by mmap");
     assert!(warm.data().is_mapped() || cfg!(target_endian = "big"));
     assert_reproduces_sidecar(fixture, &warm, "mmap");
 }
@@ -69,10 +69,13 @@ fn committed_sharded_v4_fixture_restores_every_shard() {
     let file = fixture_path(fixture);
 
     for (name, pipeline) in [
-        ("copy", load_snapshot(&file).expect("sharded fixture loads")),
+        (
+            "copy",
+            LafPipeline::load(&file).expect("sharded fixture loads"),
+        ),
         (
             "mmap",
-            load_snapshot_mmap(&file).expect("sharded fixture mmaps"),
+            LafPipeline::load_mmap(&file).expect("sharded fixture mmaps"),
         ),
     ] {
         let snapshot = pipeline.snapshot_arc();
@@ -102,7 +105,7 @@ fn older_format_versions_still_encode_and_decode() {
     // Re-encode the unsharded fixture's snapshot through every legacy
     // writer and decode the result with the current reader: v1–v3 files
     // produced by older deployments must keep working.
-    let pipeline = load_snapshot(fixture_path("golden_v4.lafs")).expect("v4 fixture must load");
+    let pipeline = LafPipeline::load(fixture_path("golden_v4.lafs")).expect("v4 fixture must load");
     let reference = pipeline.cluster().labels().to_vec();
     let snapshot = pipeline.into_snapshot();
     let encoded = [

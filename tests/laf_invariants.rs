@@ -77,7 +77,8 @@ proptest! {
         for &l in result.labels() {
             prop_assert!(l == -1 || (0..n_clusters).contains(&l), "label {} out of range", l);
         }
-        // Gate bookkeeping is consistent.
+        // Gate bookkeeping is consistent: one gate decision per point.
+        prop_assert_eq!(stats.cardest_calls as usize, data.len());
         prop_assert_eq!(
             stats.cardest_calls,
             stats.skipped_range_queries + stats.executed_range_queries

@@ -3,7 +3,7 @@
 //! must be indistinguishable to the whole clustering stack — identical
 //! labels and identical `LafStats` across every persistable range-query
 //! engine. This is the contract that lets the zero-copy warm start
-//! (`laf::load_snapshot_mmap`) claim bit-exactness with the copying path.
+//! (`LafPipeline::load_mmap`) claim bit-exactness with the copying path.
 
 use laf::prelude::*;
 use laf::vector::{io, mapped, ops};

@@ -113,8 +113,18 @@ fn responses_stay_bit_exact_across_concurrent_snapshot_swaps() {
                     i = (i + 1) % QUERIES;
                     let q = &queries[i];
                     attempts.fetch_add(2, Ordering::Relaxed);
-                    let range = server.range(q, EPS).expect("queue bound is generous");
-                    let est = server.estimate(q, EPS).expect("queue bound is generous");
+                    let range = server
+                        .submit(QueryRequest::Range {
+                            query: q.clone(),
+                            eps: EPS,
+                        })
+                        .expect("queue bound is generous");
+                    let est = server
+                        .submit(QueryRequest::Estimate {
+                            query: q.clone(),
+                            eps: EPS,
+                        })
+                        .expect("queue bound is generous");
                     // Each response must be bit-exact with the snapshot of
                     // the epoch it claims — matching neither, or a mix of
                     // both, means a torn read across the swap.
@@ -127,18 +137,24 @@ fn responses_stay_bit_exact_across_concurrent_snapshot_swaps() {
                             expect_b
                         }
                     };
-                    assert_eq!(
-                        range.value,
-                        tally(range.epoch).range[i],
-                        "range response for query {i} does not match its epoch {}",
-                        range.epoch
-                    );
-                    assert_eq!(
-                        est.value.to_bits(),
-                        tally(est.epoch).estimate[i].to_bits(),
-                        "estimate for query {i} does not match its epoch {}",
-                        est.epoch
-                    );
+                    match range.value {
+                        QueryResponse::Range(hits) => assert_eq!(
+                            hits,
+                            tally(range.epoch).range[i],
+                            "range response for query {i} does not match its epoch {}",
+                            range.epoch
+                        ),
+                        other => panic!("range request answered with {other:?}"),
+                    }
+                    match est.value {
+                        QueryResponse::Estimate(value) => assert_eq!(
+                            value.to_bits(),
+                            tally(est.epoch).estimate[i].to_bits(),
+                            "estimate for query {i} does not match its epoch {}",
+                            est.epoch
+                        ),
+                        other => panic!("estimate request answered with {other:?}"),
+                    }
                 }
             });
         }

@@ -44,7 +44,7 @@ fn cross_process_round_trip_is_bit_exact() {
         std::env::var("LAF_SNAPSHOT_SERVE_PATH"),
         std::env::var("LAF_SNAPSHOT_FINGERPRINT_OUT"),
     ) {
-        let warm = load_snapshot(&snapshot).expect("child: snapshot load");
+        let warm = LafPipeline::load(&snapshot).expect("child: snapshot load");
         std::fs::write(&out, fingerprint(&warm)).expect("child: write fingerprint");
         return;
     }
@@ -73,7 +73,7 @@ fn cross_process_round_trip_is_bit_exact() {
         })
         .train(data)
         .unwrap();
-    save_snapshot(&cold, &snapshot_path).unwrap();
+    cold.save(&snapshot_path).unwrap();
     let parent_fp = fingerprint(&cold);
 
     // Re-execute this test binary as the serving process.

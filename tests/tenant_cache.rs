@@ -102,8 +102,13 @@ fn four_tenants_through_a_two_snapshot_cache_under_concurrency() {
                     assert_eq!(&pin.engine().get().range(q, 0.3), want_range);
                     assert_eq!(pin.engine().get().range_count(q, 0.3), *want_count);
                     drop(pin);
-                    match server.knn(&tenant, q, 5) {
-                        Ok(knn) => assert_eq!(&knn, want_knn),
+                    let request = QueryRequest::Knn {
+                        query: q.clone(),
+                        k: 5,
+                    };
+                    match server.submit(&tenant, request) {
+                        Ok(QueryResponse::Knn(knn)) => assert_eq!(&knn, want_knn),
+                        Ok(other) => panic!("reader {reader}: knn answered with {other:?}"),
                         Err(CacheError::Overloaded { .. }) => {}
                         Err(e) => panic!("reader {reader}: unexpected error {e}"),
                     }
