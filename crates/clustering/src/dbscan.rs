@@ -2,11 +2,19 @@
 //!
 //! The implementation follows the black-text lines of the paper's
 //! Algorithm 1 exactly (the red lines are the LAF additions, implemented in
-//! the `laf-core` crate): every unclassified point issues a range query; if
-//! it has at least τ neighbors it becomes a core point and its cluster is
-//! expanded through a seed list, issuing one range query per newly reached
-//! point that has not been classified yet.
+//! the `laf-core` crate): every unclassified point consumes its ε-range
+//! query; if it has at least τ neighbors it becomes a core point and its
+//! cluster is expanded through a seed list, consuming one range query per
+//! newly reached point that has not been classified yet.
+//!
+//! The queries themselves run through a [`RangeJoin`]: each point is
+//! queried exactly once, so when the loop reaches a point whose list is not
+//! computed yet, that list is computed together with the lists of the next
+//! unclassified points the loop will reach (its seed list's, or the outer
+//! loop's), in one `range_batch` call on the current rayon pool. Labels and
+//! counters are identical to one `range` call per point.
 
+use crate::join::{join_window, JoinTally, RangeJoin};
 use crate::result::{Clusterer, Clustering, NOISE, UNDEFINED};
 use laf_index::{build_engine, EngineChoice, RangeQueryEngine};
 use laf_vector::{Dataset, Metric};
@@ -71,11 +79,24 @@ impl Dbscan {
     /// Run DBSCAN using an externally constructed engine (used by tests and
     /// ablations; [`Clusterer::cluster`] builds the engine from the config).
     pub fn cluster_with_engine(&self, data: &Dataset, engine: &dyn RangeQueryEngine) -> Clustering {
+        self.cluster_windowed(data, engine, join_window(data.len()))
+            .0
+    }
+
+    /// [`Dbscan::cluster_with_engine`] with the join's window forced to
+    /// `window` rows, plus what the join did.
+    pub(crate) fn cluster_windowed(
+        &self,
+        data: &Dataset,
+        engine: &dyn RangeQueryEngine,
+        window: usize,
+    ) -> (Clustering, JoinTally) {
         let start = Instant::now();
         let n = data.len();
         let eps = self.config.eps;
         let tau = self.config.min_pts;
         let mut labels = vec![UNDEFINED; n];
+        let mut join = RangeJoin::new(engine, data, eps, window);
         let mut range_queries = 0u64;
         let mut next_cluster: i64 = -1;
 
@@ -83,7 +104,8 @@ impl Dbscan {
             if labels[p] != UNDEFINED {
                 continue;
             }
-            let neighbors = engine.range(data.row(p), eps);
+            let next = (p + 1..n).filter(|&r| labels[r] == UNDEFINED);
+            let neighbors = join.take(p, next);
             range_queries += 1;
             if neighbors.len() < tau {
                 labels[p] = NOISE;
@@ -106,7 +128,11 @@ impl Dbscan {
                     continue;
                 }
                 labels[q] = next_cluster;
-                let q_neighbors = engine.range(data.row(q), eps);
+                let next = seeds[cursor..]
+                    .iter()
+                    .map(|&r| r as usize)
+                    .filter(|&r| labels[r] == UNDEFINED);
+                let q_neighbors = join.take(q, next);
                 range_queries += 1;
                 if q_neighbors.len() >= tau {
                     seeds.extend(q_neighbors);
@@ -122,7 +148,7 @@ impl Dbscan {
         clustering.elapsed = start.elapsed();
         clustering.range_queries = range_queries;
         clustering.distance_evaluations = engine.distance_evaluations();
-        clustering
+        (clustering, join.tally())
     }
 }
 

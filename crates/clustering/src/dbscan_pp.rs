@@ -9,13 +9,23 @@
 //! sampled points pay for range queries, which is where the speedup comes
 //! from; the quality loss comes from core points outside the sample being
 //! invisible to the cluster-growing phase.
+//!
+//! Execution: the sampled points' range queries run through a
+//! [`RangeJoin`] in windows of consecutive sampled points, one
+//! `range_batch` call per window on the current rayon pool. The cluster
+//! growth and the closest-core assignment are [`label_from_cores`], which
+//! LAF-DBSCAN++ shares; the assignment fans the points out over the same
+//! pool. Labels are identical to one `range` call per sampled point and a
+//! sequential assignment.
 
+use crate::join::{join_window, JoinTally, RangeJoin};
 use crate::result::{Clusterer, Clustering, NOISE, UNDEFINED};
 use laf_index::{build_engine, EngineChoice, RangeQueryEngine};
 use laf_vector::{Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -95,21 +105,34 @@ impl DbscanPlusPlus {
 
     /// Run DBSCAN++ with an externally constructed engine.
     pub fn cluster_with_engine(&self, data: &Dataset, engine: &dyn RangeQueryEngine) -> Clustering {
+        self.cluster_windowed(data, engine, join_window(data.len()))
+            .0
+    }
+
+    /// [`DbscanPlusPlus::cluster_with_engine`] with the join's window forced
+    /// to `window` rows, plus what the join did.
+    pub(crate) fn cluster_windowed(
+        &self,
+        data: &Dataset,
+        engine: &dyn RangeQueryEngine,
+        window: usize,
+    ) -> (Clustering, JoinTally) {
         let start = Instant::now();
         let n = data.len();
         if n == 0 {
-            return Clustering::new(Vec::new());
+            return (Clustering::new(Vec::new()), JoinTally::default());
         }
         let eps = self.config.eps;
         let tau = self.config.min_pts;
+        let mut join = RangeJoin::new(engine, data, eps, window);
         let mut range_queries = 0u64;
 
         // Phase 1: core detection within the sample, w.r.t. the whole dataset.
         let sample = self.sample_indices(n);
         let mut core_points: Vec<usize> = Vec::new();
         let mut core_neighbors: Vec<Vec<u32>> = Vec::new();
-        for &s in &sample {
-            let neighbors = engine.range(data.row(s), eps);
+        for (slot, &s) in sample.iter().enumerate() {
+            let neighbors = join.take(s, sample[slot + 1..].iter().copied());
             range_queries += 1;
             if neighbors.len() >= tau {
                 core_points.push(s);
@@ -117,46 +140,75 @@ impl DbscanPlusPlus {
             }
         }
 
-        // Phase 2: grow clusters over the sampled core points. Two core
-        // points share a cluster when one lies in the other's ε-neighborhood.
-        let mut labels = vec![UNDEFINED; n];
-        let mut core_slot: Vec<Option<usize>> = vec![None; n];
-        for (slot, &c) in core_points.iter().enumerate() {
-            core_slot[c] = Some(slot);
+        // Phases 2–3.
+        let labels = label_from_cores(data, self.config.metric, eps, &core_points, &core_neighbors);
+
+        let mut clustering = Clustering::new(labels);
+        clustering.elapsed = start.elapsed();
+        clustering.range_queries = range_queries;
+        clustering.distance_evaluations = engine.distance_evaluations();
+        (clustering, join.tally())
+    }
+}
+
+/// Phases 2–3 of DBSCAN++, shared with LAF-DBSCAN++: grow clusters over the
+/// sampled core points, then give every other point the cluster of its
+/// closest core point within ε, or noise.
+///
+/// `core_neighbors[i]` is the ε-neighbourhood of `core_points[i]`; two core
+/// points share a cluster when one lies in the other's neighbourhood. The
+/// assignment fans the points out over the current rayon pool. Each point
+/// reads only the final labels of core points, so the labels do not depend
+/// on the thread count.
+pub fn label_from_cores(
+    data: &Dataset,
+    metric: Metric,
+    eps: f32,
+    core_points: &[usize],
+    core_neighbors: &[Vec<u32>],
+) -> Vec<i64> {
+    let n = data.len();
+    let mut labels = vec![UNDEFINED; n];
+    let mut core_slot: Vec<Option<usize>> = vec![None; n];
+    for (slot, &c) in core_points.iter().enumerate() {
+        core_slot[c] = Some(slot);
+    }
+    let mut next_cluster: i64 = -1;
+    for (slot, &c) in core_points.iter().enumerate() {
+        if labels[c] != UNDEFINED {
+            continue;
         }
-        let mut next_cluster: i64 = -1;
-        for (slot, &c) in core_points.iter().enumerate() {
-            if labels[c] != UNDEFINED {
-                continue;
-            }
-            next_cluster += 1;
-            // BFS over core points connected through ε-neighborhoods.
-            let mut queue = vec![slot];
-            labels[c] = next_cluster;
-            while let Some(cur_slot) = queue.pop() {
-                for &nb in &core_neighbors[cur_slot] {
-                    let nb = nb as usize;
-                    if let Some(nb_slot) = core_slot[nb] {
-                        if labels[nb] == UNDEFINED {
-                            labels[nb] = next_cluster;
-                            queue.push(nb_slot);
-                        }
+        next_cluster += 1;
+        // BFS over core points connected through ε-neighborhoods.
+        let mut queue = vec![slot];
+        labels[c] = next_cluster;
+        while let Some(cur_slot) = queue.pop() {
+            for &nb in &core_neighbors[cur_slot] {
+                let nb = nb as usize;
+                if let Some(nb_slot) = core_slot[nb] {
+                    if labels[nb] == UNDEFINED {
+                        labels[nb] = next_cluster;
+                        queue.push(nb_slot);
                     }
                 }
             }
         }
+    }
 
-        // Phase 3: every other point joins the cluster of its closest core
-        // point within ε (this is also where non-core sampled points and
-        // unsampled points get their labels); otherwise it is noise.
-        for p in 0..n {
+    // Every other point (non-core sampled points and unsampled points)
+    // joins the cluster of its closest core point within ε; otherwise it is
+    // noise.
+    let labels = &labels;
+    (0..n)
+        .into_par_iter()
+        .map(|p| {
             if labels[p] != UNDEFINED {
-                continue;
+                return labels[p];
             }
             let row = data.row(p);
             let mut best: Option<(f32, i64)> = None;
-            for &c in &core_points {
-                let d = self.config.metric.dist(row, data.row(c));
+            for &c in core_points {
+                let d = metric.dist(row, data.row(c));
                 if d < eps {
                     match best {
                         Some((bd, _)) if bd <= d => {}
@@ -164,15 +216,9 @@ impl DbscanPlusPlus {
                     }
                 }
             }
-            labels[p] = best.map(|(_, l)| l).unwrap_or(NOISE);
-        }
-
-        let mut clustering = Clustering::new(labels);
-        clustering.elapsed = start.elapsed();
-        clustering.range_queries = range_queries;
-        clustering.distance_evaluations = engine.distance_evaluations();
-        clustering
-    }
+            best.map(|(_, l)| l).unwrap_or(NOISE)
+        })
+        .collect()
 }
 
 impl Clusterer for DbscanPlusPlus {

@@ -16,19 +16,27 @@
 //! through [`laf_index`] engines and produce a [`Clustering`], so the LAF
 //! layer (crate `laf-core`) and the benchmark harness can treat them
 //! uniformly through the [`Clusterer`] trait.
+//!
+//! DBSCAN, DBSCAN++ and their LAF versions in `laf-core` issue their ε-range
+//! queries through one [`RangeJoin`] ([`join`]), which computes the lists a
+//! loop will consume in windowed `range_batch` calls.
 
 #![warn(missing_docs)]
 
 pub mod block;
 pub mod dbscan;
 pub mod dbscan_pp;
+#[cfg(test)]
+mod differential;
+pub mod join;
 pub mod knn_block;
 pub mod result;
 pub mod rho_approx;
 
 pub use block::{BlockDbscan, BlockDbscanConfig};
 pub use dbscan::{Dbscan, DbscanConfig};
-pub use dbscan_pp::{DbscanPlusPlus, DbscanPlusPlusConfig};
+pub use dbscan_pp::{label_from_cores, DbscanPlusPlus, DbscanPlusPlusConfig};
+pub use join::{join_window, JoinTally, RangeJoin};
 pub use knn_block::{KnnBlockDbscan, KnnBlockDbscanConfig};
 pub use result::{Clusterer, Clustering, NOISE, UNDEFINED};
 pub use rho_approx::{RhoApproxDbscan, RhoApproxDbscanConfig};

@@ -24,10 +24,13 @@ pub struct LafConfig {
     /// benchmarks that quantify how much quality the module recovers.
     #[serde(default = "default_post_processing")]
     pub post_processing: bool,
-    /// Number of worker threads for the batched phases (the gate prescan and
-    /// any batched range kernels). `0` means "use all available cores". The
-    /// BFS expansion of Algorithm 1 is inherently sequential and unaffected;
-    /// cluster assignments are byte-identical for every thread count.
+    /// Number of worker threads of the pool one clustering run builds. `0`
+    /// means "use all available cores". The pool runs the gate prescan, the
+    /// windowed `range_batch` calls that compute the executed points'
+    /// ε-neighbourhoods (see `laf_clustering::RangeJoin`) and LAF-DBSCAN++'s
+    /// closest-core assignment. The labelling loop itself stays on the
+    /// calling thread; cluster assignments and [`LafStats`] are
+    /// byte-identical for every thread count.
     #[serde(default)]
     pub threads: usize,
 }
@@ -66,24 +69,18 @@ impl LafConfig {
         self.alpha * self.min_pts as f32
     }
 
-    /// Thread pool honoring the [`LafConfig::threads`] knob, or `None` when
-    /// pool construction fails (e.g. thread spawning denied) — callers
-    /// degrade to the ambient pool instead of panicking. Built at most a
-    /// couple of times per clustering run, which is negligible next to the
-    /// run itself.
-    pub(crate) fn thread_pool(&self) -> Option<rayon::ThreadPool> {
-        rayon::ThreadPoolBuilder::new()
+    /// Build the pool of [`LafConfig::threads`] workers and run `op` inside
+    /// it, so every parallel call `op` makes — prescan, join windows,
+    /// assignment — shares one pool. Falls back to the ambient pool when
+    /// construction fails (e.g. thread spawning denied) instead of
+    /// panicking. A clustering run calls this once, around the whole run.
+    pub(crate) fn run_in_pool<R>(&self, op: impl FnOnce() -> R) -> R {
+        match rayon::ThreadPoolBuilder::new()
             .num_threads(self.threads)
             .build()
-            .ok()
-    }
-
-    /// Run `op` inside the configured pool (see [`LafConfig::threads`]),
-    /// falling back to the ambient pool when construction fails.
-    pub(crate) fn run_batched<R>(&self, op: impl FnOnce() -> R) -> R {
-        match self.thread_pool() {
-            Some(pool) => pool.install(op),
-            None => op(),
+        {
+            Ok(pool) => pool.install(op),
+            Err(_) => op(),
         }
     }
 }

@@ -6,11 +6,11 @@
 //! tracking and post-processing).
 
 use crate::config::{LafConfig, LafStats};
-use crate::gate::CardEstGate;
+use crate::gate::{CardEstGate, GateDecision};
 use crate::partial::PartialNeighborMap;
 use crate::post::PostProcessor;
 use laf_cardest::CardinalityEstimator;
-use laf_clustering::{Clusterer, Clustering, NOISE, UNDEFINED};
+use laf_clustering::{join_window, Clusterer, Clustering, JoinTally, RangeJoin, NOISE, UNDEFINED};
 use laf_index::{build_engine, RangeQueryEngine};
 use laf_vector::Dataset;
 use std::time::Instant;
@@ -40,15 +40,28 @@ impl<E: CardinalityEstimator> LafDbscan<E> {
 
     /// Run the clustering and also return the LAF bookkeeping counters.
     ///
-    /// Execution model: the gate decisions for **all** points are computed
-    /// up front by a parallel, batched prescan
-    /// ([`CardEstGate::prescan`] — one `estimate_batch` call per chunk of
-    /// points, chunks fanned out over the [`LafConfig::threads`] pool). The
-    /// BFS expansion below then consumes the precomputed decisions through
-    /// [`CardEstGate::decide`]. Because batched estimation is bit-exact with
-    /// per-point estimation and the counters advance at consumption time,
-    /// labels *and* statistics are byte-identical to the sequential
-    /// point-at-a-time gating this method used before.
+    /// Execution model: one pool of [`LafConfig::threads`] workers serves the
+    /// whole run, in two steps.
+    ///
+    /// 1. **Prescan.** The gate decisions for **all** points are computed up
+    ///    front by a parallel, batched prescan ([`CardEstGate::prescan`] —
+    ///    one `estimate_batch` call per chunk of points).
+    /// 2. **Join, then label.** The BFS expansion of Algorithm 1 runs on the
+    ///    calling thread and consumes the decisions through
+    ///    [`CardEstGate::decide`]. Each point leaves `UNDEFINED` once, so the
+    ///    executed range queries are exactly the prescan's `Execute` points;
+    ///    a [`RangeJoin`] computes their ε-neighbourhoods in windows. When
+    ///    the loop reaches an executed point whose list is not computed yet,
+    ///    the join computes it together with the next undefined `Execute`
+    ///    points the loop will reach — its seed list's while a cluster
+    ///    expands, the outer loop's otherwise — in one `range_batch` call on
+    ///    the pool, and hands each list out at the moment the loop would
+    ///    have issued the query.
+    ///
+    /// Batched estimation and batched range queries are bit-exact with their
+    /// per-point forms, and every counter and `UpdatePartialNeighbors` call
+    /// fires at consumption time, so labels *and* statistics are
+    /// byte-identical to point-at-a-time execution.
     pub fn cluster_with_stats(&self, data: &Dataset) -> (Clustering, LafStats) {
         let cfg = &self.config;
         let engine = build_engine(cfg.engine, data, cfg.metric, cfg.eps);
@@ -69,111 +82,137 @@ impl<E: CardinalityEstimator> LafDbscan<E> {
         data: &Dataset,
         engine: &dyn RangeQueryEngine,
     ) -> (Clustering, LafStats) {
+        let (clustering, stats, _) = self.cluster_windowed(data, engine, None);
+        (clustering, stats)
+    }
+
+    /// [`LafDbscan::cluster_with_stats_using`] with the join's window forced
+    /// to `window` rows (`None`: [`join_window`]), plus what the join did.
+    pub(crate) fn cluster_windowed(
+        &self,
+        data: &Dataset,
+        engine: &dyn RangeQueryEngine,
+        window: Option<usize>,
+    ) -> (Clustering, LafStats, JoinTally) {
         let start = Instant::now();
         let n = data.len();
         if n == 0 {
-            return (Clustering::new(Vec::new()), LafStats::default());
+            return (
+                Clustering::new(Vec::new()),
+                LafStats::default(),
+                JoinTally::default(),
+            );
         }
         let cfg = &self.config;
-        let gate = CardEstGate::new(&self.estimator, cfg);
-        let tau = cfg.min_pts;
-        let eps = cfg.eps;
+        cfg.run_in_pool(|| {
+            let gate = CardEstGate::new(&self.estimator, cfg);
+            let tau = cfg.min_pts;
 
-        // LAF: batch-predict every point's cardinality before the main loop.
-        let prescan = cfg.run_batched(|| gate.prescan(data));
+            // LAF: batch-predict every point's cardinality before the main loop.
+            let prescan = gate.prescan(data);
+            let executes = |r: usize| prescan.decision(r) == GateDecision::Execute;
+            let window = window.unwrap_or_else(|| join_window(n));
+            let mut join = RangeJoin::new(engine, data, cfg.eps, window);
 
-        // Algorithm 1, lines 1–3.
-        let mut labels = vec![UNDEFINED; n];
-        let mut partial = PartialNeighborMap::new(); // LAF: the map E.
-        let mut next_cluster: i64 = -1;
-        let mut executed_queries = 0u64;
+            // Algorithm 1, lines 1–3.
+            let mut labels = vec![UNDEFINED; n];
+            let mut partial = PartialNeighborMap::new(); // LAF: the map E.
+            let mut next_cluster: i64 = -1;
+            let mut executed_queries = 0u64;
 
-        // Line 4: for each point P in D.
-        for p in 0..n {
-            // Line 5.
-            if labels[p] != UNDEFINED {
-                continue;
-            }
-            // LAF, lines 6–9: skip the range query for predicted stop points.
-            if gate.decide(&prescan, p) {
-                labels[p] = NOISE;
-                partial.register_stop_point(p as u32);
-                continue;
-            }
-            // Line 10: the range query.
-            let neighbors = engine.range(data.row(p), eps);
-            executed_queries += 1;
-            // LAF, line 11: UpdatePartialNeighbors.
-            partial.update(p as u32, &neighbors);
-            // Lines 12–14: double check with the true neighbor count.
-            if neighbors.len() < tau {
-                labels[p] = NOISE;
-                continue;
-            }
-            // Lines 15–17.
-            next_cluster += 1;
-            labels[p] = next_cluster;
-            let mut seeds: Vec<u32> = neighbors.into_iter().filter(|&q| q as usize != p).collect();
-            // Lines 18–27: expand the cluster through the seed list.
-            let mut cursor = 0usize;
-            while cursor < seeds.len() {
-                let q = seeds[cursor] as usize;
-                cursor += 1;
-                // Line 19: noise points become border points.
-                if labels[q] == NOISE {
-                    labels[q] = next_cluster;
-                }
-                // Line 20.
-                if labels[q] != UNDEFINED {
+            // Line 4: for each point P in D.
+            for p in 0..n {
+                // Line 5.
+                if labels[p] != UNDEFINED {
                     continue;
                 }
-                // Line 21.
-                labels[q] = next_cluster;
-                // LAF, line 22: gate the expansion query too.
-                if !gate.decide(&prescan, q) {
-                    // Line 23.
-                    let q_neighbors = engine.range(data.row(q), eps);
-                    executed_queries += 1;
-                    // LAF, line 24.
-                    partial.update(q as u32, &q_neighbors);
-                    // Line 25.
-                    if q_neighbors.len() >= tau {
-                        seeds.extend(q_neighbors);
+                // LAF, lines 6–9: skip the range query for predicted stop points.
+                if gate.decide(&prescan, p) {
+                    labels[p] = NOISE;
+                    partial.register_stop_point(p as u32);
+                    continue;
+                }
+                // Line 10: the range query.
+                let next = (p + 1..n).filter(|&r| labels[r] == UNDEFINED && executes(r));
+                let neighbors = join.take(p, next);
+                executed_queries += 1;
+                // LAF, line 11: UpdatePartialNeighbors.
+                partial.update(p as u32, &neighbors);
+                // Lines 12–14: double check with the true neighbor count.
+                if neighbors.len() < tau {
+                    labels[p] = NOISE;
+                    continue;
+                }
+                // Lines 15–17.
+                next_cluster += 1;
+                labels[p] = next_cluster;
+                let mut seeds: Vec<u32> =
+                    neighbors.into_iter().filter(|&q| q as usize != p).collect();
+                // Lines 18–27: expand the cluster through the seed list.
+                let mut cursor = 0usize;
+                while cursor < seeds.len() {
+                    let q = seeds[cursor] as usize;
+                    cursor += 1;
+                    // Line 19: noise points become border points.
+                    if labels[q] == NOISE {
+                        labels[q] = next_cluster;
                     }
-                } else {
-                    // LAF, lines 26–27.
-                    partial.register_stop_point(q as u32);
+                    // Line 20.
+                    if labels[q] != UNDEFINED {
+                        continue;
+                    }
+                    // Line 21.
+                    labels[q] = next_cluster;
+                    // LAF, line 22: gate the expansion query too.
+                    if !gate.decide(&prescan, q) {
+                        // Line 23.
+                        let next = seeds[cursor..]
+                            .iter()
+                            .map(|&r| r as usize)
+                            .filter(|&r| labels[r] == UNDEFINED && executes(r));
+                        let q_neighbors = join.take(q, next);
+                        executed_queries += 1;
+                        // LAF, line 24.
+                        partial.update(q as u32, &q_neighbors);
+                        // Line 25.
+                        if q_neighbors.len() >= tau {
+                            seeds.extend(q_neighbors);
+                        }
+                    } else {
+                        // LAF, lines 26–27.
+                        partial.register_stop_point(q as u32);
+                    }
                 }
             }
-        }
 
-        // LAF, line 28: post-processing merges clusters separated by false
-        // negatives (switchable only for ablation studies).
-        let report = if cfg.post_processing {
-            PostProcessor::new(tau).process(&mut labels, &partial)
-        } else {
-            Default::default()
-        };
+            // LAF, line 28: post-processing merges clusters separated by false
+            // negatives (switchable only for ablation studies).
+            let report = if cfg.post_processing {
+                PostProcessor::new(tau).process(&mut labels, &partial)
+            } else {
+                Default::default()
+            };
 
-        let stats = LafStats {
-            cardest_calls: gate.calls(),
-            skipped_range_queries: gate.skips(),
-            executed_range_queries: executed_queries,
-            predicted_stop_points: partial.len() as u64,
-            detected_false_negatives: report.detected_false_negatives,
-            merged_clusters: report.merged_clusters,
-            prescan_batches: prescan.batches,
-            prescan_batch_size: prescan.batch_size,
-            prescan_last_batch_size: prescan.last_batch_size,
-        };
+            let stats = LafStats {
+                cardest_calls: gate.calls(),
+                skipped_range_queries: gate.skips(),
+                executed_range_queries: executed_queries,
+                predicted_stop_points: partial.len() as u64,
+                detected_false_negatives: report.detected_false_negatives,
+                merged_clusters: report.merged_clusters,
+                prescan_batches: prescan.batches,
+                prescan_batch_size: prescan.batch_size,
+                prescan_last_batch_size: prescan.last_batch_size,
+            };
 
-        let mut clustering = Clustering::new(labels);
-        clustering.normalize_ids();
-        clustering.elapsed = start.elapsed();
-        clustering.range_queries = executed_queries;
-        clustering.skipped_range_queries = stats.skipped_range_queries;
-        clustering.distance_evaluations = engine.distance_evaluations();
-        (clustering, stats)
+            let mut clustering = Clustering::new(labels);
+            clustering.normalize_ids();
+            clustering.elapsed = start.elapsed();
+            clustering.range_queries = executed_queries;
+            clustering.skipped_range_queries = stats.skipped_range_queries;
+            clustering.distance_evaluations = engine.distance_evaluations();
+            (clustering, stats, join.tally())
+        })
     }
 }
 

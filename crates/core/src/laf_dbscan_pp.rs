@@ -13,14 +13,15 @@
 //!   post-processing merges wrongly separated clusters at the end.
 
 use crate::config::{LafConfig, LafStats};
-use crate::gate::CardEstGate;
+use crate::gate::{CardEstGate, GateDecision};
 use crate::partial::PartialNeighborMap;
 use crate::post::PostProcessor;
 use laf_cardest::CardinalityEstimator;
 use laf_clustering::{
-    Clusterer, Clustering, DbscanPlusPlus, DbscanPlusPlusConfig, NOISE, UNDEFINED,
+    join_window, label_from_cores, Clusterer, Clustering, DbscanPlusPlus, DbscanPlusPlusConfig,
+    JoinTally, RangeJoin,
 };
-use laf_index::build_engine;
+use laf_index::{build_engine, RangeQueryEngine};
 use laf_vector::Dataset;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -72,14 +73,6 @@ impl LafDbscanPlusPlusConfig {
     }
 }
 
-/// Run `op` inside `pool` when one was built, on the ambient pool otherwise.
-fn install_in<R>(pool: &Option<rayon::ThreadPool>, op: impl FnOnce() -> R) -> R {
-    match pool {
-        Some(p) => p.install(op),
-        None => op(),
-    }
-}
-
 /// DBSCAN++ accelerated by the LAF plugin.
 pub struct LafDbscanPlusPlus<E: CardinalityEstimator> {
     /// Algorithm parameters.
@@ -103,8 +96,17 @@ impl<E: CardinalityEstimator> LafDbscanPlusPlus<E> {
     ///
     /// The probe rows are estimated with one batched
     /// [`CardinalityEstimator::estimate_batch`] call (bit-exact with the
-    /// per-point loop this method used before).
+    /// per-point loop this method used before), inside the configured pool
+    /// so an estimator that fans out internally (e.g. the exact oracle's
+    /// blocked scan) honors the threads knob.
     pub fn sample_fraction(&self, data: &Dataset) -> f64 {
+        self.config
+            .laf
+            .run_in_pool(|| self.fraction_on_current_pool(data))
+    }
+
+    /// [`LafDbscanPlusPlus::sample_fraction`] on the current rayon pool.
+    fn fraction_on_current_pool(&self, data: &Dataset) -> f64 {
         if data.is_empty() {
             return self.config.delta.clamp(0.05, 1.0);
         }
@@ -116,11 +118,7 @@ impl<E: CardinalityEstimator> LafDbscanPlusPlus<E> {
             .step_by(stride)
             .map(|i| data.row(i))
             .collect();
-        // Inside the configured pool so an estimator that fans out internally
-        // (e.g. the exact oracle's blocked scan) honors the threads knob.
-        let estimates = cfg
-            .laf
-            .run_batched(|| self.estimator.estimate_batch(&rows, cfg.laf.eps));
+        let estimates = self.estimator.estimate_batch(&rows, cfg.laf.eps);
         let predicted_core = estimates
             .iter()
             .filter(|est| !est.is_finite() || **est >= threshold)
@@ -130,145 +128,119 @@ impl<E: CardinalityEstimator> LafDbscanPlusPlus<E> {
     }
 
     /// Run the clustering and return the LAF bookkeeping counters.
+    ///
+    /// One pool of [`LafConfig::threads`] workers serves the whole run: the
+    /// sample-fraction probe, the prescan of the sampled points, the
+    /// windowed `range_batch` calls of phase 1 (see
+    /// [`crate::LafDbscan::cluster_with_stats`]; here a window is the next
+    /// sampled `Execute` points) and the closest-core assignment of
+    /// [`label_from_cores`].
     pub fn cluster_with_stats(&self, data: &Dataset) -> (Clustering, LafStats) {
         let start = Instant::now();
-        let n = data.len();
-        if n == 0 {
+        if data.is_empty() {
             return (Clustering::new(Vec::new()), LafStats::default());
         }
+        let laf = &self.config.laf;
+        let engine = build_engine(laf.engine, data, laf.metric, laf.eps);
+        let (mut clustering, stats, _) = self.cluster_windowed(data, engine.as_ref(), None);
+        clustering.elapsed = start.elapsed();
+        (clustering, stats)
+    }
+
+    /// [`LafDbscanPlusPlus::cluster_with_stats`] over a caller-supplied
+    /// engine, with the join's window forced to `window` rows (`None`:
+    /// [`join_window`]), plus what the join did.
+    pub(crate) fn cluster_windowed(
+        &self,
+        data: &Dataset,
+        engine: &dyn RangeQueryEngine,
+        window: Option<usize>,
+    ) -> (Clustering, LafStats, JoinTally) {
+        let n = data.len();
         let cfg = &self.config;
-        let eps = cfg.laf.eps;
-        let tau = cfg.laf.min_pts;
-        let engine = build_engine(cfg.laf.engine, data, cfg.laf.metric, eps);
-        let gate = CardEstGate::new(&self.estimator, &cfg.laf);
-        let mut partial = PartialNeighborMap::new();
-        let mut executed_queries = 0u64;
+        cfg.laf.run_in_pool(|| {
+            let eps = cfg.laf.eps;
+            let tau = cfg.laf.min_pts;
+            let gate = CardEstGate::new(&self.estimator, &cfg.laf);
+            let mut partial = PartialNeighborMap::new();
+            let mut executed_queries = 0u64;
 
-        // Sample subset with p = δ + R_c (reusing DBSCAN++'s sampler so the
-        // subset matches the baseline's given the same fraction and seed).
-        let fraction = self.sample_fraction(data);
-        let sampler = DbscanPlusPlus::new(DbscanPlusPlusConfig {
-            eps,
-            min_pts: tau,
-            sample_fraction: fraction,
-            metric: cfg.laf.metric,
-            engine: cfg.laf.engine,
-            seed: cfg.seed,
-        });
-        let sample = sampler.sample_indices(n);
+            // Sample subset with p = δ + R_c (reusing DBSCAN++'s sampler so the
+            // subset matches the baseline's given the same fraction and seed).
+            let fraction = self.fraction_on_current_pool(data);
+            let sampler = DbscanPlusPlus::new(DbscanPlusPlusConfig {
+                eps,
+                min_pts: tau,
+                sample_fraction: fraction,
+                metric: cfg.laf.metric,
+                engine: cfg.laf.engine,
+                seed: cfg.seed,
+            });
+            let sample = sampler.sample_indices(n);
 
-        // LAF: batch-predict the sampled points' cardinalities up front
-        // (parallel, batched; see `LafDbscan::cluster_with_stats` for the
-        // execution model). Only the sample is prescanned — estimating the
-        // whole dataset would re-introduce the O(n) estimator cost that
-        // sampling exists to avoid. Decisions are indexed by sample slot.
-        // One pool serves both this prescan and the phase-3 fan-out.
-        let pool = cfg.laf.thread_pool();
-        let sample_rows: Vec<&[f32]> = sample.iter().map(|&s| data.row(s)).collect();
-        let prescan = install_in(&pool, || gate.prescan_rows(&sample_rows));
+            // LAF: batch-predict the sampled points' cardinalities up front
+            // (parallel, batched; see `LafDbscan::cluster_with_stats` for the
+            // execution model). Only the sample is prescanned — estimating the
+            // whole dataset would re-introduce the O(n) estimator cost that
+            // sampling exists to avoid. Decisions are indexed by sample slot.
+            let sample_rows: Vec<&[f32]> = sample.iter().map(|&s| data.row(s)).collect();
+            let prescan = gate.prescan_rows(&sample_rows);
+            let window = window.unwrap_or_else(|| join_window(n));
+            let mut join = RangeJoin::new(engine, data, eps, window);
 
-        // Phase 1: gated core detection inside the sample.
-        let mut core_points: Vec<usize> = Vec::new();
-        let mut core_neighbors: Vec<Vec<u32>> = Vec::new();
-        for (slot, &s) in sample.iter().enumerate() {
-            if gate.decide(&prescan, slot) {
-                partial.register_stop_point(s as u32);
-                continue;
-            }
-            let neighbors = engine.range(data.row(s), eps);
-            executed_queries += 1;
-            partial.update(s as u32, &neighbors);
-            if neighbors.len() >= tau {
-                core_points.push(s);
-                core_neighbors.push(neighbors);
-            }
-        }
-
-        // Phase 2: grow clusters over the sampled core points.
-        let mut labels = vec![UNDEFINED; n];
-        let mut core_slot: Vec<Option<usize>> = vec![None; n];
-        for (slot, &c) in core_points.iter().enumerate() {
-            core_slot[c] = Some(slot);
-        }
-        let mut next_cluster: i64 = -1;
-        for (slot, &c) in core_points.iter().enumerate() {
-            if labels[c] != UNDEFINED {
-                continue;
-            }
-            next_cluster += 1;
-            labels[c] = next_cluster;
-            let mut queue = vec![slot];
-            while let Some(cur) = queue.pop() {
-                for &nb in &core_neighbors[cur] {
-                    let nb = nb as usize;
-                    if let Some(nb_slot) = core_slot[nb] {
-                        if labels[nb] == UNDEFINED {
-                            labels[nb] = next_cluster;
-                            queue.push(nb_slot);
-                        }
-                    }
+            // Phase 1: gated core detection inside the sample.
+            let mut core_points: Vec<usize> = Vec::new();
+            let mut core_neighbors: Vec<Vec<u32>> = Vec::new();
+            for (slot, &s) in sample.iter().enumerate() {
+                if gate.decide(&prescan, slot) {
+                    partial.register_stop_point(s as u32);
+                    continue;
+                }
+                let next = (slot + 1..sample.len())
+                    .filter(|&t| prescan.decision(t) == GateDecision::Execute)
+                    .map(|t| sample[t]);
+                let neighbors = join.take(s, next);
+                executed_queries += 1;
+                partial.update(s as u32, &neighbors);
+                if neighbors.len() >= tau {
+                    core_points.push(s);
+                    core_neighbors.push(neighbors);
                 }
             }
-        }
 
-        // Phase 3: assign the remaining points to the closest core point
-        // within ε, otherwise noise. Each point's assignment only reads the
-        // (already final) core labels, so the points fan out in parallel and
-        // the result is identical to the sequential loop.
-        labels = install_in(&pool, || {
-            use rayon::prelude::*;
-            let labels = &labels;
-            let core_points = &core_points;
-            (0..n)
-                .into_par_iter()
-                .map(|p| {
-                    if labels[p] != UNDEFINED {
-                        return labels[p];
-                    }
-                    let row = data.row(p);
-                    let mut best: Option<(f32, i64)> = None;
-                    for &c in core_points {
-                        let d = cfg.laf.metric.dist(row, data.row(c));
-                        if d < eps {
-                            match best {
-                                Some((bd, _)) if bd <= d => {}
-                                _ => best = Some((d, labels[c])),
-                            }
-                        }
-                    }
-                    best.map(|(_, l)| l).unwrap_or(NOISE)
-                })
-                .collect()
-        });
+            // Phases 2–3: grow clusters over the sampled core points, then
+            // assign the remaining points to the closest core point within ε.
+            let mut labels =
+                label_from_cores(data, cfg.laf.metric, eps, &core_points, &core_neighbors);
 
-        // Phase 4: post-processing merges clusters separated by false
-        // negatives among the skipped sampled points (switchable only for
-        // ablation studies).
-        let report = if cfg.laf.post_processing {
-            PostProcessor::new(tau).process(&mut labels, &partial)
-        } else {
-            Default::default()
-        };
+            // Phase 4: post-processing merges clusters separated by false
+            // negatives among the skipped sampled points (switchable only for
+            // ablation studies).
+            let report = if cfg.laf.post_processing {
+                PostProcessor::new(tau).process(&mut labels, &partial)
+            } else {
+                Default::default()
+            };
 
-        let stats = LafStats {
-            cardest_calls: gate.calls(),
-            skipped_range_queries: gate.skips(),
-            executed_range_queries: executed_queries,
-            predicted_stop_points: partial.len() as u64,
-            detected_false_negatives: report.detected_false_negatives,
-            merged_clusters: report.merged_clusters,
-            prescan_batches: prescan.batches,
-            prescan_batch_size: prescan.batch_size,
-            prescan_last_batch_size: prescan.last_batch_size,
-        };
+            let stats = LafStats {
+                cardest_calls: gate.calls(),
+                skipped_range_queries: gate.skips(),
+                executed_range_queries: executed_queries,
+                predicted_stop_points: partial.len() as u64,
+                detected_false_negatives: report.detected_false_negatives,
+                merged_clusters: report.merged_clusters,
+                prescan_batches: prescan.batches,
+                prescan_batch_size: prescan.batch_size,
+                prescan_last_batch_size: prescan.last_batch_size,
+            };
 
-        let mut clustering = Clustering::new(labels);
-        clustering.normalize_ids();
-        clustering.elapsed = start.elapsed();
-        clustering.range_queries = executed_queries;
-        clustering.skipped_range_queries = stats.skipped_range_queries;
-        clustering.distance_evaluations = engine.distance_evaluations();
-        (clustering, stats)
+            let mut clustering = Clustering::new(labels);
+            clustering.normalize_ids();
+            clustering.range_queries = executed_queries;
+            clustering.skipped_range_queries = stats.skipped_range_queries;
+            clustering.distance_evaluations = engine.distance_evaluations();
+            (clustering, stats, join.tally())
+        })
     }
 }
 

@@ -40,20 +40,25 @@
 //!    MLP/RMI estimators a matrix-shaped forward pass that streams each
 //!    weight row once per batch instead of once per point. The raw
 //!    predictions are folded into per-point [`GateDecision`]s.
-//! 2. **Sequential expansion**: the BFS cluster growth of Algorithm 1 runs
-//!    unchanged, reading precomputed decisions via [`CardEstGate::decide`]
-//!    instead of invoking the estimator.
+//! 2. **Join, then label**: the BFS cluster growth of Algorithm 1 runs
+//!    unchanged on the calling thread, reading precomputed decisions via
+//!    [`CardEstGate::decide`] instead of invoking the estimator. Each point
+//!    leaves `UNDEFINED` once, so the executed range queries are exactly the
+//!    prescan's `Execute` points; a [`laf_clustering::RangeJoin`] computes
+//!    their ε-neighbourhoods in windowed `range_batch` calls on the pool,
+//!    ahead of the loop, and hands each list out when the loop reaches it.
 //!
-//! Batched estimation is bit-exact with per-point estimation and the gate's
-//! call/skip counters advance when a decision is *consumed*, not when it is
+//! Batched estimation and batched range queries are bit-exact with their
+//! per-point forms, and the gate's call/skip counters and the partial-neighbor
+//! updates advance when a decision or list is *consumed*, not when it is
 //! precomputed — so cluster assignments and [`LafStats`] are byte-identical
-//! to the sequential execution model, at a fraction of the inference cost.
+//! to the point-at-a-time execution model.
 //!
-//! The [`LafConfig::threads`] knob bounds the worker threads of the batched
-//! stages (`0` = all cores). It composes with the α trade-off discussed
-//! above but is orthogonal to it: α changes *what* is computed (which range
-//! queries run, and therefore the output); `threads` only changes *how fast*
-//! the prescan and batched kernels run, never the output.
+//! The [`LafConfig::threads`] knob sizes the one pool a clustering run builds
+//! (`0` = all cores). It composes with the α trade-off discussed above but is
+//! orthogonal to it: α changes *what* is computed (which range queries run,
+//! and therefore the output); `threads` only changes *how fast* the prescan
+//! and the join's range queries run, never the output.
 //!
 //! # Train once, serve many
 //!
@@ -76,6 +81,8 @@
 #![warn(missing_docs)]
 
 pub mod config;
+#[cfg(test)]
+mod differential;
 /// The deterministic failpoint registry (re-exported from
 /// [`laf_vector::fault`]): the storage plane consults named sites at its
 /// failure-prone edges; a no-op unless the `fault-injection` feature is

@@ -267,11 +267,20 @@ impl<'a> CoverTree<'a> {
         id
     }
 
-    /// Recursive range query in internal (Euclidean) space.
-    fn range_rec(&self, node_id: u32, q: &[f32], eps_euc: f32, out: &mut Vec<u32>) {
+    /// Recursive range query in internal (Euclidean) space. Distance
+    /// evaluations are counted into `evals`; the caller adds them to the
+    /// shared counter once per query.
+    fn range_rec(
+        &self,
+        node_id: u32,
+        q: &[f32],
+        eps_euc: f32,
+        out: &mut Vec<u32>,
+        evals: &mut u64,
+    ) {
         let node = &self.nodes[node_id as usize];
         let center_row = self.data.row(node.center as usize);
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        *evals += 1;
         let d_center = self.euc(q, center_row);
 
         // Entire subtree outside the query ball.
@@ -285,7 +294,7 @@ impl<'a> CoverTree<'a> {
                 let d = if p == node.center {
                     d_center
                 } else {
-                    self.evaluations.fetch_add(1, Ordering::Relaxed);
+                    *evals += 1;
                     self.euc(q, self.data.row(p as usize))
                 };
                 if d < eps_euc {
@@ -298,14 +307,23 @@ impl<'a> CoverTree<'a> {
         // Internal node: its center lives in one of the children, so only the
         // children need to be visited.
         for &child in &node.children {
-            self.range_rec(child, q, eps_euc, out);
+            self.range_rec(child, q, eps_euc, out, evals);
         }
     }
 
-    fn knn_rec(&self, node_id: u32, q: &[f32], heap: &mut Vec<Neighbor>, k: usize) {
+    /// Recursive k-NN search; counts into `evals` like
+    /// [`CoverTree::range_rec`].
+    fn knn_rec(
+        &self,
+        node_id: u32,
+        q: &[f32],
+        heap: &mut Vec<Neighbor>,
+        k: usize,
+        evals: &mut u64,
+    ) {
         let node = &self.nodes[node_id as usize];
         let center_row = self.data.row(node.center as usize);
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        *evals += 1;
         let d_center = self.euc(q, center_row);
 
         let worst = if heap.len() < k {
@@ -330,7 +348,7 @@ impl<'a> CoverTree<'a> {
                 let d = if p == node.center {
                     d_center
                 } else {
-                    self.evaluations.fetch_add(1, Ordering::Relaxed);
+                    *evals += 1;
                     self.euc(q, self.data.row(p as usize))
                 };
                 push(p, d, heap);
@@ -345,13 +363,13 @@ impl<'a> CoverTree<'a> {
             .iter()
             .map(|&c| {
                 let cn = &self.nodes[c as usize];
-                self.evaluations.fetch_add(1, Ordering::Relaxed);
                 (TotalDist(self.euc(q, self.data.row(cn.center as usize))), c)
             })
             .collect();
+        *evals += order.len() as u64;
         order.sort_unstable();
         for (_, c) in order {
-            self.knn_rec(c, q, heap, k);
+            self.knn_rec(c, q, heap, k, evals);
         }
     }
 }
@@ -371,7 +389,9 @@ impl RangeQueryEngine for CoverTree<'_> {
         };
         let eps_euc = self.eps_to_internal(eps);
         let mut out = Vec::new();
-        self.range_rec(root, q, eps_euc, &mut out);
+        let mut evals = 0;
+        self.range_rec(root, q, eps_euc, &mut out, &mut evals);
+        self.evaluations.fetch_add(evals, Ordering::Relaxed);
         out.sort_unstable();
         out
     }
@@ -384,7 +404,9 @@ impl RangeQueryEngine for CoverTree<'_> {
             return Vec::new();
         }
         let mut heap = Vec::with_capacity(k + 1);
-        self.knn_rec(root, q, &mut heap, k.min(self.data.len()));
+        let mut evals = 0;
+        self.knn_rec(root, q, &mut heap, k.min(self.data.len()), &mut evals);
+        self.evaluations.fetch_add(evals, Ordering::Relaxed);
         for n in heap.iter_mut() {
             n.dist = self.dist_to_public(n.dist);
         }

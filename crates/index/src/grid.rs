@@ -342,17 +342,19 @@ impl RangeQueryEngine for GridIndex<'_> {
         // four queries.
         let eps_euc = self.eps_to_internal(eps);
         let mut out = Vec::new();
+        let mut evals = 0u64;
         for cell in &self.cells {
             if self.box_distance(q, &cell.coords) >= eps_euc {
                 continue;
             }
+            evals += cell.points.len() as u64;
             for &p in &cell.points {
-                self.evaluations.fetch_add(1, Ordering::Relaxed);
                 if EuclideanDistance.dist(q, self.data.row(p as usize)) < eps_euc {
                     out.push(p);
                 }
             }
         }
+        self.evaluations.fetch_add(evals, Ordering::Relaxed);
         out.sort_unstable();
         out
     }
@@ -372,12 +374,14 @@ impl RangeQueryEngine for GridIndex<'_> {
         order.sort_unstable();
         let k = k.min(self.data.len());
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
+        let mut evals = 0u64;
         for (TotalDist(box_d), cell_id) in order {
             if best.len() == k && box_d >= best.last().map(|n| n.dist).unwrap_or(f32::INFINITY) {
                 break;
             }
-            for &p in &self.cells[cell_id as usize].points {
-                self.evaluations.fetch_add(1, Ordering::Relaxed);
+            let points = &self.cells[cell_id as usize].points;
+            evals += points.len() as u64;
+            for &p in points {
                 let d = EuclideanDistance.dist(q, self.data.row(p as usize));
                 if best.len() < k || d < best.last().map(|n| n.dist).unwrap_or(f32::INFINITY) {
                     best.push(Neighbor::new(p, d));
@@ -386,6 +390,7 @@ impl RangeQueryEngine for GridIndex<'_> {
                 }
             }
         }
+        self.evaluations.fetch_add(evals, Ordering::Relaxed);
         for n in best.iter_mut() {
             n.dist = self.dist_to_public(n.dist);
         }

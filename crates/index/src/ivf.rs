@@ -207,10 +207,11 @@ impl<'a> IvfIndex<'a> {
         self.lists = kept_lists;
     }
 
-    /// The posting lists to probe for a query, closest centroid first.
+    /// The posting lists to probe for a query, closest centroid first. Adds
+    /// the query's distance evaluations to the counter in one step: one per
+    /// centroid, plus one per point of the probed lists, which every caller
+    /// scans in full.
     fn probe_order(&self, q: &[f32]) -> Vec<usize> {
-        self.evaluations
-            .fetch_add(self.centroids.len() as u64, Ordering::Relaxed);
         let mut order: Vec<(TotalDist, usize)> = match self.mode {
             KernelMode::Generic => self
                 .centroids
@@ -234,7 +235,11 @@ impl<'a> IvfIndex<'a> {
         };
         order.sort_unstable();
         order.truncate(self.nprobe);
-        order.into_iter().map(|(_, i)| i).collect()
+        let probed: Vec<usize> = order.into_iter().map(|(_, i)| i).collect();
+        let scanned: usize = probed.iter().map(|&l| self.lists[l].len()).sum();
+        self.evaluations
+            .fetch_add((self.centroids.len() + scanned) as u64, Ordering::Relaxed);
+        probed
     }
 }
 
@@ -256,7 +261,6 @@ impl RangeQueryEngine for IvfIndex<'_> {
             KernelMode::Generic => {
                 for list_id in self.probe_order(q) {
                     for &p in &self.lists[list_id] {
-                        self.evaluations.fetch_add(1, Ordering::Relaxed);
                         if self.metric.dist(q, self.data.row(p as usize)) < eps {
                             out.push(p);
                         }
@@ -268,7 +272,6 @@ impl RangeQueryEngine for IvfIndex<'_> {
                 let probe = self.kernel.probe(q, eps);
                 for list_id in self.probe_order(q) {
                     for &p in &self.lists[list_id] {
-                        self.evaluations.fetch_add(1, Ordering::Relaxed);
                         let i = p as usize;
                         if self
                             .kernel
@@ -296,7 +299,6 @@ impl RangeQueryEngine for IvfIndex<'_> {
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
         for list_id in self.probe_order(q) {
             for &p in &self.lists[list_id] {
-                self.evaluations.fetch_add(1, Ordering::Relaxed);
                 let i = p as usize;
                 let d = match &spec {
                     None => self.metric.dist(q, self.data.row(i)),

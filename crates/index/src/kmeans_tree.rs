@@ -181,12 +181,6 @@ impl<'a> KMeansTree<'a> {
         self.n_leaves
     }
 
-    #[inline]
-    fn dist(&self, a: &[f32], b: &[f32]) -> f32 {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.metric.dist(a, b)
-    }
-
     fn build(&mut self, points: Vec<u32>, rng: &mut StdRng) -> u32 {
         let centroid = ops::mean(
             points.iter().map(|&p| self.data.row(p as usize)),
@@ -270,6 +264,8 @@ impl<'a> KMeansTree<'a> {
                 KernelMode::Specialized => centroids.iter().map(|c| ops::norm(c)).collect(),
                 KernelMode::Generic => Vec::new(),
             };
+            self.evaluations
+                .fetch_add((points.len() * centroids.len()) as u64, Ordering::Relaxed);
             for (slot, &p) in points.iter().enumerate() {
                 let row = self.data.row(p as usize);
                 let mut best = 0usize;
@@ -277,7 +273,7 @@ impl<'a> KMeansTree<'a> {
                 match row_norms {
                     None => {
                         for (c_idx, c) in centroids.iter().enumerate() {
-                            let d = self.dist(row, c);
+                            let d = self.metric.dist(row, c);
                             if d < best_d {
                                 best_d = d;
                                 best = c_idx;
@@ -289,7 +285,6 @@ impl<'a> KMeansTree<'a> {
                             .kernel
                             .prepare_with_norm(row, row_norms.norm(p as usize));
                         for (c_idx, c) in centroids.iter().enumerate() {
-                            self.evaluations.fetch_add(1, Ordering::Relaxed);
                             let d = self.kernel.dist(&prep, c, iter_norms[c_idx]);
                             if d < best_d {
                                 best_d = d;
@@ -322,7 +317,10 @@ impl<'a> KMeansTree<'a> {
     /// Best-bin-first traversal visiting up to `leaf_budget` leaves; calls
     /// `visit` with each leaf's point list. The query is prepared once; every
     /// centroid comparison then costs a single dot product in specialized
-    /// mode (centroid norms are cached on the nodes).
+    /// mode (centroid norms are cached on the nodes). Adds the query's
+    /// distance evaluations to the counter in one step: one per centroid
+    /// compared, plus one per point of the visited leaves, which every caller
+    /// scans in full.
     fn traverse<F: FnMut(&[u32])>(&self, q: &[f32], mut visit: F) {
         let Some(root) = self.root else { return };
         // Query prep only in specialized mode.
@@ -332,6 +330,7 @@ impl<'a> KMeansTree<'a> {
         };
         let leaf_budget = ((self.n_leaves as f64) * self.leaf_ratio).ceil().max(1.0) as usize;
         let mut visited = 0usize;
+        let mut evals = 0u64;
         let mut pq: BinaryHeap<Reverse<(TotalDist, u32)>> = BinaryHeap::new();
         pq.push(Reverse((TotalDist(0.0), root)));
         while let Some(Reverse((_, node_id))) = pq.pop() {
@@ -341,21 +340,21 @@ impl<'a> KMeansTree<'a> {
             let node = &self.nodes[node_id as usize];
             if node.children.is_empty() {
                 visit(&node.points);
+                evals += node.points.len() as u64;
                 visited += 1;
                 continue;
             }
+            evals += node.children.len() as u64;
             for &child in &node.children {
                 let c = &self.nodes[child as usize];
                 let d = match &prep {
-                    None => self.dist(q, &c.centroid),
-                    Some(prep) => {
-                        self.evaluations.fetch_add(1, Ordering::Relaxed);
-                        self.kernel.dist(prep, &c.centroid, c.centroid_norm)
-                    }
+                    None => self.metric.dist(q, &c.centroid),
+                    Some(prep) => self.kernel.dist(prep, &c.centroid, c.centroid_norm),
                 };
                 pq.push(Reverse((TotalDist(d), child)));
             }
         }
+        self.evaluations.fetch_add(evals, Ordering::Relaxed);
     }
 }
 
@@ -373,7 +372,7 @@ impl RangeQueryEngine for KMeansTree<'_> {
         match self.mode {
             KernelMode::Generic => self.traverse(q, |points| {
                 for &p in points {
-                    if self.dist(q, self.data.row(p as usize)) < eps {
+                    if self.metric.dist(q, self.data.row(p as usize)) < eps {
                         out.push(p);
                     }
                 }
@@ -383,7 +382,6 @@ impl RangeQueryEngine for KMeansTree<'_> {
                 let probe = self.kernel.probe(q, eps);
                 self.traverse(q, |points| {
                     for &p in points {
-                        self.evaluations.fetch_add(1, Ordering::Relaxed);
                         let i = p as usize;
                         if self
                             .kernel
@@ -413,11 +411,8 @@ impl RangeQueryEngine for KMeansTree<'_> {
             for &p in points {
                 let i = p as usize;
                 let d = match &spec {
-                    None => self.dist(q, self.data.row(i)),
-                    Some((norms, prep)) => {
-                        self.evaluations.fetch_add(1, Ordering::Relaxed);
-                        self.kernel.dist(prep, self.data.row(i), norms.norm(i))
-                    }
+                    None => self.metric.dist(q, self.data.row(i)),
+                    Some((norms, prep)) => self.kernel.dist(prep, self.data.row(i), norms.norm(i)),
                 };
                 if best.len() < k || d < best.last().map(|n| n.dist).unwrap_or(f32::INFINITY) {
                     best.push(Neighbor::new(p, d));
