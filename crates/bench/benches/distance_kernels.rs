@@ -1,7 +1,13 @@
 //! Micro-benchmarks of the distance kernels at the paper's dimensionalities
-//! (200-d GloVe, 256-d NYT, 768-d MS MARCO).
+//! (200-d GloVe, 256-d NYT, 768-d MS MARCO) and at the 64-d of the repository
+//! benchmark's `cluster` workload.
+//!
+//! Multiply-adds per iteration, for converting ns/iter into GMAC/s: `dim`
+//! for `dot`, `4 * dim` for `dot4`, `8 * dim` for `row_tile` and `16 * dim`
+//! for `probe_block`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use laf_vector::tile::{self, ProbeBlock, BLOCK_PROBES, ROW_TILE};
 use laf_vector::{ops, AngularDistance, CosineDistance, DistanceMetric, EuclideanDistance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +23,7 @@ fn bench_distances(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let mut group = c.benchmark_group("distance_kernels");
     group.sample_size(30);
-    for dim in [200usize, 256, 768] {
+    for dim in [64usize, 200, 256, 768] {
         let a = random_unit(dim, &mut rng);
         let b = random_unit(dim, &mut rng);
         group.bench_with_input(BenchmarkId::new("cosine", dim), &dim, |bench, _| {
@@ -49,6 +55,28 @@ fn bench_distances(c: &mut Criterion) {
                     black_box(&q3),
                     black_box(&b),
                 ))
+            })
+        });
+        // The linear scan's register tiles: one probe against eight rows
+        // (SSE2), and sixteen packed probes against one row (AVX2 when the
+        // CPU has it, else four `dot4` calls). Compare against 8x resp. 16x
+        // `dot`.
+        let rows: Vec<f32> = (0..ROW_TILE)
+            .flat_map(|_| random_unit(dim, &mut rng))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("row_tile", dim), &dim, |bench, _| {
+            bench.iter(|| black_box(tile::dot_rows8(black_box(&a), black_box(&rows))))
+        });
+        let probes: Vec<Vec<f32>> = (0..BLOCK_PROBES)
+            .map(|_| random_unit(dim, &mut rng))
+            .collect();
+        let refs: Vec<&[f32]> = probes.iter().map(Vec::as_slice).collect();
+        let block = ProbeBlock::new(&refs);
+        let mut out = [0.0f32; BLOCK_PROBES];
+        group.bench_with_input(BenchmarkId::new("probe_block", dim), &dim, |bench, _| {
+            bench.iter(|| {
+                block.dots(black_box(&b), &mut out);
+                black_box(out)
             })
         });
         // Norm-cached cosine: the specialized kernel's per-row work (one dot

@@ -7,24 +7,28 @@
 //!
 //! The scan loops run on the metric-specialized kernels of
 //! [`laf_vector::kernel`] by default: the query norm is computed once per
-//! query, row norms come from the dataset's lazily-built cache, and the
-//! batched paths score four queries per row load through the
-//! [`laf_vector::ops::dot4`] mini-GEMM tile. Results are bit-identical to the
-//! generic [`Metric::dist`] evaluation (available via
-//! [`KernelMode::Generic`], which the kernel benchmarks use as baseline).
+//! query and row norms come from the dataset's lazily-built cache. The dot
+//! products come from the exact register tiles of [`laf_vector::tile`]: a
+//! single query scores eight rows per step ([`tile::dot_rows8`]), and a
+//! block of up to [`tile::BLOCK_PROBES`] queries is packed once and scored
+//! against each row in one step ([`tile::ProbeBlock`]). Every row is then
+//! decided by [`MetricKernel::within_dot`]. The tiles keep `ops::dot`'s
+//! accumulation order per pair, so results are bit-identical to the generic
+//! [`Metric::dist`] evaluation (available via [`KernelMode::Generic`], which
+//! the kernel benchmarks use as baseline).
 
 use crate::engine::{KernelMode, Neighbor, RangeQueryEngine};
 use crate::persist::PersistedEngine;
 use crate::topk::TopK;
+use laf_vector::tile::{self, ProbeBlock, ROW_TILE};
 use laf_vector::{Dataset, Metric, MetricKernel};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of queries processed per cache block in the batched kernels: each
-/// dataset row is loaded from memory once and scored against a whole block of
-/// queries while it is hot, amortizing the dominant memory traffic of a
-/// brute-force scan across the block.
-const QUERY_BLOCK: usize = 16;
+/// Number of queries processed per cache block in the batched kernels: the
+/// block is packed into one [`ProbeBlock`] and each dataset row is scored
+/// against all of it in one step while the row is hot.
+const QUERY_BLOCK: usize = tile::BLOCK_PROBES;
 
 /// Exact linear-scan engine.
 pub struct LinearScan<'a> {
@@ -74,15 +78,7 @@ impl<'a> LinearScan<'a> {
                     }
                 }
             }
-            KernelMode::Specialized => {
-                let norms = self.data.row_norms();
-                let probe = self.kernel.probe(q, eps);
-                for (i, row) in self.data.rows().enumerate() {
-                    if self.kernel.within(&probe, row, norms.norm(i), norms.sq(i)) {
-                        hits.push(i as u32);
-                    }
-                }
-            }
+            KernelMode::Specialized => self.scan(q, eps, |i| hits.push(i as u32)),
         }
         hits
     }
@@ -96,16 +92,39 @@ impl<'a> LinearScan<'a> {
                 .filter(|row| self.metric.dist(q, row) < eps)
                 .count(),
             KernelMode::Specialized => {
-                let norms = self.data.row_norms();
-                let probe = self.kernel.probe(q, eps);
-                self.data
-                    .rows()
-                    .enumerate()
-                    .filter(|(i, row)| {
-                        self.kernel
-                            .within(&probe, row, norms.norm(*i), norms.sq(*i))
-                    })
-                    .count()
+                let mut count = 0;
+                self.scan(q, eps, |_| count += 1);
+                count
+            }
+        }
+    }
+
+    /// The specialized single-query scan: calls `hit(i)`, in ascending
+    /// order, for every row `i` within `eps` of `q`. Rows go through the row
+    /// tile eight at a time; the last `n % 8` rows take the scalar
+    /// predicate.
+    fn scan(&self, q: &[f32], eps: f32, mut hit: impl FnMut(usize)) {
+        let norms = self.data.row_norms();
+        let probe = self.kernel.probe(q, eps);
+        let dim = self.data.dim();
+        let tiled = self.data.len() / ROW_TILE * ROW_TILE;
+        let (head, rest) = self.data.as_flat().split_at(tiled * dim);
+        for (t, rows) in head.chunks_exact(ROW_TILE * dim).enumerate() {
+            let dots = tile::dot_rows8(q, rows);
+            for (r, (x, &dot)) in rows.chunks_exact(dim).zip(&dots).enumerate() {
+                let i = t * ROW_TILE + r;
+                if self
+                    .kernel
+                    .within_dot(&probe, dot, x, norms.norm(i), norms.sq(i))
+                {
+                    hit(i);
+                }
+            }
+        }
+        for (r, x) in rest.chunks_exact(dim).enumerate() {
+            let i = tiled + r;
+            if self.kernel.within(&probe, x, norms.norm(i), norms.sq(i)) {
+                hit(i);
             }
         }
     }
@@ -143,7 +162,7 @@ impl<'a> LinearScan<'a> {
     }
 
     /// Blocked range scan for up to [`QUERY_BLOCK`] queries: rows outer,
-    /// queries inner, four queries per row load through the mini-GEMM tile.
+    /// the packed query block inner.
     fn range_block(&self, block: &[&[f32]], eps: f32) -> Vec<Vec<u32>> {
         let mut hits: Vec<Vec<u32>> = vec![Vec::new(); block.len()];
         match self.mode {
@@ -157,25 +176,7 @@ impl<'a> LinearScan<'a> {
                 }
             }
             KernelMode::Specialized => {
-                let norms = self.data.row_norms();
-                let probes: Vec<_> = block.iter().map(|q| self.kernel.probe(q, eps)).collect();
-                let (tiles, rest) = probes.split_at(probes.len() / 4 * 4);
-                for (i, row) in self.data.rows().enumerate() {
-                    for (t, tile) in tiles.chunks_exact(4).enumerate() {
-                        let tile: &[_; 4] = tile.try_into().expect("chunks_exact(4)");
-                        let lanes = self.kernel.within4(tile, row, norms.norm(i), norms.sq(i));
-                        for (lane, &hit) in lanes.iter().enumerate() {
-                            if hit {
-                                hits[t * 4 + lane].push(i as u32);
-                            }
-                        }
-                    }
-                    for (r, probe) in rest.iter().enumerate() {
-                        if self.kernel.within(probe, row, norms.norm(i), norms.sq(i)) {
-                            hits[tiles.len() + r].push(i as u32);
-                        }
-                    }
-                }
+                self.scan_block(block, eps, |slot, i| hits[slot].push(i as u32))
             }
         }
         hits
@@ -194,29 +195,29 @@ impl<'a> LinearScan<'a> {
                     }
                 }
             }
-            KernelMode::Specialized => {
-                let norms = self.data.row_norms();
-                let probes: Vec<_> = block.iter().map(|q| self.kernel.probe(q, eps)).collect();
-                let (tiles, rest) = probes.split_at(probes.len() / 4 * 4);
-                for (i, row) in self.data.rows().enumerate() {
-                    for (t, tile) in tiles.chunks_exact(4).enumerate() {
-                        let tile: &[_; 4] = tile.try_into().expect("chunks_exact(4)");
-                        let lanes = self.kernel.within4(tile, row, norms.norm(i), norms.sq(i));
-                        for (lane, &hit) in lanes.iter().enumerate() {
-                            if hit {
-                                counts[t * 4 + lane] += 1;
-                            }
-                        }
-                    }
-                    for (r, probe) in rest.iter().enumerate() {
-                        if self.kernel.within(probe, row, norms.norm(i), norms.sq(i)) {
-                            counts[tiles.len() + r] += 1;
-                        }
-                    }
+            KernelMode::Specialized => self.scan_block(block, eps, |slot, _| counts[slot] += 1),
+        }
+        counts
+    }
+
+    /// The specialized block scan: calls `hit(slot, i)`, rows in ascending
+    /// order, for every row `i` within `eps` of `block[slot]`. The block is
+    /// packed once; each row is scored against all of it in one step.
+    fn scan_block(&self, block: &[&[f32]], eps: f32, mut hit: impl FnMut(usize, usize)) {
+        let norms = self.data.row_norms();
+        let probes: Vec<_> = block.iter().map(|q| self.kernel.probe(q, eps)).collect();
+        let packed = ProbeBlock::new(block);
+        let mut dots = [0.0f32; QUERY_BLOCK];
+        let dots = &mut dots[..block.len()];
+        for (i, x) in self.data.rows().enumerate() {
+            packed.dots(x, dots);
+            let (x_norm, x_sq) = (norms.norm(i), norms.sq(i));
+            for (slot, (probe, &dot)) in probes.iter().zip(dots.iter()).enumerate() {
+                if self.kernel.within_dot(probe, dot, x, x_norm, x_sq) {
+                    hit(slot, i);
                 }
             }
         }
-        counts
     }
 }
 

@@ -5,7 +5,7 @@
 //! counts, knn lists — down to the distance bits) must equal the
 //! [`KernelMode::Generic`] baseline.
 
-use laf_index::{build_engine_with_mode, EngineChoice, KernelMode};
+use laf_index::{build_engine_with_mode, EngineChoice, KernelMode, LinearScan, RangeQueryEngine};
 use laf_synth::EmbeddingMixtureConfig;
 use laf_vector::{Dataset, Metric};
 
@@ -171,4 +171,76 @@ fn unnormalized_data_agrees_too() {
     rows.push(vec![0.0; 9]);
     let data = Dataset::from_rows(rows).unwrap();
     assert_engines_agree(&data, "unnormalized dim=9");
+}
+
+/// Bits equal, or both NaN (Rust leaves NaN payloads unspecified).
+fn same(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Swapping query and row changes nothing, in both kernel modes: row `b` is
+/// in row `a`'s ε-neighbourhood exactly when `a` is in `b`'s, through the
+/// single-query scan and the blocked batch scan alike, and the knn distance
+/// of a pair has the same bits both ways. A symmetric ε-join, which
+/// evaluates each pair once and uses it for both rows, relies on this.
+#[test]
+fn range_membership_and_distances_are_symmetric_in_both_modes() {
+    // Unnormalized rows plus NaN, ±∞, signed-zero, subnormal, degenerate and
+    // zero rows: 43 rows, not a multiple of the row tile's 8.
+    let dim = 13;
+    let base = sample_data(36, dim, 59);
+    let mut rows: Vec<Vec<f32>> = base
+        .rows()
+        .enumerate()
+        .map(|(i, r)| r.iter().map(|x| x * (0.5 + (i % 5) as f32)).collect())
+        .collect();
+    for (j, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0]
+        .into_iter()
+        .enumerate()
+    {
+        let mut row = rows[j].clone();
+        row[j] = v;
+        rows.push(row);
+    }
+    rows.push(vec![f32::MIN_POSITIVE / 4.0; dim]);
+    rows.push(vec![1e-13; dim]);
+    rows.push(vec![0.0; dim]);
+    let data = Dataset::from_rows(rows).unwrap();
+    let n = data.len();
+    let all: Vec<&[f32]> = data.rows().collect();
+    for metric in Metric::ALL {
+        for mode in [KernelMode::Specialized, KernelMode::Generic] {
+            let engine = LinearScan::with_kernel_mode(&data, metric, mode);
+            let eps = eps_for(metric);
+            for eps in [eps, 4.0 * eps, -eps] {
+                let single: Vec<Vec<u32>> = all.iter().map(|q| engine.range(q, eps)).collect();
+                assert_eq!(engine.range_batch(&all, eps), single, "{metric:?} {mode:?}");
+                let member = |a: usize, b: usize| single[a].binary_search(&(b as u32)).is_ok();
+                for a in 0..n {
+                    for b in 0..n {
+                        assert_eq!(
+                            member(a, b),
+                            member(b, a),
+                            "{metric:?} {mode:?} eps {eps} rows {a} {b}"
+                        );
+                    }
+                }
+            }
+            let mut dist = vec![vec![f32::NAN; n]; n];
+            for (a, list) in engine.knn_batch(&all, n).iter().enumerate() {
+                for neighbor in list {
+                    dist[a][neighbor.index as usize] = neighbor.dist;
+                }
+            }
+            for (a, row) in dist.iter().enumerate() {
+                for (b, &d) in row.iter().enumerate() {
+                    assert!(
+                        same(d, dist[b][a]),
+                        "{metric:?} {mode:?} dist {a} {b}: {d} vs {}",
+                        dist[b][a]
+                    );
+                }
+            }
+        }
+    }
 }

@@ -29,23 +29,30 @@
 //!   (`dot > t·||x||`) would be ~equally fast but cannot reproduce the
 //!   scalar path's rounding at the decision boundary, so it is *not* used
 //!   for the value-producing cosine family.
-//! * **Euclidean / SquaredEuclidean** — in the **batch tile** the predicate
-//!   is pushed down into the dot domain: `||q||² + ||x||² − 2·dot(q,x)` is
-//!   compared against `eps²` (resp. `eps`) inside a certified error band.
-//!   Rows that land clearly inside/outside the band are decided from the
-//!   single `dot4` lane; rows within the band (a vanishing fraction) fall
-//!   back to the exact subtract-form evaluation, so the decision always
+//! * **Euclidean / SquaredEuclidean** — in the **tiled scans** the
+//!   predicate is pushed down into the dot domain: `||q||² + ||x||² −
+//!   2·dot(q,x)` is compared against `eps²` (resp. `eps`) inside a certified
+//!   error band. Rows that land clearly inside/outside the band are decided
+//!   from the tile's dot lane; rows within the band (a vanishing fraction)
+//!   fall back to the exact subtract-form evaluation, so the decision always
 //!   matches the scalar path bit-for-bit. The **scalar** predicate and
 //!   distance *values* keep the subtract-form kernel: it is already a
-//!   single fused pass over both vectors, so a one-query pushdown has
-//!   nothing to amortize (and a dot-form value would differ in final
-//!   ulps).
+//!   single fused pass over both vectors, and a dot-form value would differ
+//!   in final ulps.
 //! * **NegDot** — already a single dot product; the kernel merely skips the
 //!   enum dispatch.
 //!
-//! [`MetricKernel::within4`] is the query-major mini-GEMM entry point: four
-//! prepared queries are scored against one row through [`ops::dot4`], which
-//! loads the row from memory once for all four lanes.
+//! # Tiled scans
+//!
+//! [`MetricKernel::within_dot`] is the one decision entry point of every
+//! tiled scan: the caller computes `dot(q, x)` in a tile — the register
+//! tiles of [`crate::tile`] (one probe × eight rows, or up to sixteen packed
+//! probes × one row) in the linear scan, [`ops::dot4`] in
+//! [`MetricKernel::within4`] for the grid engine — and the kernel decides
+//! the row from that dot exactly as [`MetricKernel::within`] would. Every
+//! tile lane reproduces `ops::dot`'s accumulation order, so the tiles change
+//! how many pairs are in flight, never a bit of a result. [`RangeProbe`]
+//! stays opaque: callers hand it back, they never read its constants.
 
 use crate::distance::Metric;
 use crate::ops;
@@ -184,7 +191,7 @@ impl MetricKernel {
     }
 
     /// Prepare `q` for repeated [`MetricKernel::within`] /
-    /// [`MetricKernel::within4`] predicates against threshold `eps`.
+    /// [`MetricKernel::within_dot`] predicates against threshold `eps`.
     pub fn probe<'q>(&self, q: &'q [f32], eps: f32) -> RangeProbe<'q> {
         let sq = ops::dot(q, q);
         let (accept_below, reject_above) = match self.metric {
@@ -241,9 +248,8 @@ impl MetricKernel {
     ///
     /// The Euclidean family evaluates the exact subtract-form expression
     /// here: it is already a single fused pass over both vectors, so the
-    /// dot-form pushdown has nothing to amortize in a one-query scan (it
-    /// pays off in [`MetricKernel::within4`], where `dot4` shares the row
-    /// load across four queries).
+    /// dot-form pushdown only pays off behind a tile that computes the dot
+    /// anyway ([`MetricKernel::within_dot`]).
     ///
     /// `x_norm`/`x_sq` must come from [`crate::Dataset::row_norms`] (or equal
     /// `ops::norm(x)` / `ops::dot(x, x)` bit-for-bit).
@@ -256,10 +262,9 @@ impl MetricKernel {
         }
     }
 
-    /// Four range predicates against one row — the query-major mini-GEMM
-    /// path. Each lane is decided exactly as [`MetricKernel::within`] would,
-    /// but the row is streamed from memory once for all four probes via
-    /// [`ops::dot4`].
+    /// Four range predicates against one row through [`ops::dot4`], which
+    /// loads the row once for all four probes. Each lane is decided by
+    /// [`MetricKernel::within_dot`], so it equals [`MetricKernel::within`].
     #[inline]
     pub fn within4(
         &self,
@@ -269,20 +274,32 @@ impl MetricKernel {
         x_sq: f32,
     ) -> [bool; 4] {
         let dots = ops::dot4(probes[0].q, probes[1].q, probes[2].q, probes[3].q, x);
-        let mut out = [false; 4];
+        std::array::from_fn(|lane| self.within_dot(&probes[lane], dots[lane], x, x_norm, x_sq))
+    }
+
+    /// The range predicate of [`MetricKernel::within`], decided from a dot
+    /// product the caller already has: the entry point of the batch tiles
+    /// ([`ops::dot4`] and the register tiles of [`crate::tile`]).
+    ///
+    /// `dot` must be bit-identical to `ops::dot(probe.query(), x)` — every
+    /// tile lane is — and `x_norm`/`x_sq` must come from
+    /// [`crate::Dataset::row_norms`]. The cosine family then evaluates the
+    /// generic expression from the dot; the Euclidean family decides clear
+    /// rows in the dot domain and re-evaluates boundary rows in the exact
+    /// subtract form. Either way the result equals [`MetricKernel::within`].
+    #[inline]
+    pub fn within_dot(
+        &self,
+        probe: &RangeProbe<'_>,
+        dot: f32,
+        x: &[f32],
+        x_norm: f32,
+        x_sq: f32,
+    ) -> bool {
         match self.metric {
-            Metric::Euclidean | Metric::SquaredEuclidean => {
-                for lane in 0..4 {
-                    out[lane] = self.euclid_decide(&probes[lane], dots[lane], x, x_sq);
-                }
-            }
-            _ => {
-                for lane in 0..4 {
-                    out[lane] = self.dot_decide(&probes[lane], dots[lane], x_norm);
-                }
-            }
+            Metric::Euclidean | Metric::SquaredEuclidean => self.euclid_decide(probe, dot, x, x_sq),
+            _ => self.dot_decide(probe, dot, x_norm),
         }
-        out
     }
 
     /// Decide a cosine/angular/neg-dot predicate from the precomputed dot.

@@ -19,8 +19,16 @@
 //!   conversion of Equation (1) in the paper.
 //! * [`MetricKernel`] — metric-specialized distance kernels: per-row norm
 //!   caching ([`Dataset::row_norms`]), dot-only predicates with threshold
-//!   pushdown, and the query-major [`ops::dot4`] mini-GEMM batch path, all
-//!   bit-identical to the generic evaluation.
+//!   pushdown, and one decision entry point for dots computed in a tile
+//!   ([`MetricKernel::within_dot`]), all bit-identical to the generic
+//!   evaluation.
+//! * [`tile`] — the exact register tiles of the linear scan: one probe
+//!   against eight rows ([`tile::dot_rows8`]) and up to sixteen packed
+//!   probes against one row ([`tile::ProbeBlock`]), on SSE2 resp. AVX2
+//!   chosen by runtime CPU detection and the [`ops::dot`] / [`ops::dot4`]
+//!   loops elsewhere. They score several independent pairs per step under
+//!   [`ops::dot`]'s unchanged accumulation order, so every lane keeps its
+//!   bits.
 //! * [`DeltaSegment`] and [`TombstoneSet`] — the mutable-plane substrate:
 //!   an append-only segment of inserted rows plus a deletion bitmap with
 //!   O(1) physical→dense rank queries (see [`delta`]).
@@ -48,6 +56,7 @@ pub mod ops;
 pub mod projection;
 pub mod shard;
 pub mod stats;
+pub mod tile;
 
 #[cfg(target_endian = "little")]
 pub use dataset::MappedSlice;

@@ -1,9 +1,15 @@
 //! Low-level dense vector kernels.
 //!
-//! These are the hot inner loops of every range query in the workspace, so
-//! they are written to auto-vectorize: fixed-stride slices, unrolled
-//! accumulators and no bounds checks inside the loop body (the slice lengths
-//! are asserted once up front).
+//! [`dot`] defines the workspace's accumulation contract: four partial sums
+//! over 4-element chunks (a separate multiply and add each, never fused), a
+//! sequential tail for `len % 4`, and the reduction `s0 + s1 + s2 + s3 +
+//! tail` in that order. Everything that must agree bit for bit with a scalar
+//! distance — [`dot4`], the register tiles of [`crate::tile`], the
+//! specialized metric kernels and the MLP's batch forward — reproduces that
+//! order per pair. The loops here are plain Rust over slices whose lengths
+//! are asserted once up front; LLVM keeps each pair's four sums in one
+//! vector register, a single add chain, which is why the linear scan's hot
+//! loops run on [`crate::tile`] instead.
 
 /// Dot product of two equally sized slices.
 ///

@@ -5,8 +5,11 @@
 //! contract across every built-in metric, odd dimensions (tail handling of
 //! the unrolled dot kernels), zero and near-zero vectors (degenerate-norm
 //! semantics), unnormalized data, and thresholds parked right on top of the
-//! computed distances (the Euclidean pushdown's fallback band).
+//! computed distances (the Euclidean pushdown's fallback band). The batch
+//! tiles (`ops::dot4` and the register tiles of `laf_vector::tile`) are held
+//! to the same contract, NaN, infinities and subnormals included.
 
+use laf_vector::tile::{self, ProbeBlock, BLOCK_PROBES, ROW_TILE};
 use laf_vector::{ops, Dataset, Metric, MetricKernel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -35,17 +38,176 @@ fn raw_dataset(rng: &mut StdRng, dim: usize, rows: usize) -> Dataset {
     Dataset::from_rows(r).unwrap()
 }
 
+/// Bits equal, or both NaN: Rust leaves NaN payloads unspecified, so two
+/// NaN results need not share their bits even on one path.
+fn same(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// `base` with one random coordinate replaced by `v` (unchanged at dim 0).
+fn with_value(rng: &mut StdRng, dim: usize, v: f32) -> Vec<f32> {
+    let mut row = raw_vector(rng, dim);
+    if dim > 0 {
+        row[rng.gen_range(0..dim)] = v;
+    }
+    row
+}
+
+/// `random` unnormalized rows followed by one row per edge case of the
+/// accumulation contract: a NaN, a +∞ and a −∞ coordinate, signed zeros,
+/// an all-subnormal row and the 1e-13 degenerate row.
+fn edge_rows(rng: &mut StdRng, dim: usize, random: usize) -> Vec<Vec<f32>> {
+    let mut rows: Vec<Vec<f32>> = (0..random).map(|_| raw_vector(rng, dim)).collect();
+    for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
+        rows.push(with_value(rng, dim, v));
+    }
+    rows.push(vec![-0.0; dim]);
+    rows.push(vec![f32::MIN_POSITIVE / 4.0; dim]);
+    rows.push(vec![1e-13; dim]);
+    rows
+}
+
+/// The cached norms [`MetricKernel::within`] expects, computed the way
+/// [`Dataset::row_norms`] does (a `Dataset` cannot have dim 0).
+fn norms_of(row: &[f32]) -> (f32, f32) {
+    (ops::norm(row), ops::dot(row, row))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
+    /// `dot4`, the row tile and the packed block against `ops::dot`: every
+    /// lane's bits, and every decision taken from a lane through
+    /// `MetricKernel::within_dot` against `MetricKernel::within`, for all
+    /// five metrics. Dims 0..=70 cover the tails and dim < 4; the row count
+    /// (`random + 7`) is rarely a multiple of 8, and the row tile slides over
+    /// every window of eight consecutive rows; blocks take 1..=16 probes.
     #[test]
-    fn dot4_is_bit_identical_to_dot(dim in 1usize..40, seed in 0u64..100_000) {
+    fn dot4_is_bit_identical_to_dot(
+        dim in 0usize..=70,
+        random in 1usize..14,
+        seed in 0u64..100_000,
+        eps_raw in -0.5f32..2.5,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let x = raw_vector(&mut rng, dim);
-        let qs: Vec<Vec<f32>> = (0..4).map(|_| raw_vector(&mut rng, dim)).collect();
-        let tiled = ops::dot4(&qs[0], &qs[1], &qs[2], &qs[3], &x);
-        for lane in 0..4 {
-            prop_assert_eq!(tiled[lane].to_bits(), ops::dot(&qs[lane], &x).to_bits());
+        let rows = edge_rows(&mut rng, dim, random);
+        // Sixteen probes: whole `dot4` quads and one full block.
+        let mut probes = edge_rows(&mut rng, dim, BLOCK_PROBES - 7);
+        let shift = seed as usize % probes.len();
+        probes.rotate_left(shift);
+        let flat: Vec<f32> = rows.concat();
+        let expect = |p: usize, r: usize| ops::dot(&probes[p], &rows[r]);
+
+        // lanes[p][r] per tile; every pair is covered by every tile.
+        let mut dot4_lanes = vec![vec![0.0f32; rows.len()]; probes.len()];
+        for (r, row) in rows.iter().enumerate() {
+            for (t, q) in probes.chunks_exact(4).enumerate() {
+                let tiled = ops::dot4(&q[0], &q[1], &q[2], &q[3], row);
+                for (k, lane) in tiled.into_iter().enumerate() {
+                    dot4_lanes[4 * t + k][r] = lane;
+                }
+            }
+        }
+        let mut row_lanes = vec![vec![Vec::new(); rows.len()]; probes.len()];
+        for start in 0..=rows.len() - ROW_TILE {
+            let window = &flat[start * dim..(start + ROW_TILE) * dim];
+            for (p, probe) in probes.iter().enumerate() {
+                for (k, lane) in tile::dot_rows8(probe, window).into_iter().enumerate() {
+                    row_lanes[p][start + k].push(lane);
+                }
+            }
+        }
+        let refs: Vec<&[f32]> = probes.iter().map(Vec::as_slice).collect();
+        let mut block_lanes = vec![vec![Vec::new(); rows.len()]; probes.len()];
+        for len in 1..=BLOCK_PROBES {
+            let first = len % (probes.len() - len + 1);
+            let block = ProbeBlock::new(&refs[first..first + len]);
+            let mut out = vec![0.0f32; len];
+            for (r, row) in rows.iter().enumerate() {
+                block.dots(row, &mut out);
+                for (k, &lane) in out.iter().enumerate() {
+                    block_lanes[first + k][r].push(lane);
+                }
+            }
+        }
+
+        for p in 0..probes.len() {
+            for r in 0..rows.len() {
+                let e = expect(p, r);
+                prop_assert!(same(dot4_lanes[p][r], e), "dot4 dim {} probe {} row {}", dim, p, r);
+                let tiled = row_lanes[p][r].iter().chain(&block_lanes[p][r]);
+                for &lane in tiled.clone() {
+                    prop_assert!(same(lane, e), "tile dim {} probe {} row {}", dim, p, r);
+                }
+                let (x_norm, x_sq) = norms_of(&rows[r]);
+                for metric in Metric::ALL {
+                    let kernel = MetricKernel::new(metric);
+                    for eps in [eps_raw, metric.dist(&probes[p], &rows[0])] {
+                        let probe = kernel.probe(&probes[p], eps);
+                        let want = kernel.within(&probe, &rows[r], x_norm, x_sq);
+                        for &lane in tiled.clone().chain([&dot4_lanes[p][r]]) {
+                            prop_assert_eq!(
+                                kernel.within_dot(&probe, lane, &rows[r], x_norm, x_sq),
+                                want,
+                                "{:?} dim {} probe {} row {} eps {}", metric, dim, p, r, eps
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Swapping the operands changes no bit: `dist` and `within` on both
+    /// evaluation paths (the generic `Metric::dist` comparison and the
+    /// specialized `MetricKernel`), and the tile lanes, whose shape must not
+    /// depend on which operand is the query (a symmetric ε-join evaluates
+    /// each pair once and uses it both ways).
+    #[test]
+    fn distances_predicates_and_tile_lanes_are_symmetric(
+        dim in 0usize..=40,
+        seed in 0u64..100_000,
+        eps_raw in -0.5f32..2.5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let vs = edge_rows(&mut rng, dim, 1);
+        prop_assert_eq!(vs.len(), ROW_TILE);
+        let flat: Vec<f32> = vs.concat();
+        let refs: Vec<&[f32]> = vs.iter().map(Vec::as_slice).collect();
+        let block = ProbeBlock::new(&refs);
+        // row[i][j]: probe i against row j through the row tile;
+        // packed[j][i]: the same pair through the packed block.
+        let row: Vec<[f32; ROW_TILE]> = vs.iter().map(|q| tile::dot_rows8(q, &flat)).collect();
+        let packed: Vec<Vec<f32>> = vs
+            .iter()
+            .map(|x| {
+                let mut out = vec![0.0f32; ROW_TILE];
+                block.dots(x, &mut out);
+                out
+            })
+            .collect();
+        for (i, a) in vs.iter().enumerate() {
+            for (j, b) in vs.iter().enumerate() {
+                prop_assert!(same(row[i][j], row[j][i]), "row tile {} {}", i, j);
+                prop_assert!(same(packed[j][i], packed[i][j]), "block {} {}", i, j);
+                prop_assert!(same(row[i][j], packed[j][i]), "tiles {} {}", i, j);
+                let (a_norm, a_sq) = norms_of(a);
+                let (b_norm, b_sq) = norms_of(b);
+                for metric in Metric::ALL {
+                    prop_assert!(same(metric.dist(a, b), metric.dist(b, a)), "{:?}", metric);
+                    let kernel = MetricKernel::new(metric);
+                    let (pa, pb) = (kernel.prepare(a), kernel.prepare(b));
+                    prop_assert!(same(kernel.dist(&pa, b, b_norm), kernel.dist(&pb, a, a_norm)));
+                    for eps in [eps_raw, metric.dist(a, b)] {
+                        prop_assert_eq!(metric.dist(a, b) < eps, metric.dist(b, a) < eps);
+                        let (qa, qb) = (kernel.probe(a, eps), kernel.probe(b, eps));
+                        let ab = kernel.within(&qa, b, b_norm, b_sq);
+                        prop_assert_eq!(ab, kernel.within(&qb, a, a_norm, a_sq), "{:?} {} {}", metric, i, j);
+                        prop_assert_eq!(ab, kernel.within_dot(&qb, row[j][i], a, a_norm, a_sq));
+                        prop_assert_eq!(ab, kernel.within_dot(&qa, packed[j][i], b, b_norm, b_sq));
+                    }
+                }
+            }
         }
     }
 
