@@ -1,11 +1,11 @@
 //! Range-query engine comparison: the per-query cost of the linear scan,
-//! cover tree, k-means tree and grid index on an embedding-like workload.
+//! cover tree and k-means tree on an embedding-like workload.
 //! This is the substrate ablation behind the paper's baseline differences.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use laf_index::{CoverTree, GridIndex, KMeansTree, LinearScan, RangeQueryEngine};
+use laf_index::{CoverTree, KMeansTree, LinearScan, RangeQueryEngine};
 use laf_synth::EmbeddingMixtureConfig;
-use laf_vector::{cosine_to_euclidean, Dataset, Metric};
+use laf_vector::{Dataset, Metric};
 use std::hint::black_box;
 
 fn dataset() -> Dataset {
@@ -29,16 +29,10 @@ fn bench_engines(c: &mut Criterion) {
     let linear = LinearScan::new(&data, Metric::Cosine);
     let cover = CoverTree::new(&data, Metric::Cosine, 2.0);
     let kmeans = KMeansTree::new(&data, Metric::Cosine, 10, 0.6, 7);
-    let grid = GridIndex::new(
-        &data,
-        Metric::Cosine,
-        cosine_to_euclidean(eps) / (data.dim() as f32).sqrt(),
-    );
     let engines: Vec<(&str, &dyn RangeQueryEngine)> = vec![
         ("linear", &linear),
         ("cover_tree", &cover),
         ("kmeans_tree", &kmeans),
-        ("grid", &grid),
     ];
 
     let mut group = c.benchmark_group("range_query");

@@ -9,9 +9,8 @@
 //! * warm restore must be faster than cold training (the whole point of the
 //!   train-once/serve-many split);
 //! * restoring the persisted k-means tree / IVF structures must beat
-//!   rebuilding them (the point of snapshot format v2). The linear and grid
-//!   engines are not gated: linear has nothing to rebuild and the grid's
-//!   build is already cheap enough to be timing noise at small scales;
+//!   rebuilding them (the point of snapshot format v2). The linear scan is
+//!   not gated: it has nothing to rebuild;
 //! * the mmap load (`Snapshot::open_mmap`, format v3) must be faster than
 //!   the copying decode at the default scale, must actually serve the
 //!   dataset from the mapping (on little-endian hosts), and the

@@ -22,7 +22,7 @@ use crate::harness::HarnessConfig;
 use crate::report::{print_table, write_json};
 use laf_cardest::TrainingSetBuilder;
 use laf_core::{LafConfig, LafPipeline};
-use laf_index::{EngineChoice, Neighbor};
+use laf_index::Neighbor;
 use laf_serve::{
     CacheConfig, CacheError, CacheStatsReport, QueryRequest, QueryResponse, SnapshotCache,
     TenantServer,
@@ -145,10 +145,7 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
     // One snapshot file per shard count. The training inputs are identical,
     // so the estimators — and therefore the labels — may only differ if the
     // sharded scatter-gather itself diverges.
-    let config = LafConfig {
-        engine: EngineChoice::Grid { cell_side: 0.3 },
-        ..LafConfig::new(eps, 4, 1.0)
-    };
+    let config = LafConfig::new(eps, 4, 1.0);
     let paths: Vec<PathBuf> = SHARD_SWEEP
         .iter()
         .map(|&n| {

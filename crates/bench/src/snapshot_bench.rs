@@ -48,7 +48,7 @@ pub struct BitExactness {
 /// persisted structure (what a v2 warm start pays).
 #[derive(Debug, Clone, Serialize)]
 pub struct EngineStartup {
-    /// Engine kind (`linear`, `grid`, `kmeans_tree`, `ivf`).
+    /// Engine kind (`linear`, `kmeans_tree`, `ivf`).
     pub engine: String,
     /// Seconds to build the engine from the raw dataset.
     pub build_seconds: f64,
@@ -117,13 +117,8 @@ pub struct SnapshotBenchReport {
 /// Measure build-from-scratch vs decode-and-restore for every persistable
 /// engine kind over `data`.
 fn engine_startup_matrix(data: &Dataset, eps: f32) -> Vec<EngineStartup> {
-    let dim = data.dim() as f32;
     let choices = [
         EngineChoice::Linear,
-        // Gan & Tao's ε/√d cell side, relative to build_engine's eps_hint.
-        EngineChoice::Grid {
-            cell_side: 1.0 / dim.sqrt(),
-        },
         // The paper's KNN-BLOCK DBSCAN tuning (branching 10, ratio 0.6).
         EngineChoice::KMeansTree {
             branching: 10,
@@ -137,7 +132,7 @@ fn engine_startup_matrix(data: &Dataset, eps: f32) -> Vec<EngineStartup> {
     let mut out = Vec::with_capacity(choices.len());
     for choice in choices {
         let t = Instant::now();
-        let built = build_engine(choice, data, Metric::Cosine, eps);
+        let built = build_engine(choice, data, Metric::Cosine);
         let build_seconds = t.elapsed().as_secs_f64();
 
         let encoded = built
@@ -489,7 +484,7 @@ mod tests {
         // The per-engine matrix covers every persistable kind and every
         // restored engine answers probe queries identically to its builder.
         let kinds: Vec<&str> = report.engines.iter().map(|e| e.engine.as_str()).collect();
-        assert_eq!(kinds, ["linear", "grid", "kmeans_tree", "ivf"]);
+        assert_eq!(kinds, ["linear", "kmeans_tree", "ivf"]);
         for e in &report.engines {
             assert!(e.agree, "{}: restored engine diverged", e.engine);
             assert!(e.encoded_bytes > 0, "{}", e.engine);

@@ -53,7 +53,7 @@ pub struct ThroughputRecord {
 /// generic/specialized) combination.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelMatrixRecord {
-    /// Engine under test (`linear`, `grid`).
+    /// Engine under test (`linear`).
     pub engine: String,
     /// Metric name ([`Metric::name`]).
     pub metric: String,
@@ -221,24 +221,15 @@ fn measure_matrix_cell(
     })
 }
 
-/// The generic-vs-specialized kernel matrix over the row-scanning engines.
+/// The generic-vs-specialized kernel matrix over the row-scanning engine.
 fn kernel_matrix(data: &Dataset, queries: &[&[f32]]) -> Vec<KernelMatrixRecord> {
-    let engines: [(&str, EngineChoice); 2] = [
-        ("linear", EngineChoice::Linear),
-        (
-            "grid",
-            EngineChoice::Grid {
-                cell_side: 1.0 / (data.dim() as f32).sqrt(),
-            },
-        ),
-    ];
+    let engines: [(&str, EngineChoice); 1] = [("linear", EngineChoice::Linear)];
     let mut records = Vec::new();
     for (engine_name, choice) in engines {
         for metric in KERNEL_METRICS {
             let eps = eps_for(metric);
-            let generic = build_engine_with_mode(choice, data, metric, eps, KernelMode::Generic);
-            let specialized =
-                build_engine_with_mode(choice, data, metric, eps, KernelMode::Specialized);
+            let generic = build_engine_with_mode(choice, data, metric, KernelMode::Generic);
+            let specialized = build_engine_with_mode(choice, data, metric, KernelMode::Specialized);
             for (mode_name, batch) in [("scalar", false), ("batch", true)] {
                 let (gq, gs) = measure_matrix_cell(generic.as_ref(), queries, eps, batch);
                 let generic_qps = gq as f64 / gs;
@@ -282,14 +273,8 @@ fn label_checks(data: &Dataset) -> Vec<LabelCheckRecord> {
     let subset = data
         .select(&(0..n).collect::<Vec<_>>())
         .expect("prefix indices are valid");
-    let choices: [(&str, EngineChoice); 4] = [
+    let choices: [(&str, EngineChoice); 3] = [
         ("linear", EngineChoice::Linear),
-        (
-            "grid",
-            EngineChoice::Grid {
-                cell_side: 1.0 / (subset.dim() as f32).sqrt(),
-            },
-        ),
         (
             "kmeans_tree",
             EngineChoice::KMeansTree {
@@ -313,9 +298,9 @@ fn label_checks(data: &Dataset) -> Vec<LabelCheckRecord> {
             dbscan.config.metric = metric;
             dbscan.config.engine = choice;
             let generic_engine =
-                build_engine_with_mode(choice, &subset, metric, eps, KernelMode::Generic);
+                build_engine_with_mode(choice, &subset, metric, KernelMode::Generic);
             let specialized_engine =
-                build_engine_with_mode(choice, &subset, metric, eps, KernelMode::Specialized);
+                build_engine_with_mode(choice, &subset, metric, KernelMode::Specialized);
             let generic = dbscan.cluster_with_engine(&subset, generic_engine.as_ref());
             let specialized = dbscan.cluster_with_engine(&subset, specialized_engine.as_ref());
             checks.push(LabelCheckRecord {
@@ -536,18 +521,18 @@ mod tests {
             .records
             .iter()
             .all(|r| r.queries_per_sec > 0.0 && r.speedup > 0.0 && r.queries > 0));
-        // Kernel matrix: 2 engines x metrics x {scalar,batch} x
+        // Kernel matrix: 1 engine x metrics x {scalar,batch} x
         // {generic,specialized}.
-        assert_eq!(report.kernel_matrix.len(), 2 * KERNEL_METRICS.len() * 2 * 2);
+        assert_eq!(report.kernel_matrix.len(), KERNEL_METRICS.len() * 2 * 2);
         assert!(report
             .kernel_matrix
             .iter()
             .all(|r| r.queries_per_sec > 0.0 && r.queries > 0));
         assert!(report.cosine_linear_scalar_speedup() > 0.0);
-        // Label checks: 4 engines x metrics, and correctness (unlike speed)
+        // Label checks: 3 engines x metrics, and correctness (unlike speed)
         // is asserted even at smoke scale — the specialized kernels are
         // bit-exact by contract, on any machine.
-        assert_eq!(report.label_checks.len(), 4 * KERNEL_METRICS.len());
+        assert_eq!(report.label_checks.len(), 3 * KERNEL_METRICS.len());
         assert!(
             report.labels_identical_everywhere(),
             "kernel modes produced diverging labels: {:?}",

@@ -154,12 +154,7 @@ impl Dbscan {
 
 impl Clusterer for Dbscan {
     fn cluster(&self, data: &Dataset) -> Clustering {
-        let engine = build_engine(
-            self.config.engine,
-            data,
-            self.config.metric,
-            self.config.eps,
-        );
+        let engine = build_engine(self.config.engine, data, self.config.metric);
         self.cluster_with_engine(data, engine.as_ref())
     }
 

@@ -223,12 +223,7 @@ pub fn label_from_cores(
 
 impl Clusterer for DbscanPlusPlus {
     fn cluster(&self, data: &Dataset) -> Clustering {
-        let engine = build_engine(
-            self.config.engine,
-            data,
-            self.config.metric,
-            self.config.eps,
-        );
+        let engine = build_engine(self.config.engine, data, self.config.metric);
         self.cluster_with_engine(data, engine.as_ref())
     }
 

@@ -150,14 +150,9 @@ fn eps_for(metric: Metric) -> f32 {
     }
 }
 
-/// Run `f` over every engine of the matrix: the five engine choices and a
+/// Run `f` over every engine of the matrix: the four engine choices and a
 /// 3-way sharded linear scan.
-fn for_each_engine(
-    data: &Dataset,
-    metric: Metric,
-    eps: f32,
-    mut f: impl FnMut(&str, &dyn RangeQueryEngine),
-) {
+fn for_each_engine(data: &Dataset, metric: Metric, mut f: impl FnMut(&str, &dyn RangeQueryEngine)) {
     let choices = [
         EngineChoice::Linear,
         EngineChoice::CoverTree { basis: 2.0 },
@@ -165,14 +160,13 @@ fn for_each_engine(
             branching: 4,
             leaf_ratio: 0.5,
         },
-        EngineChoice::Grid { cell_side: 0.5 },
         EngineChoice::Ivf {
             nlist: 8,
             nprobe: 3,
         },
     ];
     for choice in choices {
-        let engine = build_engine(choice, data, metric, eps);
+        let engine = build_engine(choice, data, metric);
         f(&format!("{choice:?}"), engine.as_ref());
     }
     let map = ShardMap::even_split(data.len(), 3);
@@ -181,7 +175,7 @@ fn for_each_engine(
         .collect();
     let shards = slices
         .iter()
-        .map(|slice| build_engine(EngineChoice::Linear, slice, metric, eps))
+        .map(|slice| build_engine(EngineChoice::Linear, slice, metric))
         .collect();
     let sharded = ShardedEngine::new(shards, map).unwrap();
     f("sharded x3", &sharded);
@@ -243,7 +237,7 @@ fn joined_loops_match_their_per_row_references() {
             engine: EngineChoice::Linear,
             seed: 5,
         });
-        for_each_engine(&data, metric, eps, |name, engine| {
+        for_each_engine(&data, metric, |name, engine| {
             let want = fresh(1, engine, || reference_dbscan(&dbscan, &data, engine));
             assert!(
                 want.n_clusters() > 1 && want.n_noise() > 0,

@@ -236,14 +236,9 @@ fn estimators(
     ]
 }
 
-/// Run `f` over every engine of the matrix: the five engine choices and a
+/// Run `f` over every engine of the matrix: the four engine choices and a
 /// 3-way sharded linear scan.
-fn for_each_engine(
-    data: &Dataset,
-    metric: Metric,
-    eps: f32,
-    mut f: impl FnMut(&str, &dyn RangeQueryEngine),
-) {
+fn for_each_engine(data: &Dataset, metric: Metric, mut f: impl FnMut(&str, &dyn RangeQueryEngine)) {
     let choices = [
         EngineChoice::Linear,
         EngineChoice::CoverTree { basis: 2.0 },
@@ -251,14 +246,13 @@ fn for_each_engine(
             branching: 4,
             leaf_ratio: 0.5,
         },
-        EngineChoice::Grid { cell_side: 0.5 },
         EngineChoice::Ivf {
             nlist: 8,
             nprobe: 3,
         },
     ];
     for choice in choices {
-        let engine = build_engine(choice, data, metric, eps);
+        let engine = build_engine(choice, data, metric);
         f(&format!("{choice:?}"), engine.as_ref());
     }
     let map = ShardMap::even_split(data.len(), 3);
@@ -267,7 +261,7 @@ fn for_each_engine(
         .collect();
     let shards = slices
         .iter()
-        .map(|slice| build_engine(EngineChoice::Linear, slice, metric, eps))
+        .map(|slice| build_engine(EngineChoice::Linear, slice, metric))
         .collect();
     let sharded = ShardedEngine::new(shards, map).unwrap();
     f("sharded x3", &sharded);
@@ -317,7 +311,7 @@ fn joined_loops_match_their_per_row_references() {
     for metric in [Metric::Cosine, Metric::Euclidean] {
         let eps = eps_for(metric);
         let estimators = estimators(&data, metric);
-        for_each_engine(&data, metric, eps, |name, engine| {
+        for_each_engine(&data, metric, |name, engine| {
             for (estimator_name, estimator) in &estimators {
                 let laf_cfg = LafConfig {
                     metric,
@@ -377,7 +371,7 @@ fn the_matrix_exercises_skips_and_repairs() {
         LafConfig::new(eps_for(Metric::Cosine), 4, 1.0),
         Pessimistic(ExactEstimator::new(&data, Metric::Cosine)),
     );
-    let engine = build_engine(EngineChoice::Linear, &data, Metric::Cosine, 0.2);
+    let engine = build_engine(EngineChoice::Linear, &data, Metric::Cosine);
     let (clustering, stats) = reference_laf_dbscan(&laf, &data, engine.as_ref());
     assert!(clustering.n_clusters() > 1);
     assert!(stats.skipped_range_queries > 0 && stats.executed_range_queries > 0);

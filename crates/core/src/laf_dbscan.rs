@@ -64,7 +64,7 @@ impl<E: CardinalityEstimator> LafDbscan<E> {
     /// byte-identical to point-at-a-time execution.
     pub fn cluster_with_stats(&self, data: &Dataset) -> (Clustering, LafStats) {
         let cfg = &self.config;
-        let engine = build_engine(cfg.engine, data, cfg.metric, cfg.eps);
+        let engine = build_engine(cfg.engine, data, cfg.metric);
         self.cluster_with_stats_using(data, engine.as_ref())
     }
 

@@ -141,7 +141,7 @@ impl<E: CardinalityEstimator> LafDbscanPlusPlus<E> {
             return (Clustering::new(Vec::new()), LafStats::default());
         }
         let laf = &self.config.laf;
-        let engine = build_engine(laf.engine, data, laf.metric, laf.eps);
+        let engine = build_engine(laf.engine, data, laf.metric);
         let (mut clustering, stats, _) = self.cluster_windowed(data, engine.as_ref(), None);
         clustering.elapsed = start.elapsed();
         (clustering, stats)

@@ -152,7 +152,7 @@ impl DeltaEngine {
         // order above drops the engine strictly before the dataset, so the
         // forged `'static` references are never dangling.
         let data_ref: &'static Dataset = unsafe { &*std::ptr::from_ref::<Dataset>(data.as_ref()) };
-        let engine = build_engine(config.engine, data_ref, config.metric, config.eps);
+        let engine = build_engine(config.engine, data_ref, config.metric);
         Self {
             engine,
             _data: data,
@@ -466,7 +466,7 @@ impl MutablePipeline {
 
     /// Delta engine of the **same kind** as the base engine, used for knn.
     /// Reported knn distances are a per-pair function of the engine kind
-    /// (e.g. the grid and cover tree score through their internal Euclidean
+    /// (e.g. the cover tree scores through its internal Euclidean
     /// conversion rather than the linear-scan kernel), so scoring delta
     /// rows with a matching engine makes the merged (distance, id) multiset
     /// identical to a from-scratch engine's over the live rows.
@@ -597,7 +597,7 @@ impl MutablePipeline {
         }
         let cfg = self.base.config().clone();
         let data = self.live_dataset()?;
-        let persisted = build_engine(cfg.engine, &data, cfg.metric, cfg.eps).persist();
+        let persisted = build_engine(cfg.engine, &data, cfg.metric).persist();
         let snapshot = Snapshot {
             config: cfg,
             data,

@@ -9,10 +9,10 @@
 //!   the full offline training cost once;
 //! * **Warm start** — [`LafPipeline::load`] restores a snapshot and is ready
 //!   to serve immediately. With a format-v2 snapshot the **built** range-query
-//!   engine (grid cells, k-means tree nodes, IVF posting lists — see
+//!   engine (cover-tree and k-means tree nodes, IVF posting lists — see
 //!   [`laf_index::persist`]) is restored directly, skipping the construction
-//!   cost; a v1 snapshot (or a non-persistable engine such as the cover tree)
-//!   falls back to rebuilding from the restored [`laf_index::EngineChoice`].
+//!   cost; a v1 snapshot (or one whose engine section was dropped) falls back
+//!   to rebuilding from the restored [`laf_index::EngineChoice`].
 //!
 //! Because the snapshot stores the estimator's raw weight bits and the
 //! restored engine structure answers queries identically to the one built at
@@ -151,15 +151,8 @@ impl LafPipelineBuilder {
         } else {
             None
         };
-        let build_persisted = |slice: &Dataset| {
-            build_engine(
-                self.config.engine,
-                slice,
-                self.config.metric,
-                self.config.eps,
-            )
-            .persist()
-        };
+        let build_persisted =
+            |slice: &Dataset| build_engine(self.config.engine, slice, self.config.metric).persist();
         let (data, shards, engine) = match shard_map {
             Some(map) => {
                 // Shard slices are zero-copy views into one shared
@@ -260,7 +253,7 @@ impl SharedEngine {
                                 break 'shard engine;
                             }
                         }
-                        build_engine(cfg.engine, shard_data, cfg.metric, cfg.eps)
+                        build_engine(cfg.engine, shard_data, cfg.metric)
                     };
                     lens.push(shard_data.len());
                     engines.push(shard_engine);
@@ -288,7 +281,7 @@ impl SharedEngine {
                 }
             }
             let cfg = &snapshot.config;
-            build_engine(cfg.engine, data, cfg.metric, cfg.eps)
+            build_engine(cfg.engine, data, cfg.metric)
         };
         Self {
             inner: Arc::new(EngineHolder {
@@ -476,7 +469,7 @@ impl LafPipeline {
 
     /// The range-query engine over the restored dataset. When the snapshot
     /// carries a [persisted structure](LafPipeline::persisted_engine) it is
-    /// restored directly — no grid bucketing, k-means construction or IVF
+    /// restored directly — no tree construction, k-means clustering or IVF
     /// training — otherwise the engine is rebuilt from the restored
     /// configuration (the v1 fallback path).
     ///
@@ -584,7 +577,7 @@ mod tests {
         let path = dir.join(format!("degraded_{}.lafs", std::process::id()));
 
         let mut config = LafConfig::new(0.3, 4, 1.0);
-        config.engine = EngineChoice::Grid { cell_side: 0.5 };
+        config.engine = EngineChoice::CoverTree { basis: 2.0 };
         let cold = LafPipeline::builder(config)
             .net(NetConfig::tiny())
             .training(TrainingSetBuilder {
@@ -593,7 +586,7 @@ mod tests {
             })
             .train_and_save(data(), &path)
             .unwrap();
-        assert!(cold.persisted_engine().is_some(), "grid engines persist");
+        assert!(cold.persisted_engine().is_some(), "cover trees persist");
 
         // Flip one bit in the middle of the engine section's body.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -709,7 +702,7 @@ mod tests {
         // pipeline restores the *built* structure (no rebuild) and its first
         // clustering is byte-identical to the training process.
         for choice in [
-            EngineChoice::Grid { cell_side: 0.5 },
+            EngineChoice::CoverTree { basis: 2.0 },
             EngineChoice::KMeansTree {
                 branching: 4,
                 leaf_ratio: 0.6,
@@ -783,7 +776,7 @@ mod tests {
     #[test]
     fn engine_is_rebuilt_from_the_restored_choice() {
         let config = LafConfig {
-            engine: EngineChoice::Grid { cell_side: 0.5 },
+            engine: EngineChoice::CoverTree { basis: 2.0 },
             ..LafConfig::new(0.3, 4, 1.0)
         };
         let cold = LafPipeline::builder(config)
@@ -797,7 +790,7 @@ mod tests {
         let warm = LafPipeline::from_snapshot_bytes(&cold.to_snapshot_bytes().unwrap()).unwrap();
         assert_eq!(
             warm.config().engine,
-            EngineChoice::Grid { cell_side: 0.5 },
+            EngineChoice::CoverTree { basis: 2.0 },
             "engine choice must survive the snapshot"
         );
         let engine = warm.engine();
@@ -864,7 +857,7 @@ mod tests {
     #[test]
     fn engine_is_built_once_and_shared_across_calls() {
         let config = LafConfig {
-            engine: EngineChoice::Grid { cell_side: 0.5 },
+            engine: EngineChoice::CoverTree { basis: 2.0 },
             ..LafConfig::new(0.3, 4, 1.0)
         };
         let pipeline = LafPipeline::builder(config)
@@ -919,7 +912,7 @@ mod tests {
         // The tentpole guarantee at the pipeline level: same training
         // inputs, different shard counts, byte-identical outputs.
         let config = LafConfig {
-            engine: EngineChoice::Grid { cell_side: 0.5 },
+            engine: EngineChoice::CoverTree { basis: 2.0 },
             ..LafConfig::new(0.3, 4, 1.0)
         };
         let mk = |shards: usize| {

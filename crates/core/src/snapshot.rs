@@ -14,9 +14,9 @@
 //! * optionally a [`QErrorReport`] calibration summary captured at train
 //!   time,
 //! * optionally (format v2) the **built range-query engine structure**
-//!   ([`laf_index::PersistedEngine`]: grid cells, k-means tree nodes, IVF
+//!   ([`laf_index::PersistedEngine`]: cover-tree and k-means tree nodes, IVF
 //!   posting lists), so a warm start restores the engine instead of paying
-//!   the bucketing / k-means construction cost again.
+//!   the tree / k-means construction cost again.
 //!
 //! # Wire format
 //!
@@ -48,30 +48,27 @@
 //! and `laf_index::ShardedEngine` answers queries over the restored
 //! per-shard structures bit-identically to the unsharded path.
 //!
-//! **Version 3** (still read; [`Snapshot::encode_v3`] exists for
-//! compatibility tests) is the same container without shard sections. It
-//! differs from version 2 in exactly one rule: **every section
-//! body starts at an 8-byte-aligned file offset** (the writer inserts zero
-//! padding before a section as needed, and the reader rejects nonzero
-//! padding so every byte of the file stays covered by a check). Alignment is
-//! what makes zero-copy warm starts possible: a memory-mapped v3 file places
-//! the dataset section's `f32` payload at a 4-byte-aligned address, so
-//! [`Snapshot::open_mmap`] can serve it **in place** (see
+//! **Version 3** (read, no longer written) is the same container without
+//! shard sections. It differs from version 2 in exactly one rule: **every
+//! section body starts at an 8-byte-aligned file offset** (the writer
+//! inserts zero padding before a section as needed, and the reader rejects
+//! nonzero padding so every byte of the file stays covered by a check).
+//! Alignment is what makes zero-copy warm starts possible: a memory-mapped
+//! v3 file places the dataset section's `f32` payload at a 4-byte-aligned
+//! address, so [`Snapshot::open_mmap`] can serve it **in place** (see
 //! [`laf_vector::mapped`]) instead of copying it into a fresh `Vec<f32>` —
 //! warm-start cost becomes O(index-restore) instead of O(dataset), and all
 //! serving processes mapping one snapshot share one set of page-cache pages.
 //! Since the writer is also streaming ([`Snapshot::encode_to_writer`]), the
 //! encoded snapshot never needs to be assembled in memory on either side.
 //!
-//! **Version 2** (still read; [`Snapshot::encode_v2`] exists for
-//! compatibility tests) is the same layout without the alignment rule. The
-//! per-section CRC table is what v2 bought besides the engine section: a
-//! flipped byte is reported as *"section `estimator` (id 3) checksum
-//! mismatch"* instead of one opaque whole-file failure, so operators know
-//! which artifact to regenerate.
+//! **Version 2** (read, no longer written) is the same layout without the
+//! alignment rule. The per-section CRC table is what v2 bought besides the
+//! engine section: a flipped byte is reported as *"section `estimator` (id
+//! 3) checksum mismatch"* instead of one opaque whole-file failure, so
+//! operators know which artifact to regenerate.
 //!
-//! **Version 1** (still read, no longer written;
-//! [`Snapshot::encode_v1`] exists for compatibility fixtures):
+//! **Version 1** (read, no longer written):
 //!
 //! ```text
 //! magic / version / count      as above, version 1
@@ -91,15 +88,25 @@
 //! a v1/v2 file through [`Snapshot::open_mmap`] works but copies the
 //! dataset (their writers guaranteed no alignment), as does a v3+/v4 file
 //! whose dataset section is misaligned or a big-endian host: the zero-copy
-//! reinterpret is an optimization, never a compatibility cliff.
+//! reinterpret is an optimization, never a compatibility cliff. Committed
+//! files of every version (`tests/fixtures/golden_v{1,2,3,4}*.lafs`) pin the
+//! readers.
+//!
+//! **Retired engine.** Files written while the exact ε-grid engine existed
+//! name it in their config (`{"kind":"grid",…}`) and may carry its structure
+//! (engine kind 1, see [`laf_index::persist`]). The grid's answers equal the
+//! linear scan's, so the decoder reads such a config as
+//! [`laf_index::EngineChoice::Linear`] and such a section as the linear
+//! marker: the load is clean and serves through the exact scan.
 
 use crate::config::LafConfig;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use laf_cardest::{MlpEstimator, QErrorReport};
-use laf_index::{PersistError, PersistedEngine};
+use laf_index::{EngineChoice, PersistError, PersistedEngine};
 use laf_vector::fault;
 use laf_vector::mapped::{self, Mmap};
 use laf_vector::{io as vio, Dataset, VectorError};
+use serde_json::Value;
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -471,28 +478,18 @@ pub struct SnapshotShard {
 }
 
 impl Snapshot {
-    /// The section bodies shared by both format versions, in payload order.
-    fn common_sections(&self) -> Result<Vec<(u32, Vec<u8>)>, SnapshotError> {
-        let config_json = serde_json::to_string(&self.config)?;
-        let calibration_json = self
-            .calibration
-            .as_ref()
-            .map(serde_json::to_string)
-            .transpose()?;
-
-        let mut estimator_bytes: Vec<u8> = Vec::new();
-        self.estimator.encode_binary(&mut estimator_bytes);
-
-        let mut sections: Vec<(u32, Vec<u8>)> = Vec::with_capacity(5);
-        sections.push((section_id::CONFIG, config_json.into_bytes()));
-        let mut dataset_bytes: Vec<u8> = Vec::with_capacity(vio::encoded_len(&self.data));
-        vio::encode_into(&self.data, &mut dataset_bytes);
-        sections.push((section_id::DATASET, dataset_bytes));
-        sections.push((section_id::ESTIMATOR, estimator_bytes));
-        if let Some(json) = calibration_json {
-            sections.push((section_id::CALIBRATION, json.into_bytes()));
-        }
-        Ok(sections)
+    /// `(len, crc)` of a dataset section without materializing its encoding:
+    /// a CRC pre-pass over the same bounded chunks the writer streams later.
+    fn dataset_entry(data: &Dataset) -> (u64, u32) {
+        let mut crc = Crc32::new();
+        let mut len = 0u64;
+        let _ = vio::encode_chunked::<std::convert::Infallible>(data, |chunk| {
+            crc.update(chunk);
+            len += chunk.len() as u64;
+            Ok(())
+        });
+        debug_assert_eq!(len as usize, vio::encoded_len(data));
+        (len, crc.finalize())
     }
 
     /// Encode into the current (version-4) snapshot format: per-section CRC
@@ -504,15 +501,6 @@ impl Snapshot {
     pub fn encode(&self) -> Result<Bytes, SnapshotError> {
         let mut buf: Vec<u8> = Vec::new();
         self.encode_to_writer(&mut buf)?;
-        Ok(Bytes::from(buf))
-    }
-
-    /// Encode into the legacy version-3 format (classic single-dataset
-    /// layout, alignment padding). Exists so compatibility tests can pin the
-    /// v3 read path; errors on a sharded snapshot, which needs format v4.
-    pub fn encode_v3(&self) -> Result<Bytes, SnapshotError> {
-        let mut buf: Vec<u8> = Vec::new();
-        self.encode_to_writer_versioned(&mut buf, 3)?;
         Ok(Bytes::from(buf))
     }
 
@@ -535,34 +523,7 @@ impl Snapshot {
     /// a sharded snapshot). Callers handing in a buffered writer should
     /// flush it afterwards (the [`Snapshot::save`] convenience does).
     pub fn encode_to_writer<W: Write>(&self, writer: &mut W) -> Result<(), SnapshotError> {
-        self.encode_to_writer_versioned(writer, SNAPSHOT_VERSION)
-    }
-
-    /// `(len, crc)` of a dataset section without materializing its encoding:
-    /// a CRC pre-pass over the same bounded chunks the writer streams later.
-    fn dataset_entry(data: &Dataset) -> (u64, u32) {
-        let mut crc = Crc32::new();
-        let mut len = 0u64;
-        let _ = vio::encode_chunked::<std::convert::Infallible>(data, |chunk| {
-            crc.update(chunk);
-            len += chunk.len() as u64;
-            Ok(())
-        });
-        debug_assert_eq!(len as usize, vio::encoded_len(data));
-        (len, crc.finalize())
-    }
-
-    fn encode_to_writer_versioned<W: Write>(
-        &self,
-        writer: &mut W,
-        version: u32,
-    ) -> Result<(), SnapshotError> {
         let sharded = !self.shards.is_empty();
-        if sharded && version < 4 {
-            return Err(SnapshotError::Malformed(format!(
-                "sharded snapshots require format version 4, not {version}"
-            )));
-        }
         if self.shards.len() > section_id::MAX_SHARDS as usize {
             return Err(SnapshotError::Malformed(format!(
                 "{} shards exceed the format limit of {}",
@@ -654,7 +615,7 @@ impl Snapshot {
         let header_len = 12 + sections.len() * 24;
         let mut header: Vec<u8> = Vec::with_capacity(header_len);
         header.extend_from_slice(SNAPSHOT_MAGIC);
-        header.extend_from_slice(&version.to_le_bytes());
+        header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
         let mut pads: Vec<usize> = Vec::with_capacity(sections.len());
         let mut offset = 0u64;
@@ -683,65 +644,6 @@ impl Snapshot {
         }
         writer.write_all(&header_crc.to_le_bytes())?;
         Ok(())
-    }
-
-    /// Encode into the legacy version-2 format (same table layout as v3 but
-    /// no alignment padding, assembled in memory). Exists so compatibility
-    /// tests can exercise the v2 read path; new snapshots should use
-    /// [`Snapshot::encode`].
-    pub fn encode_v2(&self) -> Result<Bytes, SnapshotError> {
-        let mut sections = self.common_sections()?;
-        if let Some(engine) = &self.engine {
-            sections.push((section_id::ENGINE, engine.encode()));
-        }
-
-        let table_len = sections.len() * 24;
-        let payload_len: usize = sections.iter().map(|(_, b)| b.len()).sum();
-        let mut buf = BytesMut::with_capacity(12 + table_len + payload_len + 4);
-        buf.put_slice(SNAPSHOT_MAGIC);
-        buf.put_u32_le(2);
-        buf.put_u32_le(sections.len() as u32);
-        let mut offset = 0u64;
-        for (id, body) in &sections {
-            buf.put_u32_le(*id);
-            buf.put_u64_le(offset);
-            buf.put_u64_le(body.len() as u64);
-            buf.put_u32_le(crc32(body));
-            offset += body.len() as u64;
-        }
-        let header_crc = crc32(&buf);
-        for (_, body) in &sections {
-            buf.put_slice(body);
-        }
-        buf.put_u32_le(header_crc);
-        Ok(buf.freeze())
-    }
-
-    /// Encode into the legacy version-1 format (whole-file checksum, no
-    /// engine section). Exists so compatibility fixtures — such as the
-    /// committed golden snapshot CI loads through the v1 fallback path — can
-    /// be regenerated; new snapshots should use [`Snapshot::encode`].
-    pub fn encode_v1(&self) -> Result<Bytes, SnapshotError> {
-        let sections = self.common_sections()?;
-        let table_len = sections.len() * 20;
-        let payload_len: usize = sections.iter().map(|(_, b)| b.len()).sum();
-        let mut buf = BytesMut::with_capacity(12 + table_len + payload_len + 4);
-        buf.put_slice(SNAPSHOT_MAGIC);
-        buf.put_u32_le(1);
-        buf.put_u32_le(sections.len() as u32);
-        let mut offset = 0u64;
-        for (id, body) in &sections {
-            buf.put_u32_le(*id);
-            buf.put_u64_le(offset);
-            buf.put_u64_le(body.len() as u64);
-            offset += body.len() as u64;
-        }
-        for (_, body) in &sections {
-            buf.put_slice(body);
-        }
-        let checksum = crc32(&buf);
-        buf.put_u32_le(checksum);
-        Ok(buf.freeze())
     }
 
     /// Parse a version-1 header: verify the whole-file checksum, return the
@@ -1029,10 +931,7 @@ impl Snapshot {
             })
         };
 
-        let config: LafConfig = serde_json::from_str(
-            std::str::from_utf8(required(section_id::CONFIG, "config")?)
-                .map_err(|e| SnapshotError::Malformed(format!("config is not UTF-8: {e}")))?,
-        )?;
+        let config = Self::decode_config(required(section_id::CONFIG, "config")?)?;
         let manifest = if version >= 4 {
             section(section_id::SHARD_MANIFEST)?
         } else {
@@ -1200,6 +1099,26 @@ impl Snapshot {
             engine,
             shards,
         })
+    }
+
+    /// Parse the JSON config section. A config naming the retired ε-grid
+    /// engine (`{"kind":"grid",…}`) reads as [`EngineChoice::Linear`]: the
+    /// grid was exact, so the linear scan gives the same answers.
+    fn decode_config(bytes: &[u8]) -> Result<LafConfig, SnapshotError> {
+        let text = std::str::from_utf8(bytes)
+            .map_err(|e| SnapshotError::Malformed(format!("config is not UTF-8: {e}")))?;
+        let mut config = serde_json::parse(text)?;
+        if let Value::Object(fields) = &mut config {
+            if let Some((_, engine)) = fields.iter_mut().find(|(key, _)| key == "engine") {
+                let kind = engine
+                    .as_object()
+                    .and_then(|e| serde::value::find(e, "kind"));
+                if kind.and_then(Value::as_str) == Some("grid") {
+                    *engine = serde_json::to_value(&EngineChoice::Linear)?;
+                }
+            }
+        }
+        Ok(serde_json::from_value(&config)?)
     }
 
     /// Engine-section sanity checks shared by the global and per-shard
@@ -1396,8 +1315,9 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
     use laf_cardest::{CardinalityEstimator, NetConfig, TrainingSetBuilder};
-    use laf_index::{build_engine, EngineChoice};
+    use laf_index::build_engine;
     use laf_synth::EmbeddingMixtureConfig;
 
     fn trained_snapshot() -> Snapshot {
@@ -1440,8 +1360,7 @@ mod tests {
                     .data
                     .slice_rows(map.start(s), map.shard_len(s))
                     .unwrap();
-                let engine =
-                    build_engine(choice, &data, snap.config.metric, snap.config.eps).persist();
+                let engine = build_engine(choice, &data, snap.config.metric).persist();
                 SnapshotShard { data, engine }
             })
             .collect();
@@ -1453,7 +1372,7 @@ mod tests {
         let mut snap = trained_snapshot();
         snap.config.engine = choice;
         let persisted = {
-            let engine = build_engine(choice, &snap.data, snap.config.metric, snap.config.eps);
+            let engine = build_engine(choice, &snap.data, snap.config.metric);
             engine.persist()
         };
         snap.engine = persisted;
@@ -1490,9 +1409,40 @@ mod tests {
         buf
     }
 
+    /// The classic unsharded section bodies of `snap` (config, dataset,
+    /// estimator, optional calibration, optional engine), in payload order.
     fn raw_sections(snap: &Snapshot) -> Vec<(u32, Vec<u8>)> {
-        snap.common_sections().unwrap()
+        let mut estimator = Vec::new();
+        snap.estimator.encode_binary(&mut estimator);
+        let mut sections = vec![
+            (
+                section_id::CONFIG,
+                serde_json::to_string(&snap.config).unwrap().into_bytes(),
+            ),
+            (section_id::DATASET, vio::encode(&snap.data).to_vec()),
+            (section_id::ESTIMATOR, estimator),
+        ];
+        if let Some(report) = &snap.calibration {
+            let json = serde_json::to_string(report).unwrap();
+            sections.push((section_id::CALIBRATION, json.into_bytes()));
+        }
+        if let Some(engine) = &snap.engine {
+            sections.push((section_id::ENGINE, engine.encode()));
+        }
+        sections
     }
+
+    /// `snap` hand-built in the legacy container of format `version`.
+    fn legacy_bytes(version: u32, snap: &Snapshot) -> Vec<u8> {
+        let sections = raw_sections(snap);
+        let refs: Vec<(u32, &[u8])> = sections.iter().map(|(i, b)| (*i, b.as_slice())).collect();
+        build_raw(version, &refs)
+    }
+
+    /// The committed unsharded format-v4 fixture. It was written while the
+    /// ε-grid engine existed: its config names the grid and its engine
+    /// section holds a grid structure (engine kind 1).
+    const GRID_ERA_V4: &[u8] = include_bytes!("../../../tests/fixtures/golden_v4.lafs");
 
     /// Absolute `(start, len)` of section `wanted`'s body inside an encoded
     /// v2+ snapshot, read from the (trusted) header table.
@@ -1523,22 +1473,36 @@ mod tests {
 
     #[test]
     fn degraded_decode_survives_a_corrupt_engine_section() {
-        let snap = snapshot_with_engine(EngineChoice::Grid { cell_side: 0.5 });
-        let bytes = snap.encode().unwrap().to_vec();
-        let corrupt = corrupt_section(&bytes, section_id::ENGINE);
-        // The strict path still rejects the file outright.
-        assert!(Snapshot::decode(&corrupt).is_err());
+        // A grid-era file: the clean load reads the retired grid as the
+        // linear scan, in the config and in the engine section.
+        let bytes = GRID_ERA_V4;
+        let (snap, clean) = Snapshot::decode_degraded(bytes).unwrap();
+        assert!(clean.is_clean());
+        assert_eq!(clean.to_string(), "clean load");
+        assert_eq!(snap.config.engine, EngineChoice::Linear);
+        assert_eq!(
+            snap.engine,
+            Some(PersistedEngine::Linear {
+                metric: snap.config.metric
+            })
+        );
+        let corrupt = corrupt_section(bytes, section_id::ENGINE);
+        // The strict path still rejects the file outright, naming the
+        // section.
+        let err = Snapshot::decode(&corrupt).unwrap_err().to_string();
+        assert!(
+            err.contains("section `engine`") && err.contains("checksum mismatch"),
+            "unexpected error: {err}"
+        );
         let (back, report) = Snapshot::decode_degraded(&corrupt).unwrap();
         assert_eq!(report.sections, vec![DegradedSection::Engine]);
         assert!(!report.is_clean());
         assert!(back.engine.is_none(), "corrupt engine must be dropped");
-        // Everything the engine is derived from survived untouched.
+        // Everything the engine is derived from survived untouched, and the
+        // rebuild the config asks for is the linear scan.
         assert_eq!(back.data, snap.data);
         assert_eq!(back.config, snap.config);
-        // A clean file reports a clean load.
-        let (_, clean) = Snapshot::decode_degraded(&bytes).unwrap();
-        assert!(clean.is_clean());
-        assert_eq!(clean.to_string(), "clean load");
+        assert_eq!(back.config.engine, EngineChoice::Linear);
     }
 
     #[test]
@@ -1592,7 +1556,7 @@ mod tests {
             );
         }
         // Sharded structural sections hard-fail the same way.
-        let sharded = sharded_snapshot(EngineChoice::Grid { cell_side: 0.5 }, 3);
+        let sharded = sharded_snapshot(EngineChoice::CoverTree { basis: 2.0 }, 3);
         let sbytes = sharded.encode().unwrap().to_vec();
         for id in [section_id::SHARD_MANIFEST, section_id::shard_dataset(1)] {
             let corrupt = corrupt_section(&sbytes, id);
@@ -1602,7 +1566,7 @@ mod tests {
 
     #[test]
     fn degraded_decode_rebuilds_only_the_corrupt_shard_engine() {
-        let snap = sharded_snapshot(EngineChoice::Grid { cell_side: 0.5 }, 3);
+        let snap = sharded_snapshot(EngineChoice::CoverTree { basis: 2.0 }, 3);
         let bytes = snap.encode().unwrap().to_vec();
         let corrupt = corrupt_section(&bytes, section_id::shard_engine(1));
         let (back, report) = Snapshot::decode_degraded(&corrupt).unwrap();
@@ -1618,7 +1582,7 @@ mod tests {
 
     #[test]
     fn validate_header_is_shallow_and_verify_file_is_deep() {
-        let snap = snapshot_with_engine(EngineChoice::Grid { cell_side: 0.5 });
+        let snap = snapshot_with_engine(EngineChoice::CoverTree { basis: 2.0 });
         let path = temp_path("verify.lafs");
         snap.save(&path).unwrap();
         Snapshot::validate_header(&path).unwrap();
@@ -1672,8 +1636,8 @@ mod tests {
         // legacy path and reports no persisted engine, so serving falls back
         // to rebuilding from the config.
         let snap = trained_snapshot();
-        let bytes = snap.encode_v1().unwrap();
-        assert_eq!(bytes[4], 1, "encode_v1 must write format version 1");
+        let bytes = legacy_bytes(1, &snap);
+        assert_eq!(bytes[4], 1, "a format-1 file");
         let back = Snapshot::decode(&bytes).unwrap();
         assert_eq!(back.config, snap.config);
         assert_eq!(back.data, snap.data);
@@ -1684,7 +1648,6 @@ mod tests {
     fn engine_section_round_trips_for_every_persistable_choice() {
         for choice in [
             EngineChoice::Linear,
-            EngineChoice::Grid { cell_side: 0.5 },
             EngineChoice::KMeansTree {
                 branching: 3,
                 leaf_ratio: 0.7,
@@ -1732,11 +1695,16 @@ mod tests {
 
     #[test]
     fn every_corrupted_byte_is_detected() {
-        let snap = snapshot_with_engine(EngineChoice::Grid { cell_side: 0.5 });
+        let snap = snapshot_with_engine(EngineChoice::KMeansTree {
+            branching: 3,
+            leaf_ratio: 0.7,
+        });
+        let mut v1 = snap.clone();
+        v1.engine = None;
         for bytes in [
             snap.encode().unwrap().to_vec(),
-            snap.encode_v2().unwrap().to_vec(),
-            snap.encode_v1().unwrap().to_vec(),
+            legacy_bytes(2, &snap),
+            legacy_bytes(1, &v1),
         ] {
             // Flip one byte at a sample of positions spread over the whole
             // file: a check (header/per-section CRC in v2+, whole-file CRC
@@ -1807,7 +1775,7 @@ mod tests {
     #[test]
     fn truncated_and_oversized_inputs_are_rejected() {
         let snap = trained_snapshot();
-        for bytes in [snap.encode().unwrap(), snap.encode_v1().unwrap()] {
+        for bytes in [snap.encode().unwrap().to_vec(), legacy_bytes(1, &snap)] {
             assert!(Snapshot::decode(&bytes[..8]).is_err());
             let mut extended = bytes.to_vec();
             extended.extend_from_slice(&[0u8; 16]);
@@ -1858,10 +1826,16 @@ mod tests {
     fn engine_config_mismatch_is_rejected() {
         // An engine section whose kind disagrees with the config's engine
         // choice is a malformed snapshot, not a silent fallback.
-        let mut snap = snapshot_with_engine(EngineChoice::Grid { cell_side: 0.5 });
+        let mut snap = snapshot_with_engine(EngineChoice::KMeansTree {
+            branching: 3,
+            leaf_ratio: 0.7,
+        });
         snap.config.engine = EngineChoice::Linear;
         let err = Snapshot::decode(&snap.encode().unwrap()).unwrap_err();
-        assert!(err.to_string().contains("grid"), "unexpected error: {err}");
+        assert!(
+            err.to_string().contains("kmeans_tree"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
@@ -1902,7 +1876,10 @@ mod tests {
 
     #[test]
     fn encode_writes_version_4_with_eight_byte_aligned_sections() {
-        let mut snap = snapshot_with_engine(EngineChoice::Grid { cell_side: 0.5 });
+        let mut snap = snapshot_with_engine(EngineChoice::KMeansTree {
+            branching: 3,
+            leaf_ratio: 0.7,
+        });
         snap.calibration = Some(QErrorReport {
             evaluated: 5,
             mean: 1.2,
@@ -1942,8 +1919,8 @@ mod tests {
             nlist: 4,
             nprobe: 2,
         });
-        let bytes = snap.encode_v2().unwrap();
-        assert_eq!(bytes[4], 2, "encode_v2 must write format version 2");
+        let bytes = legacy_bytes(2, &snap);
+        assert_eq!(bytes[4], 2, "a format-2 file");
         let back = Snapshot::decode(&bytes).unwrap();
         assert_eq!(back.config, snap.config);
         assert_eq!(back.data, snap.data);
@@ -1951,10 +1928,10 @@ mod tests {
     }
 
     #[test]
-    fn encode_v3_still_writes_the_classic_layout() {
-        let snap = snapshot_with_engine(EngineChoice::Grid { cell_side: 0.5 });
-        let bytes = snap.encode_v3().unwrap();
-        assert_eq!(bytes[4], 3, "encode_v3 must write format version 3");
+    fn v3_snapshots_still_load_with_the_classic_layout() {
+        let snap = snapshot_with_engine(EngineChoice::CoverTree { basis: 2.0 });
+        let bytes = legacy_bytes(3, &snap);
+        assert_eq!(bytes[4], 3, "a format-3 file");
         let back = Snapshot::decode(&bytes).unwrap();
         assert_eq!(back.config, snap.config);
         assert_eq!(back.data, snap.data);
@@ -1965,7 +1942,7 @@ mod tests {
     #[test]
     fn sharded_snapshots_round_trip_with_per_shard_engines() {
         for n in [1usize, 3] {
-            let snap = sharded_snapshot(EngineChoice::Grid { cell_side: 0.5 }, n);
+            let snap = sharded_snapshot(EngineChoice::CoverTree { basis: 2.0 }, n);
             let bytes = snap.encode().unwrap();
             assert_eq!(bytes[4], 4, "sharded encode must write format version 4");
             let back = Snapshot::decode(&bytes).unwrap();
@@ -2057,7 +2034,7 @@ mod tests {
 
     #[test]
     fn sharded_corruption_names_the_shard_section() {
-        let snap = sharded_snapshot(EngineChoice::Grid { cell_side: 0.5 }, 3);
+        let snap = sharded_snapshot(EngineChoice::CoverTree { basis: 2.0 }, 3);
         let bytes = snap.encode().unwrap().to_vec();
         let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
         let header_len = 12 + count * 24;
@@ -2085,12 +2062,8 @@ mod tests {
 
     #[test]
     fn encode_rejects_inconsistent_shard_layouts() {
-        // A sharded snapshot cannot be written as v3.
-        let snap = sharded_snapshot(EngineChoice::Grid { cell_side: 0.5 }, 2);
-        let err = snap.encode_v3().unwrap_err().to_string();
-        assert!(err.contains("version 4"), "unexpected error: {err}");
         // A global engine alongside shards is a layout bug, not a file.
-        let mut with_global = sharded_snapshot(EngineChoice::Grid { cell_side: 0.5 }, 2);
+        let mut with_global = sharded_snapshot(EngineChoice::CoverTree { basis: 2.0 }, 2);
         with_global.engine = with_global.shards[0].engine.clone();
         assert!(with_global.encode().is_err());
         // Shard rows must cover the dataset exactly.
@@ -2143,7 +2116,10 @@ mod tests {
 
     #[test]
     fn open_mmap_serves_the_dataset_in_place() {
-        let snap = snapshot_with_engine(EngineChoice::Grid { cell_side: 0.5 });
+        let snap = snapshot_with_engine(EngineChoice::KMeansTree {
+            branching: 3,
+            leaf_ratio: 0.7,
+        });
         let path = temp_path("mapped.lafs");
         snap.save(&path).unwrap();
         let mapped = Snapshot::open_mmap(&path).unwrap();
@@ -2164,10 +2140,8 @@ mod tests {
     #[test]
     fn open_mmap_on_v1_and_v2_files_falls_back_to_copying() {
         let snap = trained_snapshot();
-        for (version, bytes) in [
-            (1u32, snap.encode_v1().unwrap()),
-            (2u32, snap.encode_v2().unwrap()),
-        ] {
+        for version in [1u32, 2] {
+            let bytes = legacy_bytes(version, &snap);
             let path = temp_path(&format!("legacy_v{version}.lafs"));
             fs::write(&path, &bytes).unwrap();
             let back = Snapshot::open_mmap(&path).unwrap();

@@ -30,9 +30,6 @@ fn cluster_with_stats_labels_are_byte_identical_across_kernel_modes() {
     let data = data();
     let choices = [
         EngineChoice::Linear,
-        EngineChoice::Grid {
-            cell_side: 1.0 / (data.dim() as f32).sqrt(),
-        },
         EngineChoice::KMeansTree {
             branching: 4,
             leaf_ratio: 0.8,
@@ -54,9 +51,8 @@ fn cluster_with_stats_labels_are_byte_identical_across_kernel_modes() {
             };
             let laf = LafDbscan::new(cfg, &estimator);
             let spec_engine =
-                build_engine_with_mode(choice, &data, metric, eps, KernelMode::Specialized);
-            let generic_engine =
-                build_engine_with_mode(choice, &data, metric, eps, KernelMode::Generic);
+                build_engine_with_mode(choice, &data, metric, KernelMode::Specialized);
+            let generic_engine = build_engine_with_mode(choice, &data, metric, KernelMode::Generic);
             let (spec, spec_stats) = laf.cluster_with_stats_using(&data, spec_engine.as_ref());
             let (generic, generic_stats) =
                 laf.cluster_with_stats_using(&data, generic_engine.as_ref());

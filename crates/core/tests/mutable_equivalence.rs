@@ -63,7 +63,7 @@ fn assert_matches_from_scratch(
 ) {
     let live = mutable.live_dataset().unwrap();
     assert_eq!(live.len(), mutable.len(), "{stage}: live row count");
-    let fresh = build_engine(choice, &live, config.metric, config.eps);
+    let fresh = build_engine(choice, &live, config.metric);
     let queries = gen_data(12, 99);
     for q in queries.rows() {
         for eps in [0.15f32, 0.3, 0.5] {
@@ -157,11 +157,6 @@ fn run_scenario(tag: &str, choice: EngineChoice) {
 #[test]
 fn linear_matches_from_scratch() {
     run_scenario("linear", EngineChoice::Linear);
-}
-
-#[test]
-fn grid_matches_from_scratch() {
-    run_scenario("grid", EngineChoice::Grid { cell_side: 0.3 });
 }
 
 #[test]

@@ -113,8 +113,8 @@ pub trait RangeQueryEngine: Send + Sync {
     ///
     /// The default implementation fans the queries out over the current
     /// rayon thread pool (engines are `Sync`, so concurrent `&self` queries
-    /// are safe); `linear` and `grid` override it with cache-blocked kernels
-    /// that additionally amortize dataset traversal across queries.
+    /// are safe); `linear` overrides it with cache-blocked kernels that
+    /// additionally amortize dataset traversal across queries.
     fn range_batch(&self, queries: &[&[f32]], eps: f32) -> Vec<Vec<u32>> {
         queries.par_iter().map(|q| self.range(q, eps)).collect()
     }
@@ -139,7 +139,7 @@ pub trait RangeQueryEngine: Send + Sync {
     /// Extract the engine's built structure as owned, serializable data (see
     /// [`crate::persist`]), or `None` for engines whose construction is not
     /// worth persisting. The default is `None`; engines with an expensive
-    /// build phase (grid bucketing, k-means tree construction, IVF training)
+    /// build phase (cover-tree and k-means tree construction, IVF training)
     /// override it so snapshots can skip the rebuild on warm starts via
     /// [`crate::restore_engine`].
     fn persist(&self) -> Option<crate::persist::PersistedEngine> {
@@ -173,6 +173,10 @@ pub enum KernelMode {
 
 /// Declarative engine selection, used in clusterer configs, CLI flags and
 /// ablation benchmarks.
+///
+/// Snapshots that name the retired exact ε-grid (`{"kind":"grid",…}`) load
+/// as [`EngineChoice::Linear`], which answers identically (see
+/// `laf_core::snapshot`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case", tag = "kind")]
 #[derive(Default)]
@@ -195,11 +199,6 @@ pub enum EngineChoice {
         /// Fraction of leaves visited per query, in (0, 1].
         leaf_ratio: f64,
     },
-    /// ε-grid index as used by ρ-approximate DBSCAN.
-    Grid {
-        /// Grid cell side length as a fraction of ε (Gan & Tao use ε/√d).
-        cell_side: f32,
-    },
     /// Inverted-file index (k-means coarse quantizer, probe the closest
     /// `nprobe` of `nlist` posting lists). Approximate.
     Ivf {
@@ -210,17 +209,14 @@ pub enum EngineChoice {
     },
 }
 
-/// Build the engine described by `choice` over `data` under `metric`.
-///
-/// The grid engine additionally needs the query radius ε at construction
-/// time; `eps_hint` provides it (ignored by the other engines).
+/// Build the engine described by `choice` over `data` under `metric`. No
+/// engine depends on the query radius, so one build serves every ε.
 pub fn build_engine<'a>(
     choice: EngineChoice,
     data: &'a Dataset,
     metric: Metric,
-    eps_hint: f32,
 ) -> Box<dyn RangeQueryEngine + 'a> {
-    build_engine_with_mode(choice, data, metric, eps_hint, KernelMode::default())
+    build_engine_with_mode(choice, data, metric, KernelMode::default())
 }
 
 /// [`build_engine`] with an explicit [`KernelMode`]. The cover tree has no
@@ -230,7 +226,6 @@ pub fn build_engine_with_mode<'a>(
     choice: EngineChoice,
     data: &'a Dataset,
     metric: Metric,
-    eps_hint: f32,
     mode: KernelMode,
 ) -> Box<dyn RangeQueryEngine + 'a> {
     match choice {
@@ -245,16 +240,6 @@ pub fn build_engine_with_mode<'a>(
             leaf_ratio,
         } => Box::new(crate::kmeans_tree::KMeansTree::with_kernel_mode(
             data, metric, branching, leaf_ratio, 0xC0FFEE, mode,
-        )),
-        // The product is passed through unguarded: the single degenerate
-        // cell-side guard lives in `GridIndex::new` (see
-        // `crate::grid::MIN_CELL_SIDE`), so a tiny-but-valid product keeps
-        // its requested geometry instead of being silently coarsened.
-        EngineChoice::Grid { cell_side } => Box::new(crate::grid::GridIndex::with_kernel_mode(
-            data,
-            metric,
-            eps_hint * cell_side,
-            mode,
         )),
         EngineChoice::Ivf { nlist, nprobe } => Box::new(crate::ivf::IvfIndex::with_kernel_mode(
             data, metric, nlist, nprobe, 0xC0FFEE, mode,
@@ -301,14 +286,13 @@ mod tests {
                 branching: 2,
                 leaf_ratio: 1.0,
             },
-            EngineChoice::Grid { cell_side: 0.5 },
             EngineChoice::Ivf {
                 nlist: 2,
                 nprobe: 2,
             },
         ];
         for c in choices {
-            let engine = build_engine(c, &data, Metric::Cosine, 0.5);
+            let engine = build_engine(c, &data, Metric::Cosine);
             assert_eq!(engine.num_points(), 4, "engine {c:?}");
             assert_eq!(engine.metric(), Metric::Cosine);
             // Every engine must find the query point's duplicate region.

@@ -12,7 +12,11 @@
 //! * BLOCK-DBSCAN relies on a cover tree — [`CoverTree`];
 //! * KNN-BLOCK DBSCAN relies on a FLANN-style k-means tree for approximate
 //!   k-nearest-neighbor queries — [`KMeansTree`];
-//! * ρ-approximate DBSCAN relies on an ε-grid — [`GridIndex`].
+//! * an inverted-file index ([`IvfIndex`]) is the approximate
+//!   posting-list substrate of the engine ablation.
+//!
+//! ρ-approximate DBSCAN keeps its own ε-grid inside
+//! `laf_clustering::rho_approx`; no engine here serves it.
 //!
 //! All engines implement [`RangeQueryEngine`] so the clustering layer can be
 //! written once and benchmarked against any substrate, and all engines count
@@ -29,7 +33,6 @@
 
 pub mod cover_tree;
 pub mod engine;
-pub mod grid;
 pub mod ivf;
 pub mod kmeans_tree;
 pub mod linear;
@@ -42,7 +45,6 @@ pub use engine::{
     build_engine, build_engine_with_mode, EngineChoice, KernelMode, Neighbor, RangeQueryEngine,
     TotalDist,
 };
-pub use grid::{GridIndex, MIN_CELL_SIDE};
 pub use ivf::IvfIndex;
 pub use kmeans_tree::KMeansTree;
 pub use linear::LinearScan;

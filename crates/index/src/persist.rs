@@ -2,12 +2,12 @@
 //!
 //! Every engine in this crate indexes a **borrowed** [`Dataset`], so the
 //! engines themselves cannot be stored in a snapshot. What *can* be stored is
-//! the expensive part of their construction — grid cell assignments, k-means
-//! tree nodes, IVF posting lists — as plain owned data. This module defines
+//! the expensive part of their construction — cover-tree and k-means tree
+//! nodes, IVF posting lists — as plain owned data. This module defines
 //! those owned forms ([`PersistedEngine`] and its per-engine payloads), a
 //! compact little-endian binary codec for them, and [`restore_engine`], which
 //! re-attaches a persisted structure to a dataset without re-running the
-//! bucketing / k-means work a fresh [`crate::build_engine`] would pay.
+//! tree / k-means work a fresh [`crate::build_engine`] would pay.
 //!
 //! Extraction is exposed through [`crate::RangeQueryEngine::persist`]: every
 //! engine kind returns `Some(structure)` — the cover tree's node arena is
@@ -22,11 +22,17 @@
 //! ```text
 //! magic      4 bytes   b"LAFE"
 //! version    u32       currently 1
-//! kind       u32       0 = linear, 1 = grid, 2 = k-means tree, 3 = IVF,
-//!                      4 = cover tree
+//! kind       u32       0 = linear, 1 = retired ε-grid (read only),
+//!                      2 = k-means tree, 3 = IVF, 4 = cover tree
 //! metric     u8        0 cosine, 1 angular, 2 euclidean, 3 squared, 4 negdot
 //! body       kind-specific (see the `encode_into` source)
 //! ```
+//!
+//! Kind 1 is the structure of the retired ε-grid engine. The grid was exact,
+//! so its answers equal the linear scan's: the decoder reads a kind-1
+//! section as the [`PersistedEngine::Linear`] marker with its stored metric
+//! and skips the body unread (the containing snapshot has already
+//! CRC-checked it). No writer emits kind 1, and the number stays reserved.
 //!
 //! The decoder validates every element count against the number of bytes
 //! actually remaining **before** allocating, so a corrupted or hostile header
@@ -38,7 +44,6 @@
 
 use crate::cover_tree::CoverTree;
 use crate::engine::{EngineChoice, RangeQueryEngine};
-use crate::grid::GridIndex;
 use crate::ivf::IvfIndex;
 use crate::kmeans_tree::KMeansTree;
 use crate::linear::LinearScan;
@@ -52,7 +57,8 @@ pub const ENGINE_MAGIC: &[u8; 4] = b"LAFE";
 pub const ENGINE_FORMAT_VERSION: u32 = 1;
 
 const KIND_LINEAR: u32 = 0;
-const KIND_GRID: u32 = 1;
+/// The retired ε-grid; decoded as [`PersistedEngine::Linear`].
+const KIND_RETIRED_GRID: u32 = 1;
 const KIND_KMEANS_TREE: u32 = 2;
 const KIND_IVF: u32 = 3;
 const KIND_COVER: u32 = 4;
@@ -114,31 +120,6 @@ fn check_count(
         )));
     }
     Ok(count as usize)
-}
-
-/// One populated grid cell: quantized coordinates plus the dataset rows that
-/// fall inside it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PersistedCell {
-    /// Quantized cell coordinates, one entry per dimension.
-    pub coords: Vec<i32>,
-    /// Dataset rows bucketed into this cell.
-    pub points: Vec<u32>,
-}
-
-/// The built structure of a [`GridIndex`]: the bucketing that
-/// [`GridIndex::new`] computes by quantizing every row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PersistedGrid {
-    /// Metric the grid answers queries under.
-    pub metric: Metric,
-    /// Cell side length in internal Euclidean units.
-    pub cell_side: f32,
-    /// Dimensionality of the indexed dataset (and of every cell coordinate).
-    pub dim: u32,
-    /// All populated cells, in construction order (the query kernels iterate
-    /// cells in this order, so preserving it keeps answers byte-identical).
-    pub cells: Vec<PersistedCell>,
 }
 
 /// One k-means tree node. Leaves carry points and no children; internal
@@ -229,6 +210,8 @@ pub struct PersistedCoverTree {
 /// The `Linear` variant is a deliberate no-op marker: a [`LinearScan`] has no
 /// construction cost worth persisting, but recording it lets a snapshot say
 /// "the engine was linear" without falling back to the config-rebuild path.
+/// Sections of the retired ε-grid decode to it too (see the
+/// [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PersistedEngine {
     /// Marker for an exact [`LinearScan`] (nothing to persist beyond the
@@ -237,8 +220,6 @@ pub enum PersistedEngine {
         /// Metric the scan answers queries under.
         metric: Metric,
     },
-    /// A built [`GridIndex`].
-    Grid(PersistedGrid),
     /// A built [`KMeansTree`].
     KMeansTree(PersistedKMeansTree),
     /// A built [`IvfIndex`].
@@ -252,7 +233,6 @@ impl PersistedEngine {
     pub fn kind(&self) -> &'static str {
         match self {
             PersistedEngine::Linear { .. } => "linear",
-            PersistedEngine::Grid(_) => "grid",
             PersistedEngine::KMeansTree(_) => "kmeans_tree",
             PersistedEngine::Ivf(_) => "ivf",
             PersistedEngine::CoverTree(_) => "cover_tree",
@@ -263,7 +243,6 @@ impl PersistedEngine {
     pub fn metric(&self) -> Metric {
         match self {
             PersistedEngine::Linear { metric } => *metric,
-            PersistedEngine::Grid(g) => g.metric,
             PersistedEngine::KMeansTree(t) => t.metric,
             PersistedEngine::Ivf(i) => i.metric,
             PersistedEngine::CoverTree(t) => t.metric,
@@ -272,12 +251,11 @@ impl PersistedEngine {
 
     /// Whether this structure is the built form of the given
     /// [`EngineChoice`] variant (kind comparison only; parameters such as the
-    /// cell side are carried by the structure itself).
+    /// branching factor are carried by the structure itself).
     pub fn matches_choice(&self, choice: &EngineChoice) -> bool {
         matches!(
             (self, choice),
             (PersistedEngine::Linear { .. }, EngineChoice::Linear)
-                | (PersistedEngine::Grid(_), EngineChoice::Grid { .. })
                 | (
                     PersistedEngine::KMeansTree(_),
                     EngineChoice::KMeansTree { .. }
@@ -298,22 +276,6 @@ impl PersistedEngine {
             PersistedEngine::Linear { metric } => {
                 buf.put_u32_le(KIND_LINEAR);
                 buf.put_u8(metric_tag(*metric));
-            }
-            PersistedEngine::Grid(g) => {
-                buf.put_u32_le(KIND_GRID);
-                buf.put_u8(metric_tag(g.metric));
-                buf.put_f32_le(g.cell_side);
-                buf.put_u32_le(g.dim);
-                buf.put_u64_le(g.cells.len() as u64);
-                for cell in &g.cells {
-                    for &c in &cell.coords {
-                        buf.put_i32_le(c);
-                    }
-                    buf.put_u32_le(cell.points.len() as u32);
-                    for &p in &cell.points {
-                        buf.put_u32_le(p);
-                    }
-                }
             }
             PersistedEngine::KMeansTree(t) => {
                 buf.put_u32_le(KIND_KMEANS_TREE);
@@ -402,7 +364,9 @@ impl PersistedEngine {
         buf
     }
 
-    /// Decode a structure produced by [`PersistedEngine::encode_into`].
+    /// Decode a structure produced by [`PersistedEngine::encode_into`]. A
+    /// structure of the retired ε-grid (kind 1) decodes as the
+    /// [`PersistedEngine::Linear`] marker with its stored metric.
     ///
     /// # Errors
     /// Returns [`PersistError`] on bad magic, an unsupported version, an
@@ -430,7 +394,9 @@ impl PersistedEngine {
         let metric = metric_from_tag(bytes.get_u8())?;
         let engine = match kind {
             KIND_LINEAR => PersistedEngine::Linear { metric },
-            KIND_GRID => PersistedEngine::Grid(Self::decode_grid(&mut bytes, metric)?),
+            // The body is skipped unread: the snapshot container has
+            // already CRC-checked it, and the linear scan needs none of it.
+            KIND_RETIRED_GRID => return Ok(PersistedEngine::Linear { metric }),
             KIND_KMEANS_TREE => {
                 PersistedEngine::KMeansTree(Self::decode_kmeans_tree(&mut bytes, metric)?)
             }
@@ -445,41 +411,6 @@ impl PersistedEngine {
             )));
         }
         Ok(engine)
-    }
-
-    fn decode_grid(bytes: &mut &[u8], metric: Metric) -> Result<PersistedGrid, PersistError> {
-        if bytes.remaining() < 16 {
-            return Err(PersistError::new("grid header truncated"));
-        }
-        let cell_side = bytes.get_f32_le();
-        let dim = bytes.get_u32_le();
-        let n_cells = bytes.get_u64_le();
-        // Each cell carries at least `dim` i32 coordinates and a point count.
-        let min_cell = (dim as usize).saturating_mul(4).saturating_add(4);
-        let n_cells = check_count(n_cells, min_cell.max(4), bytes.remaining(), "grid cell")?;
-        let mut cells = Vec::with_capacity(n_cells);
-        for _ in 0..n_cells {
-            if bytes.remaining() < dim as usize * 4 + 4 {
-                return Err(PersistError::new("grid cell truncated"));
-            }
-            let mut coords = Vec::with_capacity(dim as usize);
-            for _ in 0..dim {
-                coords.push(bytes.get_i32_le());
-            }
-            let n_points = bytes.get_u32_le() as u64;
-            let n_points = check_count(n_points, 4, bytes.remaining(), "grid cell point")?;
-            let mut points = Vec::with_capacity(n_points);
-            for _ in 0..n_points {
-                points.push(bytes.get_u32_le());
-            }
-            cells.push(PersistedCell { coords, points });
-        }
-        Ok(PersistedGrid {
-            metric,
-            cell_side,
-            dim,
-            cells,
-        })
     }
 
     fn decode_kmeans_tree(
@@ -682,32 +613,6 @@ impl PersistedEngine {
         let mut seen = vec![false; n_points];
         match self {
             PersistedEngine::Linear { .. } => Ok(()),
-            PersistedEngine::Grid(g) => {
-                if !g.cell_side.is_finite() || g.cell_side < crate::grid::MIN_CELL_SIDE {
-                    return Err(PersistError::new(format!(
-                        "grid cell side {} below the minimum {}",
-                        g.cell_side,
-                        crate::grid::MIN_CELL_SIDE
-                    )));
-                }
-                if g.dim as usize != dim {
-                    return Err(PersistError::new(format!(
-                        "grid is {}-dimensional but the dataset is {dim}-dimensional",
-                        g.dim
-                    )));
-                }
-                let mut covered = 0u64;
-                for cell in &g.cells {
-                    if cell.coords.len() != dim {
-                        return Err(PersistError::new("grid cell coordinate dimension mismatch"));
-                    }
-                    if cell.points.is_empty() {
-                        return Err(PersistError::new("grid holds an empty cell"));
-                    }
-                    mark_rows(&cell.points, &mut seen, &mut covered)?;
-                }
-                check_coverage(covered)
-            }
             PersistedEngine::KMeansTree(t) => {
                 if t.branching < 2 {
                     return Err(PersistError::new(format!(
@@ -918,7 +823,6 @@ pub fn restore_engine<'a>(
     persisted.validate(data.len(), data.dim())?;
     Ok(match persisted {
         PersistedEngine::Linear { metric } => Box::new(LinearScan::new(data, *metric)),
-        PersistedEngine::Grid(g) => Box::new(GridIndex::from_persisted(data, g)?),
         PersistedEngine::KMeansTree(t) => Box::new(KMeansTree::from_persisted(data, t)?),
         PersistedEngine::Ivf(i) => Box::new(IvfIndex::from_persisted(data, i)?),
         PersistedEngine::CoverTree(t) => Box::new(CoverTree::from_persisted(data, t)?),
@@ -948,7 +852,6 @@ mod tests {
     fn choices() -> Vec<EngineChoice> {
         vec![
             EngineChoice::Linear,
-            EngineChoice::Grid { cell_side: 0.5 },
             EngineChoice::KMeansTree {
                 branching: 4,
                 leaf_ratio: 0.6,
@@ -965,7 +868,7 @@ mod tests {
     fn every_persistable_engine_round_trips_byte_identically() {
         let data = sample_data();
         for choice in choices() {
-            let built = build_engine(choice, &data, Metric::Cosine, 0.3);
+            let built = build_engine(choice, &data, Metric::Cosine);
             let persisted = built.persist().expect("persistable engine");
             assert!(persisted.matches_choice(&choice), "{choice:?}");
             let bytes = persisted.encode();
@@ -998,7 +901,6 @@ mod tests {
             EngineChoice::CoverTree { basis: 2.0 },
             &data,
             Metric::Cosine,
-            0.3,
         );
         assert!(built.persist().is_some(), "cover tree flattens its arena");
     }
@@ -1006,7 +908,7 @@ mod tests {
     #[test]
     fn decode_rejects_bad_magic_version_kind_and_metric() {
         let data = sample_data();
-        let engine = build_engine(EngineChoice::Linear, &data, Metric::Cosine, 0.3);
+        let engine = build_engine(EngineChoice::Linear, &data, Metric::Cosine);
         let bytes = engine.persist().unwrap().encode();
         let mut bad = bytes.clone();
         bad[0] = b'X';
@@ -1042,7 +944,6 @@ mod tests {
     fn allocation_bomb_headers_are_rejected_before_allocating() {
         let data = sample_data();
         for choice in [
-            EngineChoice::Grid { cell_side: 0.5 },
             EngineChoice::KMeansTree {
                 branching: 4,
                 leaf_ratio: 0.6,
@@ -1052,7 +953,7 @@ mod tests {
                 nprobe: 3,
             },
         ] {
-            let built = build_engine(choice, &data, Metric::Cosine, 0.3);
+            let built = build_engine(choice, &data, Metric::Cosine);
             let mut bytes = built.persist().unwrap().encode();
             // The element-count u64 sits right after the kind-specific fixed
             // header; overwrite it with u64::MAX at every plausible offset and
@@ -1069,9 +970,8 @@ mod tests {
             }
             // Targeted: the documented count field itself.
             let count_offset = match choice {
-                EngineChoice::Grid { .. } => 21, // magic4 ver4 kind4 metric1 side4 dim4
                 EngineChoice::KMeansTree { .. } => 34, // ... branching4 ratio8 root5 dim4
-                EngineChoice::Ivf { .. } => 21,  // ... nprobe4 dim4
+                EngineChoice::Ivf { .. } => 21,        // ... nprobe4 dim4
                 _ => unreachable!(),
             };
             bytes[count_offset..count_offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -1093,7 +993,6 @@ mod tests {
             },
             &data,
             Metric::Cosine,
-            0.3,
         );
         let persisted = built.persist().unwrap();
         // Consistent with its own dataset…
@@ -1125,7 +1024,6 @@ mod tests {
             },
             &data,
             Metric::Cosine,
-            0.3,
         );
         let PersistedEngine::Ivf(mut ivf) = built.persist().unwrap() else {
             unreachable!();
@@ -1152,7 +1050,6 @@ mod tests {
             },
             &data,
             Metric::Cosine,
-            0.3,
         );
         let PersistedEngine::KMeansTree(tree) = built.persist().unwrap() else {
             unreachable!();
@@ -1232,15 +1129,30 @@ mod tests {
         } else {
             unreachable!();
         }
+    }
 
-        let grid = GridIndex::new(&data, Metric::Cosine, 0.07);
-        let persisted = RangeQueryEngine::persist(&grid).unwrap();
-        if let PersistedEngine::Grid(p) = &persisted {
-            let restored = GridIndex::from_persisted(&data, p).unwrap();
-            assert_eq!(restored.cell_side(), grid.cell_side());
-            assert_eq!(restored.cell_count(), grid.cell_count());
-        } else {
-            unreachable!();
+    #[test]
+    fn retired_grid_structures_decode_as_the_linear_marker() {
+        // Kind 1 was the exact ε-grid: its body is skipped unread and the
+        // section stands for a linear scan under the stored metric.
+        for (tag, metric) in [(0u8, Metric::Cosine), (2, Metric::Euclidean)] {
+            let mut bytes = Vec::new();
+            bytes.put_slice(ENGINE_MAGIC);
+            bytes.put_u32_le(ENGINE_FORMAT_VERSION);
+            bytes.put_u32_le(KIND_RETIRED_GRID);
+            bytes.put_u8(tag);
+            for body in [&[][..], &[0xAB; 37][..]] {
+                let mut section = bytes.clone();
+                section.put_slice(body);
+                assert_eq!(
+                    PersistedEngine::decode(&section).unwrap(),
+                    PersistedEngine::Linear { metric },
+                    "{} body bytes",
+                    body.len()
+                );
+            }
+            // The header is still checked: a short section still errors.
+            assert!(PersistedEngine::decode(&bytes[..12]).is_err());
         }
     }
 

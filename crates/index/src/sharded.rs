@@ -202,11 +202,10 @@ mod tests {
         map: &ShardMap,
         choice: EngineChoice,
         metric: Metric,
-        eps: f32,
     ) -> ShardedEngine<'a> {
         let engines = shard_data
             .iter()
-            .map(|d| build_engine(choice, d, metric, eps))
+            .map(|d| build_engine(choice, d, metric))
             .collect();
         ShardedEngine::new(engines, map.clone()).unwrap()
     }
@@ -227,7 +226,7 @@ mod tests {
             for n in [1usize, 2, 3, 7] {
                 let map = ShardMap::even_split(data.len(), n);
                 let slices = shard_slices(&data, &map);
-                let sharded = build_sharded(&slices, &map, EngineChoice::Linear, metric, eps);
+                let sharded = build_sharded(&slices, &map, EngineChoice::Linear, metric);
                 assert_eq!(sharded.num_points(), data.len());
                 assert_eq!(sharded.metric(), metric);
                 assert_eq!(sharded.n_shards(), n.min(data.len()));
@@ -258,7 +257,7 @@ mod tests {
         let data = clustered(40, 5, 3);
         let map = ShardMap::even_split(data.len(), 3);
         let slices = shard_slices(&data, &map);
-        let sharded = build_sharded(&slices, &map, EngineChoice::Linear, Metric::Cosine, 0.3);
+        let sharded = build_sharded(&slices, &map, EngineChoice::Linear, Metric::Cosine);
         let queries: Vec<&[f32]> = (0..8).map(|i| data.row(i * 3)).collect();
         let batch = sharded.range_batch(&queries, 0.3);
         let counts = sharded.range_count_batch(&queries, 0.3);
@@ -275,7 +274,7 @@ mod tests {
         let data = clustered(30, 4, 5);
         let map = ShardMap::even_split(data.len(), 2);
         let slices = shard_slices(&data, &map);
-        let sharded = build_sharded(&slices, &map, EngineChoice::Linear, Metric::Cosine, 0.3);
+        let sharded = build_sharded(&slices, &map, EngineChoice::Linear, Metric::Cosine);
         assert_eq!(sharded.distance_evaluations(), 0);
         sharded.range(data.row(0), 0.3);
         // A linear scan touches every row exactly once, shard by shard.
@@ -289,7 +288,7 @@ mod tests {
         let data = clustered(20, 4, 7);
         let map = ShardMap::even_split(data.len(), 2);
         let slices = shard_slices(&data, &map);
-        let sharded = build_sharded(&slices, &map, EngineChoice::Linear, Metric::Cosine, 0.3);
+        let sharded = build_sharded(&slices, &map, EngineChoice::Linear, Metric::Cosine);
         assert!(sharded.persist().is_none());
     }
 

@@ -13,7 +13,7 @@ use laf_vector::{ops, Dataset, Metric};
 use proptest::prelude::*;
 
 /// All engine variants, with parameters small enough for property-sized data.
-fn all_choices() -> [EngineChoice; 5] {
+fn all_choices() -> [EngineChoice; 4] {
     [
         EngineChoice::Linear,
         EngineChoice::CoverTree { basis: 2.0 },
@@ -21,7 +21,6 @@ fn all_choices() -> [EngineChoice; 5] {
             branching: 4,
             leaf_ratio: 1.0,
         },
-        EngineChoice::Grid { cell_side: 0.4 },
         EngineChoice::Ivf {
             nlist: 4,
             nprobe: 4,
@@ -68,7 +67,7 @@ proptest! {
         let queries: Vec<&[f32]> = query_storage.iter().map(Vec::as_slice).collect();
 
         for choice in all_choices() {
-            let engine = build_engine(choice, &data, Metric::Cosine, eps);
+            let engine = build_engine(choice, &data, Metric::Cosine);
 
             let batch_ranges = engine.range_batch(&queries, eps);
             let batch_counts = engine.range_count_batch(&queries, eps);
@@ -155,7 +154,7 @@ fn parallel_batch_kernels_count_every_evaluation() {
     let queries: Vec<&[f32]> = (0..data.len()).map(|i| data.row(i)).collect();
 
     for choice in all_choices() {
-        let engine = build_engine(choice, &data, Metric::Cosine, 0.3);
+        let engine = build_engine(choice, &data, Metric::Cosine);
         // Construction itself may evaluate distances (k-means, cover sets);
         // only query-time work is compared.
         engine.reset_distance_evaluations();

@@ -1,8 +1,8 @@
 //! Property tests: every exact engine agrees with the brute-force oracle,
 //! and approximate engines never report false positives.
 
-use laf_index::{CoverTree, GridIndex, KMeansTree, LinearScan, RangeQueryEngine};
-use laf_vector::{cosine_to_euclidean, ops, Dataset, Metric};
+use laf_index::{CoverTree, KMeansTree, LinearScan, RangeQueryEngine};
+use laf_vector::{ops, Dataset, Metric};
 use proptest::prelude::*;
 
 fn unit_rows(dim: usize, max_rows: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
@@ -43,22 +43,6 @@ proptest! {
     }
 
     #[test]
-    fn grid_agrees_with_linear_scan(
-        rows in unit_rows(6, 50),
-        eps in 0.05f32..1.0,
-        q_pick in 0usize..50
-    ) {
-        let data = Dataset::from_rows(rows).unwrap();
-        let q = q_pick % data.len();
-        let oracle = LinearScan::new(&data, Metric::Cosine);
-        let side = cosine_to_euclidean(eps) / (data.dim() as f32).sqrt();
-        let grid = GridIndex::new(&data, Metric::Cosine, side);
-        let mut expected = oracle.range(data.row(q), eps);
-        expected.sort_unstable();
-        prop_assert_eq!(grid.range(data.row(q), eps), expected);
-    }
-
-    #[test]
     fn kmeans_tree_full_budget_agrees_and_partial_budget_is_sound(
         rows in unit_rows(8, 60),
         eps in 0.05f32..1.0,
@@ -91,7 +75,6 @@ proptest! {
             Box::new(LinearScan::new(&data, Metric::Cosine)),
             Box::new(CoverTree::new(&data, Metric::Cosine, 2.0)),
             Box::new(KMeansTree::new(&data, Metric::Cosine, 3, 1.0, 9)),
-            Box::new(GridIndex::new(&data, Metric::Cosine, 0.2)),
         ];
         for engine in &engines {
             let knn = engine.knn(data.row(q), 1);

@@ -30,12 +30,9 @@ fn sample_data(n: usize, dim: usize, seed: u64) -> Dataset {
     .0
 }
 
-fn engine_choices(dim: usize) -> Vec<EngineChoice> {
+fn engine_choices() -> Vec<EngineChoice> {
     vec![
         EngineChoice::Linear,
-        EngineChoice::Grid {
-            cell_side: 1.0 / (dim as f32).sqrt(),
-        },
         EngineChoice::KMeansTree {
             branching: 4,
             leaf_ratio: 0.7,
@@ -53,9 +50,9 @@ fn assert_engines_agree(data: &Dataset, label: &str) {
     let batch_sizes = [1usize, 3, 17, 37];
     for metric in Metric::ALL {
         let eps = eps_for(metric);
-        for choice in engine_choices(data.dim()) {
-            let spec = build_engine_with_mode(choice, data, metric, eps, KernelMode::Specialized);
-            let generic = build_engine_with_mode(choice, data, metric, eps, KernelMode::Generic);
+        for choice in engine_choices() {
+            let spec = build_engine_with_mode(choice, data, metric, KernelMode::Specialized);
+            let generic = build_engine_with_mode(choice, data, metric, KernelMode::Generic);
             for &bs in &batch_sizes {
                 let queries: Vec<&[f32]> = (0..bs.min(data.len()))
                     .map(|i| data.row(i * 7 % data.len()))
@@ -133,14 +130,12 @@ fn specialized_kernels_match_generic_on_mapped_backing() {
             EngineChoice::Linear,
             &owned,
             metric,
-            eps,
             KernelMode::Specialized,
         );
         let spec_mapped = build_engine_with_mode(
             EngineChoice::Linear,
             &mapped,
             metric,
-            eps,
             KernelMode::Specialized,
         );
         for q in (0..owned.len()).step_by(13) {

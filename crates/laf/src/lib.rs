@@ -172,8 +172,8 @@ pub mod prelude {
         SnapshotShard, Wal, WalOp, WalRecord,
     };
     pub use laf_index::{
-        build_engine, restore_engine, CoverTree, EngineChoice, GridIndex, KMeansTree, LinearScan,
-        Neighbor, PersistedEngine, RangeQueryEngine, ShardedEngine, TopK, TotalDist,
+        build_engine, restore_engine, CoverTree, EngineChoice, KMeansTree, LinearScan, Neighbor,
+        PersistedEngine, RangeQueryEngine, ShardedEngine, TopK, TotalDist,
     };
     pub use laf_metrics::{
         adjusted_mutual_information, adjusted_rand_index, normalized_mutual_information,

@@ -47,9 +47,8 @@
 //! [`MetricKernel::within_dot`] is the one decision entry point of every
 //! tiled scan: the caller computes `dot(q, x)` in a tile — the register
 //! tiles of [`crate::tile`] (one probe × eight rows, or up to sixteen packed
-//! probes × one row) in the linear scan, [`ops::dot4`] in
-//! [`MetricKernel::within4`] for the grid engine — and the kernel decides
-//! the row from that dot exactly as [`MetricKernel::within`] would. Every
+//! probes × one row) in the linear scan — and the kernel decides the row
+//! from that dot exactly as [`MetricKernel::within`] would. Every
 //! tile lane reproduces `ops::dot`'s accumulation order, so the tiles change
 //! how many pairs are in flight, never a bit of a result. [`RangeProbe`]
 //! stays opaque: callers hand it back, they never read its constants.
@@ -262,24 +261,9 @@ impl MetricKernel {
         }
     }
 
-    /// Four range predicates against one row through [`ops::dot4`], which
-    /// loads the row once for all four probes. Each lane is decided by
-    /// [`MetricKernel::within_dot`], so it equals [`MetricKernel::within`].
-    #[inline]
-    pub fn within4(
-        &self,
-        probes: &[RangeProbe<'_>; 4],
-        x: &[f32],
-        x_norm: f32,
-        x_sq: f32,
-    ) -> [bool; 4] {
-        let dots = ops::dot4(probes[0].q, probes[1].q, probes[2].q, probes[3].q, x);
-        std::array::from_fn(|lane| self.within_dot(&probes[lane], dots[lane], x, x_norm, x_sq))
-    }
-
     /// The range predicate of [`MetricKernel::within`], decided from a dot
-    /// product the caller already has: the entry point of the batch tiles
-    /// ([`ops::dot4`] and the register tiles of [`crate::tile`]).
+    /// product the caller already has: the entry point of the register tiles
+    /// of [`crate::tile`].
     ///
     /// `dot` must be bit-identical to `ops::dot(probe.query(), x)` — every
     /// tile lane is — and `x_norm`/`x_sq` must come from
@@ -425,37 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn within4_matches_scalar_within() {
-        let dim = 9;
-        let data = Dataset::from_rows(rows(dim, 15, 1.5)).unwrap();
-        let norms = data.row_norms();
-        let queries = rows(dim, 4, 0.8);
-        for metric in Metric::ALL {
-            let kernel = MetricKernel::new(metric);
-            let eps = match metric {
-                Metric::NegDot => -0.1,
-                _ => 0.6,
-            };
-            let probes = [
-                kernel.probe(&queries[0], eps),
-                kernel.probe(&queries[1], eps),
-                kernel.probe(&queries[2], eps),
-                kernel.probe(&queries[3], eps),
-            ];
-            for (i, row) in data.rows().enumerate() {
-                let block = kernel.within4(&probes, row, norms.norm(i), norms.sq(i));
-                for (lane, probe) in probes.iter().enumerate() {
-                    assert_eq!(
-                        block[lane],
-                        kernel.within(probe, row, norms.norm(i), norms.sq(i)),
-                        "{metric:?} row {i} lane {lane}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn euclid_boundary_rows_fall_back_to_exact_evaluation() {
         // Construct a query/row pair whose distance sits exactly at eps: the
         // batch tile's pushdown band must route it to the subtract-form
@@ -475,9 +428,12 @@ mod tests {
                     exact_dist < eps,
                     "{metric:?} scalar eps {eps}"
                 );
-                let probes = [probe, probe, probe, probe];
-                let lanes = kernel.within4(&probes, &row, norms.norm(0), norms.sq(0));
-                assert_eq!(lanes, [exact_dist < eps; 4], "{metric:?} tile eps {eps}");
+                let dot = ops::dot(&q, &row);
+                assert_eq!(
+                    kernel.within_dot(&probe, dot, &row, norms.norm(0), norms.sq(0)),
+                    exact_dist < eps,
+                    "{metric:?} tile eps {eps}"
+                );
             }
         }
     }
@@ -503,9 +459,12 @@ mod tests {
                 expected,
                 "{metric:?} scalar"
             );
-            let probes = [probe, probe, probe, probe];
-            let lanes = kernel.within4(&probes, &row, norms.norm(0), norms.sq(0));
-            assert_eq!(lanes, [expected; 4], "{metric:?} tile");
+            let dot = ops::dot(&q, &row);
+            assert_eq!(
+                kernel.within_dot(&probe, dot, &row, norms.norm(0), norms.sq(0)),
+                expected,
+                "{metric:?} tile"
+            );
         }
     }
 

@@ -265,37 +265,6 @@ proptest! {
     }
 
     #[test]
-    fn within4_lanes_agree_with_generic_comparison(
-        dim in 1usize..20,
-        seed in 0u64..100_000,
-        eps in -0.5f32..2.5,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data = raw_dataset(&mut rng, dim, 6);
-        let queries: Vec<Vec<f32>> = (0..4).map(|_| raw_vector(&mut rng, dim)).collect();
-        let norms = data.row_norms();
-        for metric in Metric::ALL {
-            let kernel = MetricKernel::new(metric);
-            let probes = [
-                kernel.probe(&queries[0], eps),
-                kernel.probe(&queries[1], eps),
-                kernel.probe(&queries[2], eps),
-                kernel.probe(&queries[3], eps),
-            ];
-            for (i, row) in data.rows().enumerate() {
-                let lanes = kernel.within4(&probes, row, norms.norm(i), norms.sq(i));
-                for (lane, q) in queries.iter().enumerate() {
-                    prop_assert_eq!(
-                        lanes[lane],
-                        metric.dist(q, row) < eps,
-                        "{:?} dim {} row {} lane {}", metric, dim, i, lane
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn row_norm_cache_matches_fresh_computation(
         dim in 1usize..24,
         seed in 0u64..100_000,

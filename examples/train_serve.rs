@@ -45,9 +45,9 @@
 //! cargo run --release --example train_serve [engine]
 //! ```
 //!
-//! Engines: `linear` (default), `grid`, `kmeans_tree`, `ivf`, `cover_tree`
-//! (the cover tree has no persistable structure and exercises the
-//! rebuild-from-config fallback).
+//! Engines: `linear` (default), `kmeans_tree`, `ivf`, `cover_tree`. Every
+//! engine persists its built structure, so the serve phase restores it
+//! instead of rebuilding.
 //!
 //! The serve phase fails loudly (non-zero exit) if the restored pipeline's
 //! labels differ from the sidecar — this is the round-trip smoke check CI
@@ -98,7 +98,6 @@ fn read_labels(path: &str) -> Option<Vec<i64>> {
 fn parse_engine(name: &str) -> EngineChoice {
     match name {
         "linear" => EngineChoice::Linear,
-        "grid" => EngineChoice::Grid { cell_side: 0.25 },
         "kmeans_tree" => EngineChoice::KMeansTree {
             branching: 10,
             leaf_ratio: 0.6,
@@ -109,9 +108,7 @@ fn parse_engine(name: &str) -> EngineChoice {
         },
         "cover_tree" => EngineChoice::CoverTree { basis: 2.0 },
         other => {
-            eprintln!(
-                "unknown engine `{other}` (use linear | grid | kmeans_tree | ivf | cover_tree)"
-            );
+            eprintln!("unknown engine `{other}` (use linear | kmeans_tree | ivf | cover_tree)");
             std::process::exit(2);
         }
     }

@@ -3,9 +3,9 @@
 //! reproduce the cluster labels recorded in its sidecar byte for byte.
 //!
 //! The fixture pair (`tests/fixtures/golden_v1.lafs` + `.labels`) is
-//! generated by `examples/golden_fixture.rs` and committed; regenerating it
-//! is a deliberate compatibility decision, never a side effect. If this test
-//! fails, the change under review breaks already-deployed v1 snapshots.
+//! committed; no writer of format 1 remains, so the file cannot be
+//! regenerated, only kept. If this test fails, the change under review
+//! breaks already-deployed v1 snapshots.
 
 use laf::prelude::*;
 use std::path::PathBuf;

@@ -1,18 +1,26 @@
-//! Forward-compatibility gate for the **format-v4 golden fixtures**: the
-//! committed unsharded (`golden_v4.lafs`) and 3-shard
-//! (`golden_v4_sharded.lafs`) snapshots must keep decoding through the
-//! current reader — by copy and by mmap — and reproduce the cluster labels
-//! recorded in their sidecars byte for byte. The sharded fixture is the
+//! Compatibility gate for the committed **golden snapshot fixtures** of
+//! formats 2–4: the unsharded (`golden_v4.lafs`) and 3-shard
+//! (`golden_v4_sharded.lafs`) format-v4 snapshots, and the same unsharded
+//! snapshot in the legacy containers (`golden_v2.lafs`, `golden_v3.lafs`).
+//! Each must keep decoding through the current reader — strict and
+//! degraded, by copy and by mmap — and reproduce the cluster labels
+//! recorded in its sidecar byte for byte. The sharded fixture is the
 //! compatibility contract for deployed scatter-gather snapshots: its shard
 //! manifest, per-shard dataset sections, and per-shard engine sections all
 //! have to survive every future format change.
 //!
-//! The fixtures are generated by `examples/golden_fixture.rs`
-//! (`gen-v4` / `gen-v4-sharded`) and committed; regenerating them is a
-//! deliberate compatibility decision, never a side effect.
+//! All four files were written while the exact ε-grid engine existed: their
+//! config names it and their engine sections hold grid structures. The grid
+//! is retired, and its answers equal the linear scan's, so these files must
+//! load as the linear scan — with a clean load report, since nothing is
+//! degraded. The v2/v3 files share the v4 file's label sidecar.
+//!
+//! The fixtures are committed; regenerating them is a deliberate
+//! compatibility decision, never a side effect.
 
+use laf::core::DegradedLoad;
 use laf::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn fixture_path(name: &str) -> PathBuf {
     // The `laf` crate lives at crates/laf; the fixtures are committed at the
@@ -39,6 +47,63 @@ fn assert_reproduces_sidecar(fixture: &str, pipeline: &LafPipeline, path: &str) 
     );
 }
 
+/// Every way a serving process opens a snapshot file: strict and degraded,
+/// by copy and by mmap. Strict loads have no report; they count as clean.
+fn every_load(file: &Path) -> Vec<(&'static str, LafPipeline, DegradedLoad)> {
+    let strict = |name, loaded: Result<LafPipeline, _>| {
+        let pipeline = loaded.unwrap_or_else(|e| panic!("{file:?} {name}: {e}"));
+        (name, pipeline, DegradedLoad::default())
+    };
+    let degraded = |name, loaded: Result<(LafPipeline, DegradedLoad), _>| {
+        let (pipeline, report) = loaded.unwrap_or_else(|e| panic!("{file:?} {name}: {e}"));
+        (name, pipeline, report)
+    };
+    vec![
+        strict("copy", LafPipeline::load(file)),
+        strict("mmap", LafPipeline::load_mmap(file)),
+        degraded("degraded copy", LafPipeline::load_degraded(file)),
+        degraded("degraded mmap", LafPipeline::load_mmap_degraded(file)),
+    ]
+}
+
+/// A grid-era fixture loads as the linear scan under every load path: the
+/// config names the linear engine, every persisted engine (global or per
+/// shard) is the linear marker under the config's metric, the load is
+/// clean, and the labels equal the sidecar.
+fn assert_grid_era_fixture_loads_as_linear(fixture: &str, labels: &str) {
+    for (name, pipeline, report) in every_load(&fixture_path(fixture)) {
+        let snapshot = pipeline.snapshot_arc();
+        let config = &snapshot.config;
+        assert_eq!(config.engine, EngineChoice::Linear, "{fixture} {name}");
+        let engines: Vec<&PersistedEngine> = snapshot
+            .engine
+            .iter()
+            .chain(snapshot.shards.iter().filter_map(|s| s.engine.as_ref()))
+            .collect();
+        assert_eq!(
+            engines.len(),
+            snapshot.shards.len().max(1),
+            "{fixture} {name}: one engine section per shard"
+        );
+        for engine in engines {
+            assert_eq!(
+                *engine,
+                PersistedEngine::Linear {
+                    metric: config.metric
+                },
+                "{fixture} {name}"
+            );
+        }
+        assert!(report.is_clean(), "{fixture} {name}: {report}");
+        let (clustering, _) = pipeline.cluster_with_stats();
+        assert_eq!(
+            clustering.labels(),
+            sidecar_labels(labels).as_slice(),
+            "{fixture} labels diverged from the committed sidecar ({name})"
+        );
+    }
+}
+
 #[test]
 fn committed_v4_fixture_loads_by_copy_and_by_mmap() {
     let fixture = "golden_v4.lafs";
@@ -61,6 +126,8 @@ fn committed_v4_fixture_loads_by_copy_and_by_mmap() {
     let warm = LafPipeline::load_mmap(&file).expect("v4 fixture must load by mmap");
     assert!(warm.data().is_mapped() || cfg!(target_endian = "big"));
     assert_reproduces_sidecar(fixture, &warm, "mmap");
+
+    assert_grid_era_fixture_loads_as_linear(fixture, "golden_v4.lafs.labels");
 }
 
 #[test]
@@ -98,28 +165,30 @@ fn committed_sharded_v4_fixture_restores_every_shard() {
         }
         assert_reproduces_sidecar(fixture, &pipeline, name);
     }
+
+    assert_grid_era_fixture_loads_as_linear(fixture, "golden_v4_sharded.lafs.labels");
 }
 
 #[test]
-fn older_format_versions_still_encode_and_decode() {
-    // Re-encode the unsharded fixture's snapshot through every legacy
-    // writer and decode the result with the current reader: v1–v3 files
-    // produced by older deployments must keep working.
-    let pipeline = LafPipeline::load(fixture_path("golden_v4.lafs")).expect("v4 fixture must load");
-    let reference = pipeline.cluster().labels().to_vec();
-    let snapshot = pipeline.into_snapshot();
-    let encoded = [
-        ("v1", snapshot.encode_v1().expect("v1 encode")),
-        ("v2", snapshot.encode_v2().expect("v2 encode")),
-        ("v3", snapshot.encode_v3().expect("v3 encode")),
-    ];
-    for (version, bytes) in encoded {
-        let decoded = LafPipeline::from_snapshot_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("{version} round-trip broken: {e}"));
+fn older_format_fixtures_still_decode() {
+    // v2 and v3 hold the unsharded v4 fixture's snapshot in the legacy
+    // containers (no alignment rule, resp. aligned without shard sections):
+    // files produced by older deployments must keep working.
+    for (fixture, version) in [("golden_v2.lafs", 2u32), ("golden_v3.lafs", 3)] {
+        let bytes = std::fs::read(fixture_path(fixture)).expect("committed fixture");
         assert_eq!(
-            decoded.cluster().labels(),
-            reference.as_slice(),
-            "{version} re-encoded snapshot diverged from the v4 fixture labels"
+            u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
+            version,
+            "{fixture} must be written at format version {version}"
         );
+        assert_grid_era_fixture_loads_as_linear(fixture, "golden_v4.lafs.labels");
+    }
+    // v1 has no engine section: every load path rebuilds from the config.
+    let fixture = "golden_v1.lafs";
+    for (name, pipeline, report) in every_load(&fixture_path(fixture)) {
+        assert!(pipeline.persisted_engine().is_none(), "{name}");
+        assert_eq!(pipeline.config().engine, EngineChoice::Linear, "{name}");
+        assert!(report.is_clean(), "{name}: {report}");
+        assert_reproduces_sidecar(fixture, &pipeline, name);
     }
 }

@@ -57,7 +57,6 @@ proptest! {
 
         let choices = [
             EngineChoice::Linear,
-            EngineChoice::Grid { cell_side: 0.25 },
             EngineChoice::KMeansTree { branching: 3, leaf_ratio: 0.6 },
             EngineChoice::Ivf { nlist: 4, nprobe: 2 },
         ];

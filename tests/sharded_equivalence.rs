@@ -45,11 +45,10 @@ fn mapped_twin(owned: &Dataset) -> (Dataset, std::path::PathBuf) {
 
 /// Every persistable engine in its **exhaustive** configuration: k-means
 /// tree visiting every leaf and IVF probing every list are exact, so all
-/// four must match the linear scan bit for bit — sharded or not.
-fn exhaustive_choices() -> [EngineChoice; 4] {
+/// three must match the linear scan bit for bit — sharded or not.
+fn exhaustive_choices() -> [EngineChoice; 3] {
     [
         EngineChoice::Linear,
-        EngineChoice::Grid { cell_side: 0.3 },
         EngineChoice::KMeansTree {
             branching: 3,
             leaf_ratio: 1.0,
@@ -69,7 +68,6 @@ fn with_sharded<R>(
     n: usize,
     choice: EngineChoice,
     metric: Metric,
-    eps: f32,
     f: impl FnOnce(&dyn RangeQueryEngine) -> R,
 ) -> R {
     let map = ShardMap::even_split(data.len(), n);
@@ -78,7 +76,7 @@ fn with_sharded<R>(
         .collect();
     let engines: Vec<Box<dyn RangeQueryEngine + '_>> = slices
         .iter()
-        .map(|slice| build_engine(choice, slice, metric, eps))
+        .map(|slice| build_engine(choice, slice, metric))
         .collect();
     let sharded = ShardedEngine::new(engines, map).expect("uniform shard engines");
     f(&sharded)
@@ -101,7 +99,7 @@ proptest! {
 
         for metric in [Metric::Cosine, Metric::Euclidean] {
             for choice in exhaustive_choices() {
-                let full = build_engine(choice, &owned, metric, eps);
+                let full = build_engine(choice, &owned, metric);
                 let want_range: Vec<Vec<u32>> =
                     queries.iter().map(|q| full.range(q, eps)).collect();
                 let want_count: Vec<usize> =
@@ -111,7 +109,7 @@ proptest! {
 
                 for backing in [&owned, &mapped_ds] {
                     for n in [1usize, 2, 3, 7] {
-                        with_sharded(backing, n, choice, metric, eps, |sharded| {
+                        with_sharded(backing, n, choice, metric, |sharded| {
                             prop_assert_eq!(sharded.num_points(), rows);
                             for (i, q) in queries.iter().enumerate() {
                                 prop_assert_eq!(
@@ -161,14 +159,14 @@ proptest! {
                     config.clone(),
                     ExactEstimator::new(&owned, metric),
                 );
-                let full = build_engine(choice, &owned, metric, config.eps);
+                let full = build_engine(choice, &owned, metric);
                 let (want_clustering, want_stats) =
                     laf.cluster_with_stats_using(&owned, full.as_ref());
 
                 for backing in [&owned, &mapped_ds] {
                     for n in [1usize, 2, 3, 7] {
                         let (clustering, stats) = with_sharded(
-                            backing, n, choice, metric, config.eps,
+                            backing, n, choice, metric,
                             |sharded| laf.cluster_with_stats_using(backing, sharded),
                         );
                         prop_assert_eq!(
