@@ -14,6 +14,7 @@
 //!   `count ≥ τ`, which is the decision LAF actually gates range queries on.
 
 use crate::estimator::CardinalityEstimator;
+use crate::training::threshold_counts;
 use laf_index::{LinearScan, RangeQueryEngine};
 use laf_vector::{Dataset, Metric};
 use serde::{Deserialize, Serialize};
@@ -106,19 +107,20 @@ impl<'a> EstimatorCalibrator<'a> {
     }
 
     /// Q-error distribution of `estimator` over the given query points and
-    /// thresholds.
+    /// thresholds. The true counts of one query at all thresholds come from
+    /// one pass over the reference rows.
     pub fn q_error(
         &self,
         estimator: &dyn CardinalityEstimator,
         queries: &Dataset,
         thresholds: &[f32],
     ) -> QErrorReport {
-        let scan = LinearScan::new(self.reference, self.metric);
         let mut errors: Vec<f64> = Vec::with_capacity(queries.len() * thresholds.len());
         for q in queries.rows() {
-            for &eps in thresholds {
+            let truths = threshold_counts(self.reference, self.metric, q, thresholds);
+            for (&eps, truth) in thresholds.iter().zip(truths) {
                 let predicted = estimator.estimate(q, eps).max(0.0) as f64 + 1.0;
-                let truth = scan.range_count(q, eps) as f64 + 1.0;
+                let truth = truth as f64 + 1.0;
                 errors.push(predicted.max(truth) / predicted.min(truth));
             }
         }

@@ -40,6 +40,19 @@ pub trait CardinalityEstimator: Send + Sync {
     }
 }
 
+/// A regressed `ln(1 + count)` mapped back to a count: `expm1`, clamped at
+/// zero. NaN stays NaN, so the gate reads a broken network's prediction as
+/// "don't know" and executes the query; every other output keeps the bits
+/// of `expm1(..).max(0.0)`.
+pub(crate) fn count_from_log(log_count: f32) -> f32 {
+    let count = log_count.exp_m1();
+    if count.is_nan() {
+        count
+    } else {
+        count.max(0.0)
+    }
+}
+
 impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for &T {
     fn estimate(&self, query: &[f32], eps: f32) -> f32 {
         (**self).estimate(query, eps)

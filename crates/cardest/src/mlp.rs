@@ -1,6 +1,6 @@
 //! Single-MLP learned cardinality estimator.
 
-use crate::estimator::CardinalityEstimator;
+use crate::estimator::{count_from_log, CardinalityEstimator};
 use crate::nn::{Mlp, NetConfig, TrainReport};
 use crate::training::TrainingSet;
 use serde::{Deserialize, Serialize};
@@ -10,7 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The network regresses `ln(1 + cardinality)` from the concatenation of the
 /// query vector and the distance threshold; [`CardinalityEstimator::estimate`]
-/// maps the prediction back through `expm1` and clamps it to be non-negative.
+/// maps the prediction back through `expm1` and clamps it to be non-negative
+/// (a NaN prediction stays NaN, so the gate executes the query).
 /// This is both a building block of the paper's RMI ([`crate::RmiEstimator`])
 /// and a natural single-model ablation.
 #[derive(Debug, Serialize, Deserialize)]
@@ -157,8 +158,7 @@ impl CardinalityEstimator for MlpEstimator {
         let mut features = Vec::with_capacity(query.len() + 1);
         features.extend_from_slice(query);
         features.push(eps);
-        let log_pred = self.net.predict(&features);
-        log_pred.exp_m1().max(0.0)
+        count_from_log(self.net.predict(&features))
     }
 
     fn estimate_batch(&self, queries: &[&[f32]], eps: f32) -> Vec<f32> {
@@ -182,7 +182,7 @@ impl CardinalityEstimator for MlpEstimator {
         self.net
             .predict_batch(&refs)
             .into_iter()
-            .map(|log_pred| log_pred.exp_m1().max(0.0))
+            .map(count_from_log)
             .collect()
     }
 

@@ -4,14 +4,21 @@
 //! fully-connected neural networks with four hidden layers (512, 512, 256,
 //! 128), trained for 200 epochs with batch size 512 on a GPU workstation.
 //! This module provides an equivalent CPU implementation: dense layers with
-//! ReLU activations, mean-squared-error loss and the Adam optimizer, all in
-//! plain safe Rust with no external ML framework.
+//! ReLU activations, mean-squared-error loss and the Adam optimizer, with no
+//! external ML framework.
+//!
+//! Inference and training share one batch-matrix forward pass on the exact
+//! register tile [`tile::ProbeBlock`], whose lanes equal `ops::dot(row, x)`
+//! bit for bit, and the backward pass adds the samples' contributions to
+//! each weight row in sample order: batching changes no prediction and no
+//! trained weight bit.
 //!
 //! [`NetConfig::paper`] exposes the paper's widths; [`NetConfig::small`] is
-//! the CPU-friendly default used by the reproduction's experiments (the
-//! substitution is documented in DESIGN.md §4).
+//! the CPU-friendly default used by the reproduction's experiments, a
+//! substitution for the paper's GPU-scale training.
 
 use bytes::{Buf, BufMut};
+use laf_vector::tile::{self, ProbeBlock};
 use laf_vector::VectorError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,6 +36,15 @@ fn ensure_remaining(bytes: &&[u8], needed: usize, what: &str) -> Result<(), Vect
     }
     Ok(())
 }
+
+/// Samples per [`Mlp::predict_batch`] call of [`Mlp::mse`], bounding the
+/// activation matrices of a loss evaluation over a large training set.
+const MSE_BATCH: usize = 256;
+
+/// A mini-batch gradient: `gradients(net, inputs, targets, batch, grads)`
+/// adds the MSE gradient of the samples `batch` indexes into the zeroed
+/// `grads` (layout: layer by layer, weights then biases).
+type Gradients = fn(&Mlp, &[Vec<f32>], &[f32], &[usize], &mut [f32]);
 
 /// Hyper-parameters for building and training an [`Mlp`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -124,13 +140,33 @@ impl Dense {
         }
     }
 
-    fn forward(&self, x: &[f32], out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(self.out_dim);
-        for o in 0..self.out_dim {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            out.push(laf_vector::ops::dot(row, x) + self.b[o]);
+    /// The layer over a batch: for the samples stored row-major in `xs`
+    /// (`batch × in_dim`), `out[s * out_dim + o] = dot(w_o, x_s) + b_o`,
+    /// clamped at zero when `relu` holds. Each weight row is scored against
+    /// up to [`tile::BLOCK_PROBES`] samples per step.
+    fn forward_batch(&self, xs: &[f32], relu: bool) -> Vec<f32> {
+        let mut out = vec![0.0f32; xs.len() / self.in_dim * self.out_dim];
+        let mut lanes = [0.0f32; tile::BLOCK_PROBES];
+        let block_len = tile::BLOCK_PROBES * self.in_dim;
+        for (block, samples) in xs.chunks(block_len).enumerate() {
+            let probes: Vec<&[f32]> = samples.chunks_exact(self.in_dim).collect();
+            let packed = ProbeBlock::new(&probes);
+            let lanes = &mut lanes[..probes.len()];
+            let first = block * tile::BLOCK_PROBES;
+            let rows = self.w.chunks_exact(self.in_dim).zip(&self.b);
+            for (o, (row, &bias)) in rows.enumerate() {
+                // Lane s is dot(x_s, w_o), bit-identical to dot(w_o, x_s).
+                packed.dots(row, lanes);
+                for (s, &dot) in lanes.iter().enumerate() {
+                    let mut v = dot + bias;
+                    if relu && v < 0.0 {
+                        v = 0.0;
+                    }
+                    out[(first + s) * self.out_dim + o] = v;
+                }
+            }
         }
+        out
     }
 
     fn param_count(&self) -> usize {
@@ -234,91 +270,51 @@ impl Mlp {
         self.layers.iter().map(Dense::param_count).sum()
     }
 
-    /// Forward pass producing the scalar prediction.
+    /// Forward pass producing the scalar prediction: [`Mlp::predict_batch`]
+    /// over one sample.
     ///
     /// # Panics
     /// Panics if `x.len() != self.input_dim()`.
     pub fn predict(&self, x: &[f32]) -> f32 {
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        let mut cur = x.to_vec();
-        let mut next = Vec::new();
-        let last = self.layers.len() - 1;
-        for (l, layer) in self.layers.iter().enumerate() {
-            layer.forward(&cur, &mut next);
-            if l != last {
-                for v in next.iter_mut() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur[0]
+        self.predict_batch(&[x])[0]
     }
 
     /// Forward pass over a whole batch of inputs, bit-exact with calling
-    /// [`Mlp::predict`] per row (each output unit computes the same
-    /// `dot(row, x) + b` in the same order), but shaped as a matrix-matrix
-    /// sweep: every layer's weight row is streamed from memory once per batch
-    /// instead of once per sample, which is what makes the LAF gate's batched
-    /// prescan profitable.
+    /// [`Mlp::predict`] per row: each output unit computes the same
+    /// `dot(row, x) + b` in the same order, whatever the batch size.
     ///
-    /// The inner loop runs on the shared [`laf_vector::ops::dot4`] mini-GEMM
-    /// tile — four batch activations per weight-row load — whose lanes are
-    /// bit-identical to the scalar `dot`, so the batch/scalar bit-exactness
-    /// contract is preserved.
+    /// Shaped as a matrix-matrix sweep, every layer's weight row is streamed
+    /// from memory once per [`tile::BLOCK_PROBES`] samples and scored
+    /// against all of them in one [`tile::ProbeBlock`] step, which is what
+    /// makes the LAF gate's batched prescan profitable.
     ///
     /// # Panics
     /// Panics if any input's length differs from [`Mlp::input_dim`].
     pub fn predict_batch(&self, xs: &[&[f32]]) -> Vec<f32> {
-        let batch = xs.len();
-        if batch == 0 {
-            return Vec::new();
-        }
-        // Activations as a row-major batch × width matrix.
-        let mut cur: Vec<f32> = Vec::with_capacity(batch * self.input_dim);
+        let mut input = Vec::with_capacity(xs.len() * self.input_dim);
         for x in xs {
             assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-            cur.extend_from_slice(x);
+            input.extend_from_slice(x);
         }
-        let mut width = self.input_dim;
+        self.activations(input)
+            .pop()
+            .expect("the output layer's activations")
+    }
+
+    /// Every layer's post-activation output over the batch of samples stored
+    /// row-major in `input` (`batch × input_dim`): `acts[0]` is the input
+    /// and `acts[l + 1]` the output of layer `l`, ReLU'd except at the
+    /// output layer.
+    fn activations(&self, input: Vec<f32>) -> Vec<Vec<f32>> {
         let last = self.layers.len() - 1;
-        let tiles = batch / 4 * 4;
+        let mut acts = Vec::with_capacity(self.layers.len() + 1);
+        acts.push(input);
         for (l, layer) in self.layers.iter().enumerate() {
-            let mut next = vec![0.0f32; batch * layer.out_dim];
-            let relu = l != last;
-            for o in 0..layer.out_dim {
-                let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                let bias = layer.b[o];
-                let mut store = |b: usize, dot: f32| {
-                    let mut v = dot + bias;
-                    if relu && v < 0.0 {
-                        v = 0.0;
-                    }
-                    next[b * layer.out_dim + o] = v;
-                };
-                // Four activations per weight-row load (f32 multiplication
-                // commutes, so dot4(x.., row) lanes equal dot(row, x)).
-                for b in (0..tiles).step_by(4) {
-                    let x0 = &cur[b * width..(b + 1) * width];
-                    let x1 = &cur[(b + 1) * width..(b + 2) * width];
-                    let x2 = &cur[(b + 2) * width..(b + 3) * width];
-                    let x3 = &cur[(b + 3) * width..(b + 4) * width];
-                    let dots = laf_vector::ops::dot4(x0, x1, x2, x3, row);
-                    for (lane, &d) in dots.iter().enumerate() {
-                        store(b + lane, d);
-                    }
-                }
-                for b in tiles..batch {
-                    let x = &cur[b * width..b * width + width];
-                    store(b, laf_vector::ops::dot(row, x));
-                }
-            }
-            cur = next;
-            width = layer.out_dim;
+            let x = acts.last().expect("the input is always present");
+            let out = layer.forward_batch(x, l != last);
+            acts.push(out);
         }
-        cur
+        acts
     }
 
     /// Append the network's architecture and raw IEEE-754 weight bits to
@@ -383,39 +379,20 @@ impl Mlp {
         Ok(Self { input_dim, layers })
     }
 
-    /// Forward pass keeping every layer's post-activation output (used by
-    /// backprop). `activations[0]` is the input, `activations[i]` the output
-    /// of layer `i-1`.
-    fn forward_cached(&self, x: &[f32]) -> Vec<Vec<f32>> {
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        activations.push(x.to_vec());
-        let last = self.layers.len() - 1;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let mut out = Vec::new();
-            layer.forward(activations.last().expect("non-empty"), &mut out);
-            if l != last {
-                for v in out.iter_mut() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            activations.push(out);
-        }
-        activations
-    }
-
     /// Mean squared error over a set of samples.
     pub fn mse(&self, inputs: &[Vec<f32>], targets: &[f32]) -> f32 {
         assert_eq!(inputs.len(), targets.len());
         if inputs.is_empty() {
             return 0.0;
         }
-        let sum: f32 = inputs
-            .iter()
+        let predictions = inputs.chunks(MSE_BATCH).flat_map(|chunk| {
+            let xs: Vec<&[f32]> = chunk.iter().map(Vec::as_slice).collect();
+            self.predict_batch(&xs)
+        });
+        let sum: f32 = predictions
             .zip(targets)
-            .map(|(x, &y)| {
-                let e = self.predict(x) - y;
+            .map(|(pred, &y)| {
+                let e = pred - y;
                 e * e
             })
             .sum();
@@ -424,7 +401,23 @@ impl Mlp {
 
     /// Train with Adam on MSE. `inputs` and `targets` must have equal length;
     /// empty training sets return a zeroed report.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ or an input's length differs from
+    /// [`Mlp::input_dim`].
     pub fn train(&mut self, inputs: &[Vec<f32>], targets: &[f32], cfg: &NetConfig) -> TrainReport {
+        self.fit(inputs, targets, cfg, Mlp::batch_gradients)
+    }
+
+    /// The Adam loop of [`Mlp::train`], taking each mini-batch's gradient
+    /// from `gradients`.
+    fn fit(
+        &mut self,
+        inputs: &[Vec<f32>],
+        targets: &[f32],
+        cfg: &NetConfig,
+        gradients: Gradients,
+    ) -> TrainReport {
         assert_eq!(
             inputs.len(),
             targets.len(),
@@ -461,9 +454,7 @@ impl Mlp {
             }
             for chunk in order.chunks(batch) {
                 grads.iter_mut().for_each(|g| *g = 0.0);
-                for &idx in chunk {
-                    self.accumulate_gradients(&inputs[idx], targets[idx], chunk.len(), &mut grads);
-                }
+                gradients(self, inputs, targets, chunk, &mut grads);
                 // Adam update.
                 step += 1;
                 let bias1 = 1.0 - beta1.powi(step.min(i32::MAX as u64) as i32);
@@ -503,62 +494,199 @@ impl Mlp {
         }
     }
 
-    /// Backpropagate one sample's MSE gradient into `grads` (layout matches
-    /// the Adam update in [`Mlp::train`]): `d(pred-y)^2 / dθ / batch_len`.
-    fn accumulate_gradients(&self, x: &[f32], y: f32, batch_len: usize, grads: &mut [f32]) {
-        let acts = self.forward_cached(x);
-        let pred = acts.last().expect("output layer exists")[0];
-        let scale = 2.0 * (pred - y) / batch_len as f32;
+    /// Add the MSE gradient `d(pred - y)² / dθ / batch.len()` of the samples
+    /// `batch` indexes into `grads`, batch-matrix style: one forward pass
+    /// over the whole mini-batch, then per layer each weight row is walked
+    /// once, adding `d_s · x_s` for the samples in `batch` order and
+    /// skipping `d_s == 0`. Every gradient element thus sees the additions a
+    /// sample-at-a-time backward makes, in the same order.
+    fn batch_gradients(
+        &self,
+        inputs: &[Vec<f32>],
+        targets: &[f32],
+        batch: &[usize],
+        grads: &mut [f32],
+    ) {
+        let mut input = Vec::with_capacity(batch.len() * self.input_dim);
+        for &idx in batch {
+            assert_eq!(
+                inputs[idx].len(),
+                self.input_dim,
+                "input dimension mismatch"
+            );
+            input.extend_from_slice(&inputs[idx]);
+        }
+        let acts = self.activations(input);
+        let batch_len = batch.len() as f32;
+        // `delta[s * width + o]`: d loss / d output `o` of the current
+        // layer for sample `s`, starting at the single output unit.
+        let mut delta: Vec<f32> = batch
+            .iter()
+            .zip(&acts[self.layers.len()])
+            .map(|(&idx, &pred)| 2.0 * (pred - targets[idx]) / batch_len)
+            .collect();
+        let mut end = grads.len();
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
+            let start = end - layer.param_count();
+            let (grad_w, grad_b) = grads[start..end].split_at_mut(layer.w.len());
+            end = start;
+            let xs = &acts[l];
+            // The input layer propagates nothing.
+            let mut prev = vec![0.0f32; if l > 0 { batch.len() * in_dim } else { 0 }];
+            let rows = layer
+                .w
+                .chunks_exact(in_dim)
+                .zip(grad_w.chunks_exact_mut(in_dim));
+            for (o, ((row, grad_row), grad_bias)) in rows.zip(grad_b.iter_mut()).enumerate() {
+                for s in 0..batch.len() {
+                    let d = delta[s * out_dim + o];
+                    if d != 0.0 {
+                        let x = &xs[s * in_dim..(s + 1) * in_dim];
+                        for (g, &xi) in grad_row.iter_mut().zip(x) {
+                            *g += d * xi;
+                        }
+                        if l > 0 {
+                            let pd = &mut prev[s * in_dim..(s + 1) * in_dim];
+                            for (p, &w) in pd.iter_mut().zip(row) {
+                                *p += d * w;
+                            }
+                        }
+                    }
+                    *grad_bias += d;
+                }
+            }
+            if l > 0 {
+                // ReLU derivative: zero where the layer's input (the
+                // previous layer's post-ReLU output) was not positive.
+                for (p, &a) in prev.iter_mut().zip(xs) {
+                    if a <= 0.0 {
+                        *p = 0.0;
+                    }
+                }
+                delta = prev;
+            }
+        }
+    }
+}
 
-        // delta for the current layer's outputs, starting at the output unit.
-        let mut delta = vec![scale];
+/// The sample-at-a-time forward and backward passes the batch-matrix
+/// trainer replaced, kept as the differential tests' reference.
+#[cfg(test)]
+mod reference {
+    use super::{Dense, Mlp};
 
-        // Pre-compute per-layer parameter offsets.
-        let mut offsets = Vec::with_capacity(self.layers.len());
-        let mut off = 0usize;
-        for layer in &self.layers {
-            offsets.push(off);
-            off += layer.param_count();
+    impl Dense {
+        /// One sample through the layer: `out[o] = dot(w_o, x) + b_o`.
+        pub(super) fn forward(&self, x: &[f32], out: &mut Vec<f32>) {
+            out.clear();
+            out.reserve(self.out_dim);
+            for o in 0..self.out_dim {
+                let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
+                out.push(laf_vector::ops::dot(row, x) + self.b[o]);
+            }
+        }
+    }
+
+    impl Mlp {
+        /// Forward pass keeping every layer's post-activation output.
+        /// `activations[0]` is the input, `activations[i]` the output of
+        /// layer `i-1`.
+        fn forward_cached(&self, x: &[f32]) -> Vec<Vec<f32>> {
+            let mut activations = Vec::with_capacity(self.layers.len() + 1);
+            activations.push(x.to_vec());
+            let last = self.layers.len() - 1;
+            for (l, layer) in self.layers.iter().enumerate() {
+                let mut out = Vec::new();
+                layer.forward(activations.last().expect("non-empty"), &mut out);
+                if l != last {
+                    for v in out.iter_mut() {
+                        if *v < 0.0 {
+                            *v = 0.0;
+                        }
+                    }
+                }
+                activations.push(out);
+            }
+            activations
         }
 
-        for l in (0..self.layers.len()).rev() {
-            let layer = &self.layers[l];
-            let input = &acts[l];
-            let w_off = offsets[l];
-            let b_off = w_off + layer.w.len();
+        /// The prediction of the sample-at-a-time forward pass.
+        pub(super) fn predict_one(&self, x: &[f32]) -> f32 {
+            self.forward_cached(x).last().expect("output layer exists")[0]
+        }
 
-            // Gradients for this layer.
-            for o in 0..layer.out_dim {
-                let d = delta[o];
-                if d != 0.0 {
-                    let row = &mut grads[w_off + o * layer.in_dim..w_off + (o + 1) * layer.in_dim];
-                    for (g, &xi) in row.iter_mut().zip(input.iter()) {
-                        *g += d * xi;
-                    }
-                }
-                grads[b_off + o] += d;
+        /// [`Mlp::fit`]'s gradient step, one sample after another.
+        pub(super) fn sample_gradients(
+            &self,
+            inputs: &[Vec<f32>],
+            targets: &[f32],
+            batch: &[usize],
+            grads: &mut [f32],
+        ) {
+            for &idx in batch {
+                self.accumulate_gradients(&inputs[idx], targets[idx], batch.len(), grads);
+            }
+        }
+
+        /// Backpropagate one sample's MSE gradient into `grads`:
+        /// `d(pred-y)^2 / dθ / batch_len`.
+        fn accumulate_gradients(&self, x: &[f32], y: f32, batch_len: usize, grads: &mut [f32]) {
+            let acts = self.forward_cached(x);
+            let pred = acts.last().expect("output layer exists")[0];
+            let scale = 2.0 * (pred - y) / batch_len as f32;
+
+            // delta for the current layer's outputs, starting at the output unit.
+            let mut delta = vec![scale];
+
+            // Pre-compute per-layer parameter offsets.
+            let mut offsets = Vec::with_capacity(self.layers.len());
+            let mut off = 0usize;
+            for layer in &self.layers {
+                offsets.push(off);
+                off += layer.param_count();
             }
 
-            // Propagate delta to the previous layer (skip for the input).
-            if l > 0 {
-                let prev_layer_out = &acts[l]; // post-ReLU output of layer l-1
-                let mut prev_delta = vec![0.0f32; layer.in_dim];
-                for (o, &d) in delta.iter().enumerate().take(layer.out_dim) {
-                    if d == 0.0 {
-                        continue;
+            for l in (0..self.layers.len()).rev() {
+                let layer = &self.layers[l];
+                let input = &acts[l];
+                let w_off = offsets[l];
+                let b_off = w_off + layer.w.len();
+
+                // Gradients for this layer.
+                for o in 0..layer.out_dim {
+                    let d = delta[o];
+                    if d != 0.0 {
+                        let row =
+                            &mut grads[w_off + o * layer.in_dim..w_off + (o + 1) * layer.in_dim];
+                        for (g, &xi) in row.iter_mut().zip(input.iter()) {
+                            *g += d * xi;
+                        }
                     }
-                    let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                    for (pd, &w) in prev_delta.iter_mut().zip(row.iter()) {
-                        *pd += d * w;
-                    }
+                    grads[b_off + o] += d;
                 }
-                // ReLU derivative: zero where the previous activation was zero.
-                for (pd, &a) in prev_delta.iter_mut().zip(prev_layer_out.iter()) {
-                    if a <= 0.0 {
-                        *pd = 0.0;
+
+                // Propagate delta to the previous layer (skip for the input).
+                if l > 0 {
+                    let prev_layer_out = &acts[l]; // post-ReLU output of layer l-1
+                    let mut prev_delta = vec![0.0f32; layer.in_dim];
+                    for (o, &d) in delta.iter().enumerate().take(layer.out_dim) {
+                        if d == 0.0 {
+                            continue;
+                        }
+                        let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
+                        for (pd, &w) in prev_delta.iter_mut().zip(row.iter()) {
+                            *pd += d * w;
+                        }
                     }
+                    // ReLU derivative: zero where the previous activation was zero.
+                    for (pd, &a) in prev_delta.iter_mut().zip(prev_layer_out.iter()) {
+                        if a <= 0.0 {
+                            *pd = 0.0;
+                        }
+                    }
+                    delta = prev_delta;
                 }
-                delta = prev_delta;
             }
         }
     }
@@ -633,9 +761,9 @@ mod tests {
 
     #[test]
     fn predict_batch_is_bit_exact_with_scalar_forward_across_tile_shapes() {
-        // Batch sizes straddling the dot4 tile: empty, sub-tile, exactly one
-        // tile, tile + tail, many tiles. Every blocked prediction must be
-        // bit-identical to the scalar forward.
+        // Batch sizes straddling the 16-sample probe block: empty, partial,
+        // exactly one block, block + tail, several blocks. Every batched
+        // prediction must be bit-identical to the sample-at-a-time forward.
         let mut net = Mlp::new(3, &[8, 5], 17);
         let inputs: Vec<Vec<f32>> = (0..60)
             .map(|i| {
@@ -648,18 +776,97 @@ mod tests {
             .collect();
         let targets: Vec<f32> = inputs.iter().map(|v| v[0] - v[1]).collect();
         net.train(&inputs, &targets, &NetConfig::tiny());
-        for batch in [0usize, 1, 3, 4, 5, 8, 11, 32] {
+        for batch in [0usize, 1, 3, 4, 5, 11, 15, 16, 17, 32, 33, 60] {
             let xs: Vec<&[f32]> = inputs.iter().take(batch).map(|v| v.as_slice()).collect();
             let blocked = net.predict_batch(&xs);
             assert_eq!(blocked.len(), batch);
             for (b, x) in xs.iter().enumerate() {
                 assert_eq!(
                     blocked[b].to_bits(),
-                    net.predict(x).to_bits(),
+                    net.predict_one(x).to_bits(),
                     "batch {batch} slot {b}"
                 );
+                assert_eq!(blocked[b].to_bits(), net.predict(x).to_bits());
             }
         }
+    }
+
+    /// `n` deterministic samples of width `dim`. Every fifth target is far
+    /// below anything the inputs explain: chasing it drives pre-activations
+    /// negative, so ReLU units die and zero deltas reach the backward pass.
+    fn differential_set(n: usize, dim: usize) -> (Vec<Vec<f32>>, Vec<f32>) {
+        let inputs: Vec<Vec<f32>> = (0..n)
+            .map(|i| {
+                (0..dim)
+                    .map(|j| ((i * dim + j) as f32 * 0.37).sin() * (1.0 + (j % 3) as f32))
+                    .collect()
+            })
+            .collect();
+        let targets = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                if i % 5 == 0 {
+                    -40.0
+                } else {
+                    x[0] - 0.5 * x[dim - 1]
+                }
+            })
+            .collect();
+        (inputs, targets)
+    }
+
+    fn weight_bits(net: &Mlp) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        net.encode_binary(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn batch_trainer_is_bit_identical_to_the_per_sample_reference() {
+        // 101 samples: no batch size below divides it except 1, so every
+        // epoch ends on a short mini-batch.
+        let mut dead_units = 0usize;
+        for dim in [7usize, 65] {
+            let (inputs, targets) = differential_set(101, dim);
+            for hidden in [vec![16usize], vec![64, 32], vec![7, 5, 3]] {
+                for batch_size in [1usize, 3, 32, 64] {
+                    let cfg = NetConfig {
+                        hidden: hidden.clone(),
+                        epochs: 3,
+                        batch_size,
+                        learning_rate: 0.05,
+                        seed: 0x5EED + batch_size as u64,
+                    };
+                    let mut batched = Mlp::new(dim, &hidden, cfg.seed);
+                    let mut reference = batched.clone();
+                    let report = batched.train(&inputs, &targets, &cfg);
+                    let expected = reference.fit(&inputs, &targets, &cfg, Mlp::sample_gradients);
+                    let case = format!("dim {dim} hidden {hidden:?} batch {batch_size}");
+                    assert!(
+                        weight_bits(&batched) == weight_bits(&reference),
+                        "{case}: weights differ"
+                    );
+                    assert_eq!(
+                        report.initial_loss.to_bits(),
+                        expected.initial_loss.to_bits()
+                    );
+                    assert_eq!(report.final_loss.to_bits(), expected.final_loss.to_bits());
+                    // Count first-layer units that no input activates.
+                    let first = &batched.layers[0];
+                    dead_units += (0..first.out_dim)
+                        .filter(|&o| {
+                            inputs.iter().all(|x| {
+                                let mut out = Vec::new();
+                                first.forward(x, &mut out);
+                                out[o] <= 0.0
+                            })
+                        })
+                        .count();
+                }
+            }
+        }
+        assert!(dead_units > 0, "the targets must kill some ReLU units");
     }
 
     #[test]

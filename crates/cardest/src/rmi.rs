@@ -13,7 +13,7 @@
 //! falls into. Buckets that receive no training samples inherit their
 //! parent's training subset so every leaf is usable at inference time.
 
-use crate::estimator::CardinalityEstimator;
+use crate::estimator::{count_from_log, CardinalityEstimator};
 use crate::nn::{Mlp, NetConfig};
 use crate::training::TrainingSet;
 use serde::{Deserialize, Serialize};
@@ -201,7 +201,7 @@ impl CardinalityEstimator for RmiEstimator {
                 );
             }
         }
-        pred.exp_m1().max(0.0)
+        count_from_log(pred)
     }
 
     fn name(&self) -> &'static str {
@@ -288,6 +288,22 @@ mod tests {
         }
         assert!(true_large > true_small);
         assert!(est_large > est_small);
+    }
+
+    #[test]
+    fn a_nan_network_estimates_nan() {
+        // A NaN feature in one sample turns every member's weights NaN; the
+        // estimate must stay NaN so the gate executes the query.
+        let data = data();
+        let mut ts = TrainingSetBuilder {
+            max_queries: Some(10),
+            ..Default::default()
+        }
+        .build(&data, &data)
+        .unwrap();
+        *ts.samples[0].features.last_mut().unwrap() = f32::NAN;
+        let rmi = RmiEstimator::train(&ts, &RmiConfig::paper_stages(NetConfig::tiny()));
+        assert!(rmi.estimate(data.row(0), 0.5).is_nan());
     }
 
     #[test]

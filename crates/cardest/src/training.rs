@@ -8,14 +8,14 @@
 //!
 //! 1. takes the training split of a dataset,
 //! 2. samples (or uses all) query points from it,
-//! 3. counts their exact neighbors at every threshold in the grid using the
-//!    brute-force engine (in parallel), and
+//! 3. counts their exact neighbors at every threshold in the grid in one
+//!    brute-force pass per query (queries in parallel): each row's distance
+//!    is computed once and counted against every threshold, and
 //! 4. emits features `[query ⊕ ε]` with targets `ln(1 + count)` — the log
 //!    transform keeps the regression well-conditioned across the orders of
 //!    magnitude that cardinalities span.
 
-use laf_index::{LinearScan, RangeQueryEngine};
-use laf_vector::{Dataset, Metric, VectorError};
+use laf_vector::{Dataset, Metric, MetricKernel, VectorError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -106,8 +106,10 @@ impl TrainingSetBuilder {
     ///
     /// # Errors
     /// Returns [`VectorError::InvalidParameter`] if the threshold grid is
-    /// empty or the query/reference dimensions disagree, and
-    /// [`VectorError::EmptyDataset`] if either dataset is empty.
+    /// empty or holds a NaN or infinite threshold, or if `max_queries` is
+    /// `Some(0)`; [`VectorError::DimensionMismatch`] if the query/reference
+    /// dimensions disagree; and [`VectorError::EmptyDataset`] if either
+    /// dataset is empty.
     pub fn build(
         &self,
         queries: &Dataset,
@@ -116,6 +118,16 @@ impl TrainingSetBuilder {
         if self.thresholds.is_empty() {
             return Err(VectorError::InvalidParameter(
                 "threshold grid must be non-empty".into(),
+            ));
+        }
+        if let Some(eps) = self.thresholds.iter().find(|eps| !eps.is_finite()) {
+            return Err(VectorError::InvalidParameter(format!(
+                "threshold {eps} is not finite"
+            )));
+        }
+        if self.max_queries == Some(0) {
+            return Err(VectorError::InvalidParameter(
+                "max_queries must be positive".into(),
             ));
         }
         if queries.is_empty() || reference.is_empty() {
@@ -134,19 +146,15 @@ impl TrainingSetBuilder {
             _ => queries.clone(),
         };
 
-        let scan = LinearScan::new(reference, self.metric);
-        let thresholds = self.thresholds.clone();
+        let thresholds = &self.thresholds;
         let samples: Vec<TrainingSample> = (0..query_set.len())
             .into_par_iter()
             .flat_map_iter(|qi| {
-                let q = query_set.row(qi).to_vec();
-                // One scan per (query, threshold); counting all thresholds in
-                // a single pass would be faster but this mirrors the
-                // range_count interface the estimators themselves see.
-                let scan = &scan;
-                thresholds.clone().into_iter().map(move |eps| {
-                    let count = scan.range_count(&q, eps) as u32;
-                    let mut features = q.clone();
+                let q = query_set.row(qi);
+                let counts = threshold_counts(reference, self.metric, q, thresholds);
+                thresholds.iter().zip(counts).map(move |(&eps, count)| {
+                    let count = count as u32;
+                    let mut features = q.to_vec();
                     features.push(eps);
                     TrainingSample {
                         features,
@@ -159,10 +167,35 @@ impl TrainingSetBuilder {
 
         Ok(TrainingSet {
             dim: reference.dim(),
-            thresholds,
+            thresholds: self.thresholds.clone(),
             samples,
         })
     }
+}
+
+/// Exact neighbor counts of `q` in `reference` at every threshold, in one
+/// pass: the query is prepared once, and each row's
+/// [`MetricKernel::dist`] is computed once and counted against every
+/// threshold. `counts[t]` equals `LinearScan::range_count(q, thresholds[t])`
+/// because both equal the generic `metric.dist(q, x) < thresholds[t]`
+/// count: the kernel's distance is bit-identical to [`Metric::dist`].
+pub(crate) fn threshold_counts(
+    reference: &Dataset,
+    metric: Metric,
+    q: &[f32],
+    thresholds: &[f32],
+) -> Vec<usize> {
+    let kernel = MetricKernel::new(metric);
+    let prepared = kernel.prepare(q);
+    let norms = reference.row_norms().norms();
+    let mut counts = vec![0usize; thresholds.len()];
+    for (x, &x_norm) in reference.rows().zip(norms) {
+        let dist = kernel.dist(&prepared, x, x_norm);
+        for (count, &eps) in counts.iter_mut().zip(thresholds) {
+            *count += usize::from(dist < eps);
+        }
+    }
+    counts
 }
 
 #[cfg(test)]
@@ -249,6 +282,74 @@ mod tests {
             ..Default::default()
         };
         assert!(no_thresholds.build(&data, &data).is_err());
+        let no_queries = TrainingSetBuilder {
+            max_queries: Some(0),
+            ..Default::default()
+        };
+        let mut invalid = vec![no_queries];
+        for eps in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            invalid.push(TrainingSetBuilder {
+                thresholds: vec![0.1, eps, 0.5],
+                ..Default::default()
+            });
+        }
+        for builder in invalid {
+            assert!(
+                matches!(
+                    builder.build(&data, &data),
+                    Err(VectorError::InvalidParameter(_))
+                ),
+                "{builder:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_pass_counts_equal_per_threshold_range_counts_for_every_metric() {
+        use laf_index::{LinearScan, RangeQueryEngine};
+        // Rows mixing magnitudes with the degenerate cases every metric
+        // must agree on: NaN and infinite coordinates, zero vectors.
+        let dim = 7;
+        let mut rows: Vec<Vec<f32>> = (0..40)
+            .map(|i| {
+                (0..dim)
+                    .map(|j| ((i * dim + j) as f32 * 0.61).sin() * (1 + i % 4) as f32)
+                    .collect()
+            })
+            .collect();
+        rows[3][2] = f32::NAN;
+        rows[9][0] = f32::INFINITY;
+        rows[17][5] = f32::NEG_INFINITY;
+        rows[21] = vec![0.0; dim];
+        rows[30] = vec![-0.0; dim];
+        let data = Dataset::from_rows(&rows).unwrap();
+        // The calibrator counts over unchecked grids: NaN and ∞ included.
+        let thresholds = [
+            -1.0f32,
+            0.0,
+            1e-6,
+            0.1,
+            0.35,
+            0.9,
+            1.5,
+            4.0,
+            30.0,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for metric in Metric::ALL {
+            let scan = LinearScan::new(&data, metric);
+            for (qi, q) in rows.iter().enumerate() {
+                let counts = threshold_counts(&data, metric, q, &thresholds);
+                for (&eps, &count) in thresholds.iter().zip(&counts) {
+                    assert_eq!(
+                        count,
+                        scan.range_count(q, eps),
+                        "{metric:?} query {qi} eps {eps}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

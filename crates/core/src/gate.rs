@@ -134,12 +134,12 @@ impl<'a> CardEstGate<'a> {
     /// clustering loop actually consumes a decision, keeping
     /// `calls == skips + executed` regardless of execution model.
     ///
-    /// Both batched estimator paths run on the shared mini-GEMM kernels of
-    /// `laf_vector::ops::dot4`: the MLP's `predict_batch` streams four batch
-    /// activations per weight-row load, and the exact oracle's
-    /// `range_count_batch` goes through the linear scan's specialized
-    /// query-major kernel — so the prescan inherits the kernel layer's
-    /// speedups without any change here.
+    /// Both batched estimator paths run on the exact register tiles of
+    /// `laf_vector::tile`: the MLP's `predict_batch` scores each weight row
+    /// against up to sixteen batch activations per `ProbeBlock` step, and
+    /// the exact oracle's `range_count_batch` goes through the linear
+    /// scan's packed probe block — so the prescan inherits the kernel
+    /// layer's speedups without any change here.
     pub fn prescan(&self, data: &Dataset) -> Prescan {
         let rows: Vec<&[f32]> = data.rows().collect();
         self.prescan_rows(&rows)

@@ -312,6 +312,28 @@ mod tests {
     }
 
     #[test]
+    fn nan_network_is_harmless() {
+        // One sample with a NaN threshold feature poisons every weight of
+        // the network it trains, so the estimator predicts NaN everywhere;
+        // the gate must then execute every query, exactly as DBSCAN does.
+        let data = data();
+        let mut ts = TrainingSetBuilder {
+            max_queries: Some(40),
+            ..Default::default()
+        }
+        .build(&data, &data)
+        .unwrap();
+        *ts.samples[0].features.last_mut().unwrap() = f32::NAN;
+        let estimator = MlpEstimator::train(&ts, &NetConfig::tiny());
+        assert!(estimator.estimate(data.row(0), 0.25).is_nan());
+        let truth = Dbscan::with_params(0.25, 4).cluster(&data);
+        let laf = LafDbscan::new(LafConfig::new(0.25, 4, 1.0), estimator);
+        let (result, stats) = laf.cluster_with_stats(&data);
+        assert_eq!(result.labels(), truth.labels());
+        assert_eq!(stats.skipped_range_queries, 0);
+    }
+
+    #[test]
     fn learned_estimator_keeps_quality_high_and_skips_queries() {
         let data = data();
         let ts = TrainingSetBuilder {

@@ -1010,4 +1010,31 @@ mod tests {
         let err = builder().train(empty).unwrap_err();
         assert!(matches!(err, SnapshotError::Vector(_)));
     }
+
+    #[test]
+    fn bad_training_parameters_fail_cleanly() {
+        // No training query would panic the trainer on an empty set, and a
+        // non-finite threshold would train a network that predicts NaN.
+        let no_queries = TrainingSetBuilder {
+            max_queries: Some(0),
+            ..TrainingSetBuilder::default()
+        };
+        let mut bad = vec![no_queries];
+        for eps in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            bad.push(TrainingSetBuilder {
+                thresholds: vec![0.1, 0.2, eps, 0.4],
+                ..TrainingSetBuilder::default()
+            });
+        }
+        for training in bad {
+            let err = builder().training(training.clone()).train(data());
+            assert!(
+                matches!(
+                    err,
+                    Err(SnapshotError::Vector(VectorError::InvalidParameter(_)))
+                ),
+                "{training:?}"
+            );
+        }
+    }
 }

@@ -192,3 +192,45 @@ fn older_format_fixtures_still_decode() {
         assert_reproduces_sidecar(fixture, &pipeline, name);
     }
 }
+
+/// The estimator section of each committed fixture, re-encoded.
+fn estimator_bytes(pipeline: &LafPipeline) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    pipeline.snapshot_arc().estimator.encode_binary(&mut bytes);
+    bytes
+}
+
+#[test]
+fn retraining_the_fixture_recipe_reproduces_every_committed_estimator() {
+    // The recipe every fixture was trained with: a seeded 160×8 mixture,
+    // `NetConfig::tiny()` and 60 training queries over the default grid.
+    // Training is deterministic, so retraining must reproduce the
+    // committed weights bit for bit: this pins the exact training counts
+    // and the trainer's arithmetic to the files deployed snapshots hold.
+    let (data, _) = EmbeddingMixtureConfig {
+        n_points: 160,
+        dim: 8,
+        clusters: 3,
+        noise_fraction: 0.15,
+        seed: 7,
+        ..Default::default()
+    }
+    .generate()
+    .expect("valid fixture dataset config");
+    let retrained = LafPipeline::builder(LafConfig::new(0.3, 4, 1.2))
+        .net(NetConfig::tiny())
+        .training(TrainingSetBuilder {
+            max_queries: Some(60),
+            ..Default::default()
+        })
+        .train(data)
+        .expect("fixture recipe trains");
+    let expected = estimator_bytes(&retrained);
+    for fixture in ["golden_v1.lafs", "golden_v4.lafs", "golden_v4_sharded.lafs"] {
+        let committed = LafPipeline::load(fixture_path(fixture)).expect("committed fixture");
+        assert!(
+            estimator_bytes(&committed) == expected,
+            "{fixture}: the retrained estimator differs from the committed one"
+        );
+    }
+}
