@@ -1,34 +1,20 @@
-//! Throughput sweep of the batched, parallel query pipeline (queries/sec vs
-//! batch size vs threads) plus the kernel matrix (generic vs specialized
-//! distance kernels, per metric, per engine, scalar + batch) and the
-//! clustering-label bit-exactness checks. Writes `BENCH_throughput.json`.
+//! The kernel gate: single-thread cosine `range_count` queries/sec of the
+//! linear scan against the brute-force `ReferenceScan`. Writes
+//! `BENCH_throughput.json`.
 //!
-//! Exits non-zero when the kernel-layer regression gates fail, so CI's
-//! bench-smoke job can run this binary directly:
-//!
-//! * the specialized cosine linear-scan kernel must be at least 2x the
-//!   generic one at the configured scale (the norm cache turns three dot
-//!   products per distance into one — losing that means the kernel layer
-//!   regressed);
-//! * clustering labels must be byte-identical between the generic and
-//!   specialized kernel paths for every engine/metric combination (the
-//!   specialized kernels' correctness contract).
+//! Exits non-zero when the linear scan is below 2x the reference at the
+//! configured scale: the norm cache turns three dot products per distance
+//! into one, so losing that ratio means the kernel layer regressed. That
+//! both engines give the same answers is checked by the index and core
+//! agreement tests (`kernel_agreement`, `kernel_label_agreement`).
 
 fn main() {
     let cfg = laf_bench::HarnessConfig::from_env();
     let report = laf_bench::throughput::run(&cfg);
+    let min = laf_bench::throughput::MIN_SPEEDUP;
     assert!(
-        report.labels_identical_everywhere(),
-        "clustering labels diverged between generic and specialized kernels: {:?}",
-        report
-            .label_checks
-            .iter()
-            .filter(|c| !c.identical)
-            .collect::<Vec<_>>()
-    );
-    let speedup = report.cosine_linear_scalar_speedup();
-    assert!(
-        speedup >= 2.0,
-        "specialized cosine linear scan must be >= 2x the generic kernel, measured {speedup:.2}x"
+        report.speedup >= min,
+        "LinearScan must be >= {min}x ReferenceScan on cosine range_count, measured {:.2}x",
+        report.speedup
     );
 }

@@ -52,12 +52,51 @@ pub fn table2(cfg: &HarnessConfig) -> Vec<SettingStats> {
         &headers,
         &rows,
     );
-    println!(
-        "(the paper keeps settings with noise ratio < 0.6 and enough clusters; \
-         the same trend — noise falls and clusters merge as eps grows — holds here.)"
-    );
+    println!("{}", table2_note(&records));
     write_json(&cfg.results_dir, "table2", &records);
     records
+}
+
+/// The note printed under Table 2, stating what the run measured. For each
+/// dataset: whether its noise ratio is non-increasing as ε grows (cells of
+/// equal τ compared), and how many settings pass the paper's criterion
+/// (`is_proper(0.6, 20)`).
+fn table2_note(records: &[SettingStats]) -> String {
+    let mut note = String::from(
+        "(the paper keeps settings with noise ratio < 0.6 and >= 20 clusters, \
+         and reports noise falling as eps grows; this run measured:)",
+    );
+    let mut seen: Vec<&str> = Vec::new();
+    for record in records {
+        let name = record.dataset.as_str();
+        if seen.contains(&name) {
+            continue;
+        }
+        seen.push(name);
+        let cells: Vec<&SettingStats> = records.iter().filter(|r| r.dataset == name).collect();
+        // (noise at a smaller eps, noise at a larger eps), at equal tau.
+        let pairs = || {
+            cells.iter().flat_map(|a| {
+                cells
+                    .iter()
+                    .filter(move |b| a.tau == b.tau && a.eps < b.eps)
+                    .map(move |b| (a.noise_ratio, b.noise_ratio))
+            })
+        };
+        let trend = if pairs().any(|(before, after)| after > before) {
+            "no"
+        } else if pairs().any(|(before, after)| after < before) {
+            "yes"
+        } else {
+            "yes, but flat"
+        };
+        let proper = cells.iter().filter(|c| c.proper).count();
+        note.push_str(&format!(
+            "\n  {name}: noise non-increasing as eps grows: {trend}; {proper} of {} settings proper",
+            cells.len()
+        ));
+    }
+    note
 }
 
 /// One Table 2 cell.
@@ -375,4 +414,57 @@ pub fn fig4(cfg: &HarnessConfig) -> Vec<SettingOutcome> {
 /// Sanity statistics helper shared by a couple of binaries.
 pub fn describe(labels: &[i64]) -> ClusteringStats {
     ClusteringStats::from_labels(labels)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(
+        dataset: &str,
+        eps: f32,
+        tau: usize,
+        noise_ratio: f64,
+        n_clusters: usize,
+    ) -> SettingStats {
+        SettingStats {
+            dataset: dataset.to_string(),
+            eps,
+            tau,
+            noise_ratio,
+            n_clusters,
+            proper: noise_ratio < 0.6 && n_clusters >= 20,
+        }
+    }
+
+    #[test]
+    fn table2_note_reports_the_measured_trend_and_proper_count() {
+        let records = vec![
+            // Falls with eps at τ = 5; the τ = 3 cell is lower than the
+            // τ = 5 cell at the same eps, which is no rise in eps.
+            cell("falls", 0.5, 3, 0.40, 30),
+            cell("falls", 0.5, 5, 0.70, 25),
+            cell("falls", 0.55, 5, 0.55, 24),
+            cell("falls", 0.6, 5, 0.50, 12),
+            cell("falls", 0.7, 5, 0.50, 3),
+            // All noise, as the mirrors read at the paper's dimensions.
+            cell("flat", 0.5, 3, 1.0, 0),
+            cell("flat", 0.5, 5, 1.0, 0),
+            cell("flat", 0.7, 5, 1.0, 0),
+            // Rises between eps 0.55 and 0.6.
+            cell("rises", 0.5, 5, 0.50, 21),
+            cell("rises", 0.55, 5, 0.30, 40),
+            cell("rises", 0.6, 5, 0.35, 40),
+        ];
+        let note = table2_note(&records);
+        let lines: Vec<&str> = note.lines().skip(1).collect();
+        assert_eq!(
+            lines,
+            [
+                "  falls: noise non-increasing as eps grows: yes; 2 of 5 settings proper",
+                "  flat: noise non-increasing as eps grows: yes, but flat; 0 of 3 settings proper",
+                "  rises: noise non-increasing as eps grows: no; 3 of 3 settings proper",
+            ]
+        );
+    }
 }

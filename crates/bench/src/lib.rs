@@ -15,7 +15,7 @@
 //! | `exp_fig2`   | Figure 2 — speed–quality trade-off on MS-150k |
 //! | `exp_fig3`   | Figure 3 — speed–quality trade-off on Glove-150k |
 //! | `exp_fig4`   | Figure 4 — scalability over MS-50k/100k/150k |
-//! | `exp_throughput` | (not a paper exhibit) queries/sec of the batched parallel kernels vs batch size vs threads |
+//! | `exp_throughput` | (not a paper exhibit) the kernel gate: single-thread cosine `range_count` of the linear scan vs the brute-force `ReferenceScan`, exit non-zero below 2x |
 //! | `exp_snapshot` | (not a paper exhibit) cold (train+save) vs warm (load) startup to first served clustering |
 //! | `exp_serving` | (not a paper exhibit) coalesced vs one-at-a-time dispatch through the serving front, per offered load |
 //! | `exp_sharding` | (not a paper exhibit) sharded scatter-gather fan-out vs the unsharded engine, plus tenant-cache churn counters |

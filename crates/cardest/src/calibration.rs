@@ -21,10 +21,18 @@ use serde::{Deserialize, Serialize};
 
 /// Distribution summary of q-errors (`max(pred, true) / min(pred, true)`,
 /// computed on counts offset by 1 so empty neighborhoods are well-defined).
+///
+/// A NaN or infinite prediction has no q-error: its pair is counted in
+/// [`QErrorReport::non_finite`] and left out of the mean, median, p95 and
+/// max, which summarize the finite pairs only (all 1.0 when there are none).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QErrorReport {
-    /// Number of (query, ε) pairs evaluated.
+    /// Number of (query, ε) pairs evaluated, finite or not.
     pub evaluated: usize,
+    /// Pairs whose prediction was NaN or ±∞. Reports written before this
+    /// field existed decode with 0.
+    #[serde(default)]
+    pub non_finite: usize,
     /// Arithmetic mean q-error.
     pub mean: f64,
     /// Median q-error.
@@ -116,15 +124,21 @@ impl<'a> EstimatorCalibrator<'a> {
         thresholds: &[f32],
     ) -> QErrorReport {
         let mut errors: Vec<f64> = Vec::with_capacity(queries.len() * thresholds.len());
+        let mut non_finite = 0;
         for q in queries.rows() {
             let truths = threshold_counts(self.reference, self.metric, q, thresholds);
             for (&eps, truth) in thresholds.iter().zip(truths) {
-                let predicted = estimator.estimate(q, eps).max(0.0) as f64 + 1.0;
+                let estimate = estimator.estimate(q, eps);
+                if !estimate.is_finite() {
+                    non_finite += 1;
+                    continue;
+                }
+                let predicted = estimate.max(0.0) as f64 + 1.0;
                 let truth = truth as f64 + 1.0;
                 errors.push(predicted.max(truth) / predicted.min(truth));
             }
         }
-        summarize(errors)
+        summarize(errors, non_finite)
     }
 
     /// Confusion counts of the gate decision at `(eps, tau, alpha)` over the
@@ -178,10 +192,11 @@ impl<'a> EstimatorCalibrator<'a> {
     }
 }
 
-fn summarize(mut errors: Vec<f64>) -> QErrorReport {
+fn summarize(mut errors: Vec<f64>, non_finite: usize) -> QErrorReport {
     if errors.is_empty() {
         return QErrorReport {
-            evaluated: 0,
+            evaluated: non_finite,
+            non_finite,
             mean: 1.0,
             median: 1.0,
             p95: 1.0,
@@ -193,7 +208,8 @@ fn summarize(mut errors: Vec<f64>) -> QErrorReport {
     let mean = errors.iter().sum::<f64>() / n as f64;
     let pct = |p: f64| errors[((n as f64 - 1.0) * p).round() as usize];
     QErrorReport {
-        evaluated: n,
+        evaluated: n + non_finite,
+        non_finite,
         mean,
         median: pct(0.5),
         p95: pct(0.95),
@@ -299,6 +315,48 @@ mod tests {
         assert!(q.mean > 1.0);
         assert!(q.p95 >= q.median);
         assert!(q.max >= q.p95);
+    }
+
+    #[test]
+    fn non_finite_predictions_are_counted_and_left_out_of_the_q_errors() {
+        let d = data();
+        let calibrator = EstimatorCalibrator::new(&d, Metric::Cosine);
+        let thresholds = [0.2, 0.5, 0.8];
+        let pairs = d.len() * thresholds.len();
+        let nan = calibrator.q_error(&ConstantEstimator::new(f32::NAN), &d, &thresholds);
+        assert_eq!((nan.evaluated, nan.non_finite), (pairs, pairs));
+        assert_eq!(
+            (nan.mean, nan.median, nan.p95, nan.max),
+            (1.0, 1.0, 1.0, 1.0)
+        );
+
+        // Queries with a positive first coordinate predict NaN: the other
+        // pairs keep the exact estimator's perfect q-errors.
+        struct PartlyNan<'a>(ExactEstimator<'a>);
+        impl CardinalityEstimator for PartlyNan<'_> {
+            fn estimate(&self, q: &[f32], eps: f32) -> f32 {
+                if q[0] > 0.0 {
+                    f32::NAN
+                } else {
+                    self.0.estimate(q, eps)
+                }
+            }
+            fn name(&self) -> &'static str {
+                "partly-nan"
+            }
+        }
+        let positive = d.rows().filter(|q| q[0] > 0.0).count();
+        assert!(positive > 0 && positive < d.len());
+        let partly = PartlyNan(ExactEstimator::new(&d, Metric::Cosine));
+        let q = calibrator.q_error(&partly, &d, &thresholds);
+        assert_eq!(q.evaluated, pairs);
+        assert_eq!(q.non_finite, positive * thresholds.len());
+        assert_eq!((q.mean, q.max), (1.0, 1.0));
+
+        // Reports written before the field existed decode with 0.
+        let old = r#"{"evaluated":3,"mean":2.0,"median":2.0,"p95":3.0,"max":3.0}"#;
+        let back: QErrorReport = serde_json::from_str(old).unwrap();
+        assert_eq!((back.evaluated, back.non_finite), (3, 0));
     }
 
     #[test]

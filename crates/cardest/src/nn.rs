@@ -95,6 +95,24 @@ impl NetConfig {
             seed: 0x1AF,
         }
     }
+
+    /// Check the optimizer settings before any training work: a NaN or
+    /// infinite learning rate trains a network that predicts NaN, and a zero
+    /// or negative one never descends. (A batch size of 0 is clamped to 1.)
+    ///
+    /// # Errors
+    /// [`VectorError::InvalidParameter`] when the learning rate is not a
+    /// finite positive number.
+    pub fn validate(&self) -> Result<(), VectorError> {
+        if self.learning_rate.is_finite() && self.learning_rate > 0.0 {
+            Ok(())
+        } else {
+            Err(VectorError::InvalidParameter(format!(
+                "learning rate {} is not a finite positive number",
+                self.learning_rate
+            )))
+        }
+    }
 }
 
 impl Default for NetConfig {

@@ -111,9 +111,11 @@ impl LafPipelineBuilder {
     /// **Cold start**: fit the estimator on `data` and assemble the pipeline.
     ///
     /// # Errors
-    /// Propagates training-set construction failures (empty dataset, empty
-    /// threshold grid) as [`SnapshotError::Vector`].
+    /// Rejects a learning rate that cannot train ([`NetConfig::validate`])
+    /// and propagates training-set construction failures (empty dataset,
+    /// empty threshold grid), both as [`SnapshotError::Vector`].
     pub fn train(self, data: Dataset) -> Result<LafPipeline, SnapshotError> {
+        self.net.validate()?;
         // The estimator must predict cardinalities under the metric the gate
         // will query with, whatever the supplied training builder says — a
         // `..Default::default()` override must not silently flip the metric
@@ -1013,27 +1015,34 @@ mod tests {
 
     #[test]
     fn bad_training_parameters_fail_cleanly() {
-        // No training query would panic the trainer on an empty set, and a
-        // non-finite threshold would train a network that predicts NaN.
+        // No training query would panic the trainer on an empty set; a
+        // non-finite threshold or learning rate would train a network that
+        // predicts NaN, and a zero or negative learning rate never descends.
         let no_queries = TrainingSetBuilder {
             max_queries: Some(0),
             ..TrainingSetBuilder::default()
         };
-        let mut bad = vec![no_queries];
+        let mut bad = vec![builder().training(no_queries)];
         for eps in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            bad.push(TrainingSetBuilder {
+            bad.push(builder().training(TrainingSetBuilder {
                 thresholds: vec![0.1, 0.2, eps, 0.4],
                 ..TrainingSetBuilder::default()
-            });
+            }));
         }
-        for training in bad {
-            let err = builder().training(training.clone()).train(data());
+        for learning_rate in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -1e-3] {
+            bad.push(builder().net(NetConfig {
+                learning_rate,
+                ..NetConfig::tiny()
+            }));
+        }
+        for builder in bad {
+            let err = builder.clone().train(data());
             assert!(
                 matches!(
                     err,
                     Err(SnapshotError::Vector(VectorError::InvalidParameter(_)))
                 ),
-                "{training:?}"
+                "{builder:?}"
             );
         }
     }

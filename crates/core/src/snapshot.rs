@@ -1529,6 +1529,7 @@ mod tests {
         let mut snap = trained_snapshot();
         snap.calibration = Some(QErrorReport {
             evaluated: 9,
+            non_finite: 0,
             mean: 1.3,
             median: 1.1,
             p95: 2.2,
@@ -1684,6 +1685,7 @@ mod tests {
         let mut snap = trained_snapshot();
         snap.calibration = Some(QErrorReport {
             evaluated: 42,
+            non_finite: 2,
             mean: 1.5,
             median: 1.2,
             p95: 3.0,
@@ -1732,6 +1734,7 @@ mod tests {
         });
         snap.calibration = Some(QErrorReport {
             evaluated: 10,
+            non_finite: 0,
             mean: 1.1,
             median: 1.0,
             p95: 2.0,
@@ -1882,6 +1885,7 @@ mod tests {
         });
         snap.calibration = Some(QErrorReport {
             evaluated: 5,
+            non_finite: 0,
             mean: 1.2,
             median: 1.1,
             p95: 2.5,

@@ -443,7 +443,7 @@ impl RangeQueryEngine for CoverTree<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::LinearScan;
+    use crate::ReferenceScan;
     use laf_synth::EmbeddingMixtureConfig;
 
     fn sample_data() -> Dataset {
@@ -478,7 +478,7 @@ mod tests {
     fn range_matches_linear_scan_cosine() {
         let data = sample_data();
         let tree = CoverTree::new(&data, Metric::Cosine, 2.0);
-        let oracle = LinearScan::new(&data, Metric::Cosine);
+        let oracle = ReferenceScan::new(&data, Metric::Cosine);
         for &q in &[0usize, 17, 99, 333] {
             for &eps in &[0.05f32, 0.2, 0.5] {
                 let mut expected = oracle.range(data.row(q), eps);
@@ -493,7 +493,7 @@ mod tests {
     fn range_matches_linear_scan_euclidean() {
         let data = sample_data();
         let tree = CoverTree::new(&data, Metric::Euclidean, 1.5);
-        let oracle = LinearScan::new(&data, Metric::Euclidean);
+        let oracle = ReferenceScan::new(&data, Metric::Euclidean);
         for &q in &[3usize, 42, 250] {
             for &eps in &[0.2f32, 0.6, 1.2] {
                 let mut expected = oracle.range(data.row(q), eps);
@@ -507,7 +507,7 @@ mod tests {
     fn knn_matches_linear_scan() {
         let data = sample_data();
         let tree = CoverTree::new(&data, Metric::Cosine, 2.0);
-        let oracle = LinearScan::new(&data, Metric::Cosine);
+        let oracle = ReferenceScan::new(&data, Metric::Cosine);
         for &q in &[5usize, 123, 399] {
             let expected = oracle.knn(data.row(q), 10);
             let got = tree.knn(data.row(q), 10);

@@ -1,4 +1,8 @@
 //! The [`RangeQueryEngine`] abstraction and engine selection.
+//!
+//! [`EngineChoice`] names the four engines that configs, snapshots and CLIs
+//! can select. The brute-force [`crate::ReferenceScan`] the tests check them
+//! against is deliberately not among them.
 
 use laf_vector::{Dataset, Metric};
 use rayon::prelude::*;
@@ -154,23 +158,6 @@ pub trait RangeQueryEngine: Send + Sync {
     fn reset_distance_evaluations(&self);
 }
 
-/// Which distance-kernel implementation an engine's scan loops run on.
-///
-/// Both modes produce **bit-identical results** (the specialized kernels are
-/// certified against the generic evaluation — see [`laf_vector::kernel`]);
-/// the generic mode exists for custom `DistanceMetric` implementations and as
-/// the baseline arm of the kernel benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum KernelMode {
-    /// Norm-cached, metric-specialized kernels ([`laf_vector::MetricKernel`])
-    /// with the query-major mini-GEMM batch path. The default.
-    #[default]
-    Specialized,
-    /// Plain per-call [`Metric::dist`] dispatch (the pre-kernel behavior).
-    Generic,
-}
-
 /// Declarative engine selection, used in clusterer configs, CLI flags and
 /// ablation benchmarks.
 ///
@@ -216,33 +203,19 @@ pub fn build_engine<'a>(
     data: &'a Dataset,
     metric: Metric,
 ) -> Box<dyn RangeQueryEngine + 'a> {
-    build_engine_with_mode(choice, data, metric, KernelMode::default())
-}
-
-/// [`build_engine`] with an explicit [`KernelMode`]. The cover tree has no
-/// specialized scan loop (its traversal is not a row scan), so the mode only
-/// affects the row-scanning engines.
-pub fn build_engine_with_mode<'a>(
-    choice: EngineChoice,
-    data: &'a Dataset,
-    metric: Metric,
-    mode: KernelMode,
-) -> Box<dyn RangeQueryEngine + 'a> {
     match choice {
-        EngineChoice::Linear => Box::new(crate::linear::LinearScan::with_kernel_mode(
-            data, metric, mode,
-        )),
+        EngineChoice::Linear => Box::new(crate::linear::LinearScan::new(data, metric)),
         EngineChoice::CoverTree { basis } => {
             Box::new(crate::cover_tree::CoverTree::new(data, metric, basis))
         }
         EngineChoice::KMeansTree {
             branching,
             leaf_ratio,
-        } => Box::new(crate::kmeans_tree::KMeansTree::with_kernel_mode(
-            data, metric, branching, leaf_ratio, 0xC0FFEE, mode,
+        } => Box::new(crate::kmeans_tree::KMeansTree::new(
+            data, metric, branching, leaf_ratio, 0xC0FFEE,
         )),
-        EngineChoice::Ivf { nlist, nprobe } => Box::new(crate::ivf::IvfIndex::with_kernel_mode(
-            data, metric, nlist, nprobe, 0xC0FFEE, mode,
+        EngineChoice::Ivf { nlist, nprobe } => Box::new(crate::ivf::IvfIndex::new(
+            data, metric, nlist, nprobe, 0xC0FFEE,
         )),
     }
 }

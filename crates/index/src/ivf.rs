@@ -8,7 +8,7 @@
 //! the cover tree it gives up exactness, and unlike the k-means *tree* its
 //! recall knob is the **number of probed lists** rather than a leaf ratio.
 
-use crate::engine::{KernelMode, Neighbor, RangeQueryEngine, TotalDist};
+use crate::engine::{Neighbor, RangeQueryEngine, TotalDist};
 use crate::persist::{PersistError, PersistedEngine, PersistedIvf, PersistedIvfList};
 use laf_vector::{ops, Dataset, Metric, MetricKernel};
 use rand::rngs::StdRng;
@@ -22,7 +22,6 @@ pub struct IvfIndex<'a> {
     data: &'a Dataset,
     metric: Metric,
     kernel: MetricKernel,
-    mode: KernelMode,
     centroids: Vec<Vec<f32>>,
     /// L2 norm of each centroid (`ops::norm`), kept in lockstep with
     /// `centroids` so probe ordering needs one dot per centroid.
@@ -40,26 +39,12 @@ impl<'a> IvfIndex<'a> {
     /// Build an IVF index with `nlist` coarse centroids; queries probe the
     /// `nprobe` closest lists. Both are clamped to sane ranges.
     pub fn new(data: &'a Dataset, metric: Metric, nlist: usize, nprobe: usize, seed: u64) -> Self {
-        Self::with_kernel_mode(data, metric, nlist, nprobe, seed, KernelMode::default())
-    }
-
-    /// [`IvfIndex::new`] with an explicit [`KernelMode`] for the coarse
-    /// training, probe ordering and list verification loops.
-    pub fn with_kernel_mode(
-        data: &'a Dataset,
-        metric: Metric,
-        nlist: usize,
-        nprobe: usize,
-        seed: u64,
-        mode: KernelMode,
-    ) -> Self {
         let nlist = nlist.clamp(1, data.len().max(1));
         let nprobe = nprobe.clamp(1, nlist);
         let mut index = Self {
             data,
             metric,
             kernel: MetricKernel::new(metric),
-            mode,
             centroids: Vec::new(),
             centroid_norms: Vec::new(),
             lists: Vec::new(),
@@ -71,11 +56,6 @@ impl<'a> IvfIndex<'a> {
         }
         index.train(nlist, seed);
         index
-    }
-
-    /// The kernel mode the scan loops run on.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Rebuild an index from a [persisted structure](PersistedIvf), skipping
@@ -99,7 +79,6 @@ impl<'a> IvfIndex<'a> {
             data,
             metric: p.metric,
             kernel: MetricKernel::new(p.metric),
-            mode: KernelMode::default(),
             centroids,
             centroid_norms,
             lists: p.lists.iter().map(|l| l.points.clone()).collect(),
@@ -133,43 +112,21 @@ impl<'a> IvfIndex<'a> {
             .map(|&i| self.data.row(i).to_vec())
             .collect();
         let mut assignment = vec![0usize; n];
-        // Norm cache only in specialized mode — the generic arm stays the
-        // true pre-kernel baseline.
-        let row_norms = match self.mode {
-            KernelMode::Specialized => Some(self.data.row_norms()),
-            KernelMode::Generic => None,
-        };
+        let row_norms = self.data.row_norms();
         for _ in 0..KMEANS_ITERS {
             // Centroid norms are recomputed once per Lloyd iteration (the
             // centroids just moved); row norms come from the dataset cache.
-            // Assignment distances are bit-identical between modes, so the
-            // trained structure does not depend on the kernel mode.
-            let iter_norms = match self.mode {
-                KernelMode::Specialized => norms_of(&centroids),
-                KernelMode::Generic => Vec::new(),
-            };
+            // Assignment distances are bit-identical to `Metric::dist`.
+            let iter_norms = norms_of(&centroids);
             for (i, row) in self.data.rows().enumerate() {
+                let prep = self.kernel.prepare_with_norm(row, row_norms.norm(i));
                 let mut best = 0usize;
                 let mut best_d = f32::INFINITY;
-                match row_norms {
-                    None => {
-                        for (c, centroid) in centroids.iter().enumerate() {
-                            let d = self.metric.dist(row, centroid);
-                            if d < best_d {
-                                best_d = d;
-                                best = c;
-                            }
-                        }
-                    }
-                    Some(row_norms) => {
-                        let prep = self.kernel.prepare_with_norm(row, row_norms.norm(i));
-                        for (c, centroid) in centroids.iter().enumerate() {
-                            let d = self.kernel.dist(&prep, centroid, iter_norms[c]);
-                            if d < best_d {
-                                best_d = d;
-                                best = c;
-                            }
-                        }
+                for (c, centroid) in centroids.iter().enumerate() {
+                    let d = self.kernel.dist(&prep, centroid, iter_norms[c]);
+                    if d < best_d {
+                        best_d = d;
+                        best = c;
                     }
                 }
                 assignment[i] = best;
@@ -212,27 +169,14 @@ impl<'a> IvfIndex<'a> {
     /// centroid, plus one per point of the probed lists, which every caller
     /// scans in full.
     fn probe_order(&self, q: &[f32]) -> Vec<usize> {
-        let mut order: Vec<(TotalDist, usize)> = match self.mode {
-            KernelMode::Generic => self
-                .centroids
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (TotalDist(self.metric.dist(q, c)), i))
-                .collect(),
-            KernelMode::Specialized => {
-                let prep = self.kernel.prepare(q);
-                self.centroids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        (
-                            TotalDist(self.kernel.dist(&prep, c, self.centroid_norms[i])),
-                            i,
-                        )
-                    })
-                    .collect()
-            }
-        };
+        let prep = self.kernel.prepare(q);
+        let mut order: Vec<(TotalDist, usize)> = self
+            .centroids
+            .iter()
+            .zip(&self.centroid_norms)
+            .enumerate()
+            .map(|(i, (c, &norm))| (TotalDist(self.kernel.dist(&prep, c, norm)), i))
+            .collect();
         order.sort_unstable();
         order.truncate(self.nprobe);
         let probed: Vec<usize> = order.into_iter().map(|(_, i)| i).collect();
@@ -257,29 +201,16 @@ impl RangeQueryEngine for IvfIndex<'_> {
             return Vec::new();
         }
         let mut out = Vec::new();
-        match self.mode {
-            KernelMode::Generic => {
-                for list_id in self.probe_order(q) {
-                    for &p in &self.lists[list_id] {
-                        if self.metric.dist(q, self.data.row(p as usize)) < eps {
-                            out.push(p);
-                        }
-                    }
-                }
-            }
-            KernelMode::Specialized => {
-                let norms = self.data.row_norms();
-                let probe = self.kernel.probe(q, eps);
-                for list_id in self.probe_order(q) {
-                    for &p in &self.lists[list_id] {
-                        let i = p as usize;
-                        if self
-                            .kernel
-                            .within(&probe, self.data.row(i), norms.norm(i), norms.sq(i))
-                        {
-                            out.push(p);
-                        }
-                    }
+        let norms = self.data.row_norms();
+        let probe = self.kernel.probe(q, eps);
+        for list_id in self.probe_order(q) {
+            for &p in &self.lists[list_id] {
+                let i = p as usize;
+                if self
+                    .kernel
+                    .within(&probe, self.data.row(i), norms.norm(i), norms.sq(i))
+                {
+                    out.push(p);
                 }
             }
         }
@@ -291,19 +222,13 @@ impl RangeQueryEngine for IvfIndex<'_> {
         if k == 0 || self.lists.is_empty() {
             return Vec::new();
         }
-        // Query prep + norm cache only in specialized mode.
-        let spec = match self.mode {
-            KernelMode::Specialized => Some((self.data.row_norms(), self.kernel.prepare(q))),
-            KernelMode::Generic => None,
-        };
+        let norms = self.data.row_norms();
+        let prep = self.kernel.prepare(q);
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
         for list_id in self.probe_order(q) {
             for &p in &self.lists[list_id] {
                 let i = p as usize;
-                let d = match &spec {
-                    None => self.metric.dist(q, self.data.row(i)),
-                    Some((norms, prep)) => self.kernel.dist(prep, self.data.row(i), norms.norm(i)),
-                };
+                let d = self.kernel.dist(&prep, self.data.row(i), norms.norm(i));
                 if best.len() < k || d < best.last().map(|n| n.dist).unwrap_or(f32::INFINITY) {
                     best.push(Neighbor::new(p, d));
                     best.sort_unstable();
@@ -343,7 +268,7 @@ impl RangeQueryEngine for IvfIndex<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::LinearScan;
+    use crate::ReferenceScan;
     use laf_synth::EmbeddingMixtureConfig;
 
     fn sample_data() -> Dataset {
@@ -373,7 +298,7 @@ mod tests {
     fn probing_all_lists_is_exact() {
         let data = sample_data();
         let ivf = IvfIndex::new(&data, Metric::Cosine, 10, 10, 5);
-        let oracle = LinearScan::new(&data, Metric::Cosine);
+        let oracle = ReferenceScan::new(&data, Metric::Cosine);
         for &q in &[0usize, 133, 399] {
             for &eps in &[0.1f32, 0.3] {
                 assert_eq!(
@@ -389,7 +314,7 @@ mod tests {
     fn partial_probing_has_no_false_positives_and_decent_recall() {
         let data = sample_data();
         let ivf = IvfIndex::new(&data, Metric::Cosine, 16, 4, 5);
-        let oracle = LinearScan::new(&data, Metric::Cosine);
+        let oracle = ReferenceScan::new(&data, Metric::Cosine);
         let mut found = 0usize;
         let mut total = 0usize;
         for q in (0..data.len()).step_by(20) {

@@ -14,7 +14,7 @@
 //! neighbors that live in unvisited leaves. The exact-oracle comparison lives
 //! in the tests, which check recall rather than equality.
 
-use crate::engine::{KernelMode, Neighbor, RangeQueryEngine, TotalDist};
+use crate::engine::{Neighbor, RangeQueryEngine, TotalDist};
 use crate::persist::{PersistError, PersistedEngine, PersistedKMeansTree, PersistedKmNode};
 use laf_vector::{ops, Dataset, Metric, MetricKernel};
 use rand::rngs::StdRng;
@@ -29,8 +29,8 @@ const KMEANS_ITERS: usize = 6;
 #[derive(Debug)]
 struct KmNode {
     centroid: Vec<f32>,
-    /// `ops::norm(centroid)`, cached at construction for the specialized
-    /// traversal kernel.
+    /// `ops::norm(centroid)`, cached at construction for the traversal
+    /// kernel.
     centroid_norm: f32,
     children: Vec<u32>,
     /// Points stored at this node (leaves only).
@@ -42,7 +42,6 @@ pub struct KMeansTree<'a> {
     data: &'a Dataset,
     metric: Metric,
     kernel: MetricKernel,
-    mode: KernelMode,
     branching: usize,
     leaf_ratio: f64,
     nodes: Vec<KmNode>,
@@ -63,26 +62,6 @@ impl<'a> KMeansTree<'a> {
         leaf_ratio: f64,
         seed: u64,
     ) -> Self {
-        Self::with_kernel_mode(
-            data,
-            metric,
-            branching,
-            leaf_ratio,
-            seed,
-            KernelMode::default(),
-        )
-    }
-
-    /// [`KMeansTree::new`] with an explicit [`KernelMode`] for the k-means
-    /// construction, best-bin-first traversal and leaf verification loops.
-    pub fn with_kernel_mode(
-        data: &'a Dataset,
-        metric: Metric,
-        branching: usize,
-        leaf_ratio: f64,
-        seed: u64,
-        mode: KernelMode,
-    ) -> Self {
         let branching = branching.max(2);
         let leaf_ratio = if leaf_ratio <= 0.0 {
             0.01
@@ -93,7 +72,6 @@ impl<'a> KMeansTree<'a> {
             data,
             metric,
             kernel: MetricKernel::new(metric),
-            mode,
             branching,
             leaf_ratio,
             nodes: Vec::new(),
@@ -108,11 +86,6 @@ impl<'a> KMeansTree<'a> {
             tree.root = Some(root);
         }
         tree
-    }
-
-    /// The kernel mode the scan loops run on.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Rebuild a tree from a [persisted structure](PersistedKMeansTree),
@@ -156,7 +129,6 @@ impl<'a> KMeansTree<'a> {
             data,
             metric: p.metric,
             kernel: MetricKernel::new(p.metric),
-            mode: KernelMode::default(),
             branching: p.branching as usize,
             leaf_ratio: p.leaf_ratio,
             nodes,
@@ -249,48 +221,26 @@ impl<'a> KMeansTree<'a> {
             .map(|&i| self.data.row(points[i] as usize).to_vec())
             .collect();
         let mut assignment = vec![0usize; points.len()];
-        // Norm cache only in specialized mode — the generic arm stays the
-        // true pre-kernel baseline.
-        let row_norms = match self.mode {
-            KernelMode::Specialized => Some(self.data.row_norms()),
-            KernelMode::Generic => None,
-        };
+        let row_norms = self.data.row_norms();
         for _ in 0..KMEANS_ITERS {
-            // Assign. The specialized arm reads row norms from the dataset
-            // cache and recomputes centroid norms once per Lloyd iteration;
-            // distances are bit-identical to the generic arm, so the built
-            // tree does not depend on the kernel mode.
-            let iter_norms: Vec<f32> = match self.mode {
-                KernelMode::Specialized => centroids.iter().map(|c| ops::norm(c)).collect(),
-                KernelMode::Generic => Vec::new(),
-            };
+            // Assign. Row norms come from the dataset cache; centroid norms
+            // are recomputed once per Lloyd iteration (the centroids just
+            // moved). Distances are bit-identical to `Metric::dist`.
+            let iter_norms: Vec<f32> = centroids.iter().map(|c| ops::norm(c)).collect();
             self.evaluations
                 .fetch_add((points.len() * centroids.len()) as u64, Ordering::Relaxed);
             for (slot, &p) in points.iter().enumerate() {
                 let row = self.data.row(p as usize);
+                let prep = self
+                    .kernel
+                    .prepare_with_norm(row, row_norms.norm(p as usize));
                 let mut best = 0usize;
                 let mut best_d = f32::INFINITY;
-                match row_norms {
-                    None => {
-                        for (c_idx, c) in centroids.iter().enumerate() {
-                            let d = self.metric.dist(row, c);
-                            if d < best_d {
-                                best_d = d;
-                                best = c_idx;
-                            }
-                        }
-                    }
-                    Some(row_norms) => {
-                        let prep = self
-                            .kernel
-                            .prepare_with_norm(row, row_norms.norm(p as usize));
-                        for (c_idx, c) in centroids.iter().enumerate() {
-                            let d = self.kernel.dist(&prep, c, iter_norms[c_idx]);
-                            if d < best_d {
-                                best_d = d;
-                                best = c_idx;
-                            }
-                        }
+                for (c_idx, c) in centroids.iter().enumerate() {
+                    let d = self.kernel.dist(&prep, c, iter_norms[c_idx]);
+                    if d < best_d {
+                        best_d = d;
+                        best = c_idx;
                     }
                 }
                 assignment[slot] = best;
@@ -316,18 +266,14 @@ impl<'a> KMeansTree<'a> {
 
     /// Best-bin-first traversal visiting up to `leaf_budget` leaves; calls
     /// `visit` with each leaf's point list. The query is prepared once; every
-    /// centroid comparison then costs a single dot product in specialized
-    /// mode (centroid norms are cached on the nodes). Adds the query's
+    /// centroid comparison then costs a single dot product (centroid norms
+    /// are cached on the nodes). Adds the query's
     /// distance evaluations to the counter in one step: one per centroid
     /// compared, plus one per point of the visited leaves, which every caller
     /// scans in full.
     fn traverse<F: FnMut(&[u32])>(&self, q: &[f32], mut visit: F) {
         let Some(root) = self.root else { return };
-        // Query prep only in specialized mode.
-        let prep = match self.mode {
-            KernelMode::Specialized => Some(self.kernel.prepare(q)),
-            KernelMode::Generic => None,
-        };
+        let prep = self.kernel.prepare(q);
         let leaf_budget = ((self.n_leaves as f64) * self.leaf_ratio).ceil().max(1.0) as usize;
         let mut visited = 0usize;
         let mut evals = 0u64;
@@ -347,10 +293,7 @@ impl<'a> KMeansTree<'a> {
             evals += node.children.len() as u64;
             for &child in &node.children {
                 let c = &self.nodes[child as usize];
-                let d = match &prep {
-                    None => self.metric.dist(q, &c.centroid),
-                    Some(prep) => self.kernel.dist(prep, &c.centroid, c.centroid_norm),
-                };
+                let d = self.kernel.dist(&prep, &c.centroid, c.centroid_norm);
                 pq.push(Reverse((TotalDist(d), child)));
             }
         }
@@ -369,30 +312,19 @@ impl RangeQueryEngine for KMeansTree<'_> {
 
     fn range(&self, q: &[f32], eps: f32) -> Vec<u32> {
         let mut out = Vec::new();
-        match self.mode {
-            KernelMode::Generic => self.traverse(q, |points| {
-                for &p in points {
-                    if self.metric.dist(q, self.data.row(p as usize)) < eps {
-                        out.push(p);
-                    }
+        let norms = self.data.row_norms();
+        let probe = self.kernel.probe(q, eps);
+        self.traverse(q, |points| {
+            for &p in points {
+                let i = p as usize;
+                if self
+                    .kernel
+                    .within(&probe, self.data.row(i), norms.norm(i), norms.sq(i))
+                {
+                    out.push(p);
                 }
-            }),
-            KernelMode::Specialized => {
-                let norms = self.data.row_norms();
-                let probe = self.kernel.probe(q, eps);
-                self.traverse(q, |points| {
-                    for &p in points {
-                        let i = p as usize;
-                        if self
-                            .kernel
-                            .within(&probe, self.data.row(i), norms.norm(i), norms.sq(i))
-                        {
-                            out.push(p);
-                        }
-                    }
-                });
             }
-        }
+        });
         out.sort_unstable();
         out
     }
@@ -402,18 +334,12 @@ impl RangeQueryEngine for KMeansTree<'_> {
             return Vec::new();
         }
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
-        // Query prep + norm cache only in specialized mode.
-        let spec = match self.mode {
-            KernelMode::Specialized => Some((self.data.row_norms(), self.kernel.prepare(q))),
-            KernelMode::Generic => None,
-        };
+        let norms = self.data.row_norms();
+        let prep = self.kernel.prepare(q);
         self.traverse(q, |points| {
             for &p in points {
                 let i = p as usize;
-                let d = match &spec {
-                    None => self.metric.dist(q, self.data.row(i)),
-                    Some((norms, prep)) => self.kernel.dist(prep, self.data.row(i), norms.norm(i)),
-                };
+                let d = self.kernel.dist(&prep, self.data.row(i), norms.norm(i));
                 if best.len() < k || d < best.last().map(|n| n.dist).unwrap_or(f32::INFINITY) {
                     best.push(Neighbor::new(p, d));
                     best.sort_unstable();
@@ -454,7 +380,7 @@ impl RangeQueryEngine for KMeansTree<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::LinearScan;
+    use crate::ReferenceScan;
     use laf_synth::EmbeddingMixtureConfig;
 
     fn sample_data() -> Dataset {
@@ -494,7 +420,7 @@ mod tests {
     fn full_leaf_ratio_matches_exact_range() {
         let data = sample_data();
         let tree = KMeansTree::new(&data, Metric::Cosine, 5, 1.0, 7);
-        let oracle = LinearScan::new(&data, Metric::Cosine);
+        let oracle = ReferenceScan::new(&data, Metric::Cosine);
         for &q in &[0usize, 111, 499] {
             for &eps in &[0.1f32, 0.3] {
                 let expected = oracle.range(data.row(q), eps);
@@ -508,7 +434,7 @@ mod tests {
     fn partial_leaf_ratio_has_reasonable_recall_and_no_false_positives() {
         let data = sample_data();
         let tree = KMeansTree::new(&data, Metric::Cosine, 8, 0.4, 7);
-        let oracle = LinearScan::new(&data, Metric::Cosine);
+        let oracle = ReferenceScan::new(&data, Metric::Cosine);
         let mut found = 0usize;
         let mut total = 0usize;
         for q in (0..data.len()).step_by(25) {

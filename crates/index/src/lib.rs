@@ -8,7 +8,9 @@
 //! substrate they use*:
 //!
 //! * original DBSCAN, DBSCAN++ and LAF-DBSCAN issue exact range queries —
-//!   [`LinearScan`] here;
+//!   [`LinearScan`] here, checked in the tests against the brute-force
+//!   [`ReferenceScan`] (one `Metric::dist` per pair, selectable by no
+//!   config);
 //! * BLOCK-DBSCAN relies on a cover tree — [`CoverTree`];
 //! * KNN-BLOCK DBSCAN relies on a FLANN-style k-means tree for approximate
 //!   k-nearest-neighbor queries — [`KMeansTree`];
@@ -37,19 +39,18 @@ pub mod ivf;
 pub mod kmeans_tree;
 pub mod linear;
 pub mod persist;
+pub mod reference;
 pub mod sharded;
 pub mod topk;
 
 pub use cover_tree::CoverTree;
-pub use engine::{
-    build_engine, build_engine_with_mode, EngineChoice, KernelMode, Neighbor, RangeQueryEngine,
-    TotalDist,
-};
+pub use engine::{build_engine, EngineChoice, Neighbor, RangeQueryEngine, TotalDist};
 pub use ivf::IvfIndex;
 pub use kmeans_tree::KMeansTree;
 pub use linear::LinearScan;
 pub use persist::{
     restore_engine, PersistError, PersistedCoverTree, PersistedCtNode, PersistedEngine,
 };
+pub use reference::ReferenceScan;
 pub use sharded::ShardedEngine;
 pub use topk::TopK;

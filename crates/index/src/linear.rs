@@ -2,22 +2,21 @@
 //!
 //! This is the substrate of the original DBSCAN, DBSCAN++ and the LAF
 //! variants in the paper (their cost model is "one range query = one full
-//! scan"), and it is the correctness oracle every other engine is tested
-//! against.
+//! scan"), and the default engine of every clusterer.
 //!
 //! The scan loops run on the metric-specialized kernels of
-//! [`laf_vector::kernel`] by default: the query norm is computed once per
-//! query and row norms come from the dataset's lazily-built cache. The dot
-//! products come from the exact register tiles of [`laf_vector::tile`]: a
-//! single query scores eight rows per step ([`tile::dot_rows8`]), and a
-//! block of up to [`tile::BLOCK_PROBES`] queries is packed once and scored
-//! against each row in one step ([`tile::ProbeBlock`]). Every row is then
-//! decided by [`MetricKernel::within_dot`]. The tiles keep `ops::dot`'s
-//! accumulation order per pair, so results are bit-identical to the generic
-//! [`Metric::dist`] evaluation (available via [`KernelMode::Generic`], which
-//! the kernel benchmarks use as baseline).
+//! [`laf_vector::kernel`]: the query norm is computed once per query and row
+//! norms come from the dataset's lazily-built cache. The dot products come
+//! from the exact register tiles of [`laf_vector::tile`]: a single query
+//! scores eight rows per step ([`tile::dot_rows8`]), and a block of up to
+//! [`tile::BLOCK_PROBES`] queries is packed once and scored against each row
+//! in one step ([`tile::ProbeBlock`]). Every row is then decided by
+//! [`MetricKernel::within_dot`]. The tiles keep `ops::dot`'s accumulation
+//! order per pair, so results are bit-identical to the per-pair
+//! [`Metric::dist`] evaluation of [`crate::ReferenceScan`], the engine the
+//! tests check this one against.
 
-use crate::engine::{KernelMode, Neighbor, RangeQueryEngine};
+use crate::engine::{Neighbor, RangeQueryEngine};
 use crate::persist::PersistedEngine;
 use crate::topk::TopK;
 use laf_vector::tile::{self, ProbeBlock, ROW_TILE};
@@ -35,23 +34,16 @@ pub struct LinearScan<'a> {
     data: &'a Dataset,
     metric: Metric,
     kernel: MetricKernel,
-    mode: KernelMode,
     evaluations: AtomicU64,
 }
 
 impl<'a> LinearScan<'a> {
-    /// Index `data` under `metric` with the default (specialized) kernels.
+    /// Index `data` under `metric`.
     pub fn new(data: &'a Dataset, metric: Metric) -> Self {
-        Self::with_kernel_mode(data, metric, KernelMode::default())
-    }
-
-    /// Index `data` under `metric` with an explicit [`KernelMode`].
-    pub fn with_kernel_mode(data: &'a Dataset, metric: Metric, mode: KernelMode) -> Self {
         Self {
             data,
             metric,
             kernel: MetricKernel::new(metric),
-            mode,
             evaluations: AtomicU64::new(0),
         }
     }
@@ -61,48 +53,24 @@ impl<'a> LinearScan<'a> {
         self.data
     }
 
-    /// The kernel mode the scan loops run on.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
-    }
-
     /// One full-scan range query without touching the evaluation counter
     /// (the batch entry points account for the whole batch up front).
     fn range_uncounted(&self, q: &[f32], eps: f32) -> Vec<u32> {
         let mut hits = Vec::new();
-        match self.mode {
-            KernelMode::Generic => {
-                for (i, row) in self.data.rows().enumerate() {
-                    if self.metric.dist(q, row) < eps {
-                        hits.push(i as u32);
-                    }
-                }
-            }
-            KernelMode::Specialized => self.scan(q, eps, |i| hits.push(i as u32)),
-        }
+        self.scan(q, eps, |i| hits.push(i as u32));
         hits
     }
 
     /// Uncounted variant of [`RangeQueryEngine::range_count`].
     fn range_count_uncounted(&self, q: &[f32], eps: f32) -> usize {
-        match self.mode {
-            KernelMode::Generic => self
-                .data
-                .rows()
-                .filter(|row| self.metric.dist(q, row) < eps)
-                .count(),
-            KernelMode::Specialized => {
-                let mut count = 0;
-                self.scan(q, eps, |_| count += 1);
-                count
-            }
-        }
+        let mut count = 0;
+        self.scan(q, eps, |_| count += 1);
+        count
     }
 
-    /// The specialized single-query scan: calls `hit(i)`, in ascending
-    /// order, for every row `i` within `eps` of `q`. Rows go through the row
-    /// tile eight at a time; the last `n % 8` rows take the scalar
-    /// predicate.
+    /// The single-query scan: calls `hit(i)`, in ascending order, for every
+    /// row `i` within `eps` of `q`. Rows go through the row tile eight at a
+    /// time; the last `n % 8` rows take the scalar predicate.
     fn scan(&self, q: &[f32], eps: f32, mut hit: impl FnMut(usize)) {
         let norms = self.data.row_norms();
         let probe = self.kernel.probe(q, eps);
@@ -141,22 +109,13 @@ impl<'a> LinearScan<'a> {
             return Vec::new();
         }
         let mut top = TopK::new(k);
-        match self.mode {
-            KernelMode::Generic => {
-                for (i, row) in self.data.rows().enumerate() {
-                    top.push(Neighbor::new(i as u32, self.metric.dist(q, row)));
-                }
-            }
-            KernelMode::Specialized => {
-                let norms = self.data.row_norms();
-                let prep = self.kernel.prepare(q);
-                for (i, row) in self.data.rows().enumerate() {
-                    top.push(Neighbor::new(
-                        i as u32,
-                        self.kernel.dist(&prep, row, norms.norm(i)),
-                    ));
-                }
-            }
+        let norms = self.data.row_norms();
+        let prep = self.kernel.prepare(q);
+        for (i, row) in self.data.rows().enumerate() {
+            top.push(Neighbor::new(
+                i as u32,
+                self.kernel.dist(&prep, row, norms.norm(i)),
+            ));
         }
         top.into_sorted()
     }
@@ -165,44 +124,20 @@ impl<'a> LinearScan<'a> {
     /// the packed query block inner.
     fn range_block(&self, block: &[&[f32]], eps: f32) -> Vec<Vec<u32>> {
         let mut hits: Vec<Vec<u32>> = vec![Vec::new(); block.len()];
-        match self.mode {
-            KernelMode::Generic => {
-                for (i, row) in self.data.rows().enumerate() {
-                    for (slot, q) in block.iter().enumerate() {
-                        if self.metric.dist(q, row) < eps {
-                            hits[slot].push(i as u32);
-                        }
-                    }
-                }
-            }
-            KernelMode::Specialized => {
-                self.scan_block(block, eps, |slot, i| hits[slot].push(i as u32))
-            }
-        }
+        self.scan_block(block, eps, |slot, i| hits[slot].push(i as u32));
         hits
     }
 
     /// Blocked counting scan, same structure as [`LinearScan::range_block`].
     fn range_count_block(&self, block: &[&[f32]], eps: f32) -> Vec<usize> {
         let mut counts = vec![0usize; block.len()];
-        match self.mode {
-            KernelMode::Generic => {
-                for row in self.data.rows() {
-                    for (slot, q) in block.iter().enumerate() {
-                        if self.metric.dist(q, row) < eps {
-                            counts[slot] += 1;
-                        }
-                    }
-                }
-            }
-            KernelMode::Specialized => self.scan_block(block, eps, |slot, _| counts[slot] += 1),
-        }
+        self.scan_block(block, eps, |slot, _| counts[slot] += 1);
         counts
     }
 
-    /// The specialized block scan: calls `hit(slot, i)`, rows in ascending
-    /// order, for every row `i` within `eps` of `block[slot]`. The block is
-    /// packed once; each row is scored against all of it in one step.
+    /// The block scan: calls `hit(slot, i)`, rows in ascending order, for
+    /// every row `i` within `eps` of `block[slot]`. The block is packed once;
+    /// each row is scored against all of it in one step.
     fn scan_block(&self, block: &[&[f32]], eps: f32, mut hit: impl FnMut(usize, usize)) {
         let norms = self.data.row_norms();
         let probes: Vec<_> = block.iter().map(|q| self.kernel.probe(q, eps)).collect();
@@ -320,6 +255,7 @@ impl RangeQueryEngine for LinearScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReferenceScan;
     use laf_vector::ops;
 
     fn toy() -> Dataset {
@@ -368,16 +304,10 @@ mod tests {
         let data = Dataset::from_rows(rows).unwrap();
         for metric in [Metric::Cosine, Metric::Euclidean, Metric::NegDot] {
             let engine = LinearScan::new(&data, metric);
+            let reference = ReferenceScan::new(&data, metric);
             let q = [0.8f32, 0.6];
             for k in 0..=data.len() + 2 {
-                // Reference: the old algorithm.
-                let mut all: Vec<Neighbor> = data
-                    .rows()
-                    .enumerate()
-                    .map(|(i, row)| Neighbor::new(i as u32, metric.dist(&q, row)))
-                    .collect();
-                all.sort_unstable();
-                all.truncate(k.min(data.len()));
+                let all = reference.knn(&q, k);
                 let got = engine.knn(&q, k);
                 assert_eq!(got.len(), all.len(), "{metric:?} k={k}");
                 for (g, e) in got.iter().zip(&all) {
@@ -389,19 +319,11 @@ mod tests {
     }
 
     #[test]
-    fn generic_and_specialized_modes_agree_bitwise() {
+    fn answers_match_the_reference_scan_bitwise() {
         let data = toy();
-        for metric in [
-            Metric::Cosine,
-            Metric::Angular,
-            Metric::Euclidean,
-            Metric::SquaredEuclidean,
-            Metric::NegDot,
-        ] {
-            let spec = LinearScan::new(&data, metric);
-            let gen = LinearScan::with_kernel_mode(&data, metric, KernelMode::Generic);
-            assert_eq!(spec.kernel_mode(), KernelMode::Specialized);
-            assert_eq!(gen.kernel_mode(), KernelMode::Generic);
+        for metric in Metric::ALL {
+            let scan = LinearScan::new(&data, metric);
+            let reference = ReferenceScan::new(&data, metric);
             let queries: Vec<&[f32]> = (0..data.len()).map(|i| data.row(i)).collect();
             for eps in [0.01f32, 0.3, 1.5] {
                 let eps = if metric == Metric::NegDot {
@@ -410,24 +332,25 @@ mod tests {
                     eps
                 };
                 assert_eq!(
-                    spec.range_batch(&queries, eps),
-                    gen.range_batch(&queries, eps),
+                    scan.range_batch(&queries, eps),
+                    reference.range_batch(&queries, eps),
                     "{metric:?} eps={eps}"
                 );
                 assert_eq!(
-                    spec.range_count_batch(&queries, eps),
-                    gen.range_count_batch(&queries, eps),
+                    scan.range_count_batch(&queries, eps),
+                    reference.range_count_batch(&queries, eps),
                     "{metric:?} eps={eps}"
                 );
                 for q in &queries {
-                    assert_eq!(spec.range(q, eps), gen.range(q, eps));
+                    assert_eq!(scan.range(q, eps), reference.range(q, eps));
                 }
             }
-            for (a, b) in spec
+            for (a, b) in scan
                 .knn_batch(&queries, 4)
                 .iter()
-                .zip(gen.knn_batch(&queries, 4))
+                .zip(reference.knn_batch(&queries, 4))
             {
+                assert_eq!(a.len(), b.len());
                 for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.index, y.index);
                     assert_eq!(x.dist.to_bits(), y.dist.to_bits());
@@ -440,10 +363,14 @@ mod tests {
     fn batch_accounting_is_identical_for_small_and_blocked_batches() {
         // The invariant: every batch entry point adds exactly
         // queries.len() * data.len() evaluations, whether the batch takes the
-        // small fan-out path (< QUERY_BLOCK) or the blocked path.
+        // small fan-out path (< QUERY_BLOCK) or the blocked path. The
+        // reference scan, on the trait's default batch methods, counts alike.
         let data = toy();
-        for mode in [KernelMode::Specialized, KernelMode::Generic] {
-            let engine = LinearScan::with_kernel_mode(&data, Metric::Cosine, mode);
+        let scan = LinearScan::new(&data, Metric::Cosine);
+        let reference = ReferenceScan::new(&data, Metric::Cosine);
+        let engines: [(&str, &dyn RangeQueryEngine); 2] =
+            [("linear", &scan), ("reference", &reference)];
+        for (name, engine) in engines {
             let small: Vec<&[f32]> = (0..QUERY_BLOCK - 1)
                 .map(|i| data.row(i % data.len()))
                 .collect();
@@ -456,7 +383,7 @@ mod tests {
             assert_eq!(
                 engine.distance_evaluations(),
                 (small.len() * data.len()) as u64,
-                "{mode:?} small range_batch"
+                "{name} small range_batch"
             );
 
             engine.reset_distance_evaluations();
@@ -464,7 +391,7 @@ mod tests {
             assert_eq!(
                 engine.distance_evaluations(),
                 (large.len() * data.len()) as u64,
-                "{mode:?} blocked range_batch"
+                "{name} blocked range_batch"
             );
 
             engine.reset_distance_evaluations();
@@ -473,7 +400,7 @@ mod tests {
             assert_eq!(
                 engine.distance_evaluations(),
                 ((small.len() + large.len()) * data.len()) as u64,
-                "{mode:?} range_count_batch"
+                "{name} range_count_batch"
             );
 
             engine.reset_distance_evaluations();
@@ -481,7 +408,7 @@ mod tests {
             assert_eq!(
                 engine.distance_evaluations(),
                 (small.len() * data.len()) as u64,
-                "{mode:?} knn_batch"
+                "{name} knn_batch"
             );
         }
     }

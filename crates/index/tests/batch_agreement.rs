@@ -3,12 +3,13 @@
 //! * For **every** [`EngineChoice`], the batched entry points
 //!   (`range_batch`, `range_count_batch`, `knn_batch`) must return exactly
 //!   what the per-query calls return — the batched kernels are pure
-//!   reorganizations of the same arithmetic.
+//!   reorganizations of the same arithmetic. Every choice below is exact, so
+//!   its range answers must also equal the brute-force [`ReferenceScan`]'s.
 //! * Engines are queried concurrently through `&self`; the atomic
 //!   distance-evaluation counters must account for every evaluation exactly
 //!   once regardless of the thread count.
 
-use laf_index::{build_engine, EngineChoice, LinearScan, RangeQueryEngine};
+use laf_index::{build_engine, EngineChoice, LinearScan, RangeQueryEngine, ReferenceScan};
 use laf_vector::{ops, Dataset, Metric};
 use proptest::prelude::*;
 
@@ -65,6 +66,9 @@ proptest! {
             }
         }
         let queries: Vec<&[f32]> = query_storage.iter().map(Vec::as_slice).collect();
+        let reference = ReferenceScan::new(&data, Metric::Cosine);
+        let want_ranges = reference.range_batch(&queries, eps);
+        let want_counts = reference.range_count_batch(&queries, eps);
 
         for choice in all_choices() {
             let engine = build_engine(choice, &data, Metric::Cosine);
@@ -75,6 +79,8 @@ proptest! {
             prop_assert_eq!(batch_ranges.len(), queries.len());
             prop_assert_eq!(batch_counts.len(), queries.len());
             prop_assert_eq!(batch_knns.len(), queries.len());
+            prop_assert_eq!(&batch_ranges, &want_ranges, "engine {:?}", choice);
+            prop_assert_eq!(&batch_counts, &want_counts, "engine {:?}", choice);
 
             for (qi, q) in queries.iter().enumerate() {
                 prop_assert_eq!(

@@ -1,7 +1,7 @@
-//! Property tests: every exact engine agrees with the brute-force oracle,
-//! and approximate engines never report false positives.
+//! Property tests: every exact engine agrees with the brute-force
+//! [`ReferenceScan`], and approximate engines never report false positives.
 
-use laf_index::{CoverTree, KMeansTree, LinearScan, RangeQueryEngine};
+use laf_index::{CoverTree, KMeansTree, LinearScan, RangeQueryEngine, ReferenceScan};
 use laf_vector::{ops, Dataset, Metric};
 use proptest::prelude::*;
 
@@ -31,10 +31,9 @@ proptest! {
     ) {
         let data = Dataset::from_rows(rows).unwrap();
         let q = q_pick % data.len();
-        let oracle = LinearScan::new(&data, Metric::Cosine);
+        let oracle = ReferenceScan::new(&data, Metric::Cosine);
         let tree = CoverTree::new(&data, Metric::Cosine, 2.0);
-        let mut expected = oracle.range(data.row(q), eps);
-        expected.sort_unstable();
+        let expected = oracle.range(data.row(q), eps);
         prop_assert_eq!(tree.range(data.row(q), eps), expected);
         prop_assert_eq!(
             tree.range_count(data.row(q), eps),
@@ -50,9 +49,8 @@ proptest! {
     ) {
         let data = Dataset::from_rows(rows).unwrap();
         let q = q_pick % data.len();
-        let oracle = LinearScan::new(&data, Metric::Cosine);
-        let mut expected = oracle.range(data.row(q), eps);
-        expected.sort_unstable();
+        let oracle = ReferenceScan::new(&data, Metric::Cosine);
+        let expected = oracle.range(data.row(q), eps);
 
         let full = KMeansTree::new(&data, Metric::Cosine, 4, 1.0, 5);
         prop_assert_eq!(full.range(data.row(q), eps), expected.clone());

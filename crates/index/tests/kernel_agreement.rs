@@ -1,11 +1,15 @@
-//! Generic-vs-specialized kernel agreement across every row-scanning engine.
+//! Specialized-kernel agreement with the brute-force reference.
 //!
-//! [`KernelMode::Specialized`] must be a pure performance change: for every
-//! engine, metric, query shape and dataset backing, the results (hit lists,
-//! counts, knn lists — down to the distance bits) must equal the
-//! [`KernelMode::Generic`] baseline.
+//! The metric-specialized kernels and register tiles are a pure performance
+//! change: for every metric, query shape and dataset backing, the linear
+//! scan's results (hit lists, counts, knn lists down to the distance bits)
+//! must equal [`ReferenceScan`]'s, which calls `Metric::dist` once per pair.
+//! The k-means tree and the IVF index run their candidate loops on the same
+//! kernels: with every leaf or list visited they must answer exactly like the
+//! reference, and with a partial budget they may miss a hit but never add
+//! one.
 
-use laf_index::{build_engine_with_mode, EngineChoice, KernelMode, LinearScan, RangeQueryEngine};
+use laf_index::{IvfIndex, KMeansTree, LinearScan, Neighbor, RangeQueryEngine, ReferenceScan};
 use laf_synth::EmbeddingMixtureConfig;
 use laf_vector::{Dataset, Metric};
 
@@ -30,67 +34,100 @@ fn sample_data(n: usize, dim: usize, seed: u64) -> Dataset {
     .0
 }
 
-fn engine_choices() -> Vec<EngineChoice> {
-    vec![
-        EngineChoice::Linear,
-        EngineChoice::KMeansTree {
-            branching: 4,
-            leaf_ratio: 0.7,
-        },
-        EngineChoice::Ivf {
-            nlist: 8,
-            nprobe: 3,
-        },
-    ]
+/// Bits equal, or both NaN (Rust leaves NaN payloads unspecified).
+fn same(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
-fn assert_engines_agree(data: &Dataset, label: &str) {
+fn assert_knn_equal(got: &[Neighbor], want: &[Neighbor], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g.index, w.index, "{label}");
+        assert!(same(g.dist, w.dist), "{label}: {} vs {}", g.dist, w.dist);
+    }
+}
+
+/// `LinearScan` answers every entry point exactly like `ReferenceScan`.
+fn assert_linear_matches_reference(data: &Dataset, label: &str) {
     // Odd batch sizes cover both the small fan-out path and the blocked
-    // mini-GEMM path (including 4-lane tiles with a remainder).
+    // probe-block path (including a partial block).
     let batch_sizes = [1usize, 3, 17, 37];
     for metric in Metric::ALL {
+        let scan = LinearScan::new(data, metric);
+        let reference = ReferenceScan::new(data, metric);
         let eps = eps_for(metric);
-        for choice in engine_choices() {
-            let spec = build_engine_with_mode(choice, data, metric, KernelMode::Specialized);
-            let generic = build_engine_with_mode(choice, data, metric, KernelMode::Generic);
+        for eps in [eps, 4.0 * eps, -eps] {
             for &bs in &batch_sizes {
                 let queries: Vec<&[f32]> = (0..bs.min(data.len()))
                     .map(|i| data.row(i * 7 % data.len()))
                     .collect();
+                let label = format!("{label} {metric:?} eps={eps} bs={bs}");
                 assert_eq!(
-                    spec.range_batch(&queries, eps),
-                    generic.range_batch(&queries, eps),
-                    "{label} {metric:?} {choice:?} range_batch bs={bs}"
+                    scan.range_batch(&queries, eps),
+                    reference.range_batch(&queries, eps),
+                    "{label} range_batch"
                 );
                 assert_eq!(
-                    spec.range_count_batch(&queries, eps),
-                    generic.range_count_batch(&queries, eps),
-                    "{label} {metric:?} {choice:?} range_count_batch bs={bs}"
+                    scan.range_count_batch(&queries, eps),
+                    reference.range_count_batch(&queries, eps),
+                    "{label} range_count_batch"
                 );
-                let spec_knn = spec.knn_batch(&queries, 5);
-                let generic_knn = generic.knn_batch(&queries, 5);
-                for (a, b) in spec_knn.iter().zip(&generic_knn) {
-                    assert_eq!(a.len(), b.len());
-                    for (x, y) in a.iter().zip(b) {
-                        assert_eq!(x.index, y.index, "{label} {metric:?} {choice:?} knn");
-                        assert_eq!(
-                            x.dist.to_bits(),
-                            y.dist.to_bits(),
-                            "{label} {metric:?} {choice:?} knn dist"
-                        );
-                    }
+                for (got, want) in scan
+                    .knn_batch(&queries, 5)
+                    .iter()
+                    .zip(&reference.knn_batch(&queries, 5))
+                {
+                    assert_knn_equal(got, want, &format!("{label} knn_batch"));
                 }
             }
-            for q in (0..data.len()).step_by(29) {
+        }
+        for q in (0..data.len()).step_by(7) {
+            let q = data.row(q);
+            assert_eq!(scan.range(q, eps), reference.range(q, eps), "{label}");
+            assert_eq!(
+                scan.range_count(q, eps),
+                reference.range_count(q, eps),
+                "{label}"
+            );
+            assert_knn_equal(
+                &scan.knn(q, data.len()),
+                &reference.knn(q, data.len()),
+                &format!("{label} {metric:?} knn"),
+            );
+        }
+    }
+}
+
+/// The k-means tree and IVF index at full budget answer like the reference;
+/// at a partial budget every hit they return is a reference hit.
+fn assert_trees_match_reference(data: &Dataset, label: &str) {
+    for metric in Metric::ALL {
+        let reference = ReferenceScan::new(data, metric);
+        let eps = eps_for(metric);
+        let full: [Box<dyn RangeQueryEngine>; 2] = [
+            Box::new(KMeansTree::new(data, metric, 4, 1.0, 0xC0FFEE)),
+            Box::new(IvfIndex::new(data, metric, 8, 8, 0xC0FFEE)),
+        ];
+        let partial: [Box<dyn RangeQueryEngine>; 2] = [
+            Box::new(KMeansTree::new(data, metric, 4, 0.3, 0xC0FFEE)),
+            Box::new(IvfIndex::new(data, metric, 8, 2, 0xC0FFEE)),
+        ];
+        for q in (0..data.len()).step_by(11) {
+            let q = data.row(q);
+            let want = reference.range(q, eps);
+            for engine in &full {
+                assert_eq!(engine.range(q, eps), want, "{label} {metric:?} full");
                 assert_eq!(
-                    spec.range(data.row(q), eps),
-                    generic.range(data.row(q), eps),
-                    "{label} {metric:?} {choice:?} range q={q}"
+                    engine.range_count(q, eps),
+                    want.len(),
+                    "{label} {metric:?} full count"
                 );
-                assert_eq!(
-                    spec.range_count(data.row(q), eps),
-                    generic.range_count(data.row(q), eps),
-                    "{label} {metric:?} {choice:?} range_count q={q}"
+            }
+            for engine in &partial {
+                let got = engine.range(q, eps);
+                assert!(
+                    got.iter().all(|i| want.binary_search(i).is_ok()),
+                    "{label} {metric:?} partial budget added a hit: {got:?} vs {want:?}"
                 );
             }
         }
@@ -99,11 +136,13 @@ fn assert_engines_agree(data: &Dataset, label: &str) {
 
 #[test]
 fn specialized_kernels_match_generic_on_owned_backing() {
-    let data = sample_data(250, 12, 41);
-    assert_engines_agree(&data, "owned dim=12");
-    // Odd dimension: tail handling of the unrolled kernels.
-    let data = sample_data(180, 13, 43);
-    assert_engines_agree(&data, "owned dim=13");
+    for (n, dim, seed) in [(250, 12, 41), (180, 13, 43)] {
+        // Dim 13: tail handling of the unrolled kernels.
+        let data = sample_data(n, dim, seed);
+        let label = format!("owned dim={dim}");
+        assert_linear_matches_reference(&data, &label);
+        assert_trees_match_reference(&data, &label);
+    }
 }
 
 #[test]
@@ -121,27 +160,18 @@ fn specialized_kernels_match_generic_on_mapped_backing() {
     let map = laf_vector::mapped::map_file(&path).unwrap();
     let mapped = laf_vector::mapped::dataset_from_map(&map, 0, map.len()).unwrap();
     assert!(cfg!(target_endian = "big") || mapped.is_mapped());
-    assert_engines_agree(&mapped, "mapped dim=11");
-    // Mapped vs owned cross-check on the linear oracle: the backing itself
-    // must not change any specialized result.
+    assert_linear_matches_reference(&mapped, "mapped dim=11");
+    assert_trees_match_reference(&mapped, "mapped dim=11");
+    // Mapped vs owned cross-check on the linear scan: the backing itself
+    // must not change any result.
     for metric in Metric::ALL {
         let eps = eps_for(metric);
-        let spec_owned = build_engine_with_mode(
-            EngineChoice::Linear,
-            &owned,
-            metric,
-            KernelMode::Specialized,
-        );
-        let spec_mapped = build_engine_with_mode(
-            EngineChoice::Linear,
-            &mapped,
-            metric,
-            KernelMode::Specialized,
-        );
+        let on_owned = LinearScan::new(&owned, metric);
+        let on_mapped = LinearScan::new(&mapped, metric);
         for q in (0..owned.len()).step_by(13) {
             assert_eq!(
-                spec_owned.range(owned.row(q), eps),
-                spec_mapped.range(mapped.row(q), eps),
+                on_owned.range(owned.row(q), eps),
+                on_mapped.range(mapped.row(q), eps),
                 "{metric:?} q={q}"
             );
         }
@@ -165,23 +195,13 @@ fn unnormalized_data_agrees_too() {
         .collect();
     rows.push(vec![0.0; 9]);
     let data = Dataset::from_rows(rows).unwrap();
-    assert_engines_agree(&data, "unnormalized dim=9");
+    assert_linear_matches_reference(&data, "unnormalized dim=9");
+    assert_trees_match_reference(&data, "unnormalized dim=9");
 }
 
-/// Bits equal, or both NaN (Rust leaves NaN payloads unspecified).
-fn same(a: f32, b: f32) -> bool {
-    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
-}
-
-/// Swapping query and row changes nothing, in both kernel modes: row `b` is
-/// in row `a`'s ε-neighbourhood exactly when `a` is in `b`'s, through the
-/// single-query scan and the blocked batch scan alike, and the knn distance
-/// of a pair has the same bits both ways. A symmetric ε-join, which
-/// evaluates each pair once and uses it for both rows, relies on this.
-#[test]
-fn range_membership_and_distances_are_symmetric_in_both_modes() {
-    // Unnormalized rows plus NaN, ±∞, signed-zero, subnormal, degenerate and
-    // zero rows: 43 rows, not a multiple of the row tile's 8.
+/// Unnormalized rows plus NaN, ±∞, signed-zero, subnormal, degenerate and
+/// zero rows: 43 rows, not a multiple of the row tile's 8.
+fn edge_rows() -> Dataset {
     let dim = 13;
     let base = sample_data(36, dim, 59);
     let mut rows: Vec<Vec<f32>> = base
@@ -200,23 +220,39 @@ fn range_membership_and_distances_are_symmetric_in_both_modes() {
     rows.push(vec![f32::MIN_POSITIVE / 4.0; dim]);
     rows.push(vec![1e-13; dim]);
     rows.push(vec![0.0; dim]);
-    let data = Dataset::from_rows(rows).unwrap();
+    Dataset::from_rows(rows).unwrap()
+}
+
+/// Swapping query and row changes nothing, in both modes of evaluation (the
+/// specialized linear scan and the per-pair reference): row `b` is in row
+/// `a`'s ε-neighbourhood exactly when `a` is in `b`'s, through the
+/// single-query scan and the blocked batch scan alike, and the knn distance
+/// of a pair has the same bits both ways. A symmetric ε-join, which
+/// evaluates each pair once and uses it for both rows, relies on this. The
+/// linear scan also answers these rows exactly like the reference.
+#[test]
+fn range_membership_and_distances_are_symmetric_in_both_modes() {
+    let data = edge_rows();
+    assert_linear_matches_reference(&data, "edge rows dim=13");
     let n = data.len();
     let all: Vec<&[f32]> = data.rows().collect();
     for metric in Metric::ALL {
-        for mode in [KernelMode::Specialized, KernelMode::Generic] {
-            let engine = LinearScan::with_kernel_mode(&data, metric, mode);
+        let scan = LinearScan::new(&data, metric);
+        let reference = ReferenceScan::new(&data, metric);
+        let engines: [(&str, &dyn RangeQueryEngine); 2] =
+            [("linear", &scan), ("reference", &reference)];
+        for (name, engine) in engines {
             let eps = eps_for(metric);
             for eps in [eps, 4.0 * eps, -eps] {
                 let single: Vec<Vec<u32>> = all.iter().map(|q| engine.range(q, eps)).collect();
-                assert_eq!(engine.range_batch(&all, eps), single, "{metric:?} {mode:?}");
+                assert_eq!(engine.range_batch(&all, eps), single, "{metric:?} {name}");
                 let member = |a: usize, b: usize| single[a].binary_search(&(b as u32)).is_ok();
                 for a in 0..n {
                     for b in 0..n {
                         assert_eq!(
                             member(a, b),
                             member(b, a),
-                            "{metric:?} {mode:?} eps {eps} rows {a} {b}"
+                            "{metric:?} {name} eps {eps} rows {a} {b}"
                         );
                     }
                 }
@@ -231,7 +267,7 @@ fn range_membership_and_distances_are_symmetric_in_both_modes() {
                 for (b, &d) in row.iter().enumerate() {
                     assert!(
                         same(d, dist[b][a]),
-                        "{metric:?} {mode:?} dist {a} {b}: {d} vs {}",
+                        "{metric:?} {name} dist {a} {b}: {d} vs {}",
                         dist[b][a]
                     );
                 }

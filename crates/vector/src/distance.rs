@@ -152,8 +152,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every built-in metric, in declaration order. The kernel-agreement
-    /// tests and the benchmark kernel matrix iterate this instead of
-    /// hand-copying the list.
+    /// tests iterate this instead of hand-copying the list.
     pub const ALL: [Metric; 5] = [
         Metric::Cosine,
         Metric::Angular,

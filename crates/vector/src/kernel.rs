@@ -88,10 +88,11 @@ const EUCLID_OVERFLOW_GUARD: f64 = (f32::MAX / 8.0) as f64;
 /// A distance kernel specialized for one built-in [`Metric`].
 ///
 /// Engines resolve this **once per engine** from their metric and then run
-/// every scan through the prepared-query entry points below. The
-/// [`crate::distance::DistanceMetric`] trait remains the generic fallback
-/// for custom metrics and for engines (like the cover tree) whose internal
-/// geometry is not a plain row scan.
+/// every scan through the prepared-query entry points below. The cover tree,
+/// whose traversal is not a row scan, evaluates its distances per pair
+/// through [`crate::distance::DistanceMetric`], and `laf_index::ReferenceScan`,
+/// the brute-force engine the tests check the kernels against, calls
+/// [`Metric::dist`] per pair. No engine accepts a custom metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricKernel {
     metric: Metric,

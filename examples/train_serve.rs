@@ -137,8 +137,8 @@ fn train(snapshot_path: &str, engine: EngineChoice) {
     println!("[train] estimator fitted in {:.2?}", t.elapsed());
     if let Some(report) = pipeline.calibration() {
         println!(
-            "[train] calibration: mean q-error {:.3}, p95 {:.3} over {} pairs",
-            report.mean, report.p95, report.evaluated
+            "[train] calibration: mean q-error {:.3}, p95 {:.3} over {} pairs ({} non-finite)",
+            report.mean, report.p95, report.evaluated, report.non_finite
         );
     }
 
