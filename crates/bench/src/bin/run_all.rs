@@ -1,12 +1,12 @@
-//! Runs every table and figure reproduction in one process and writes all
-//! JSON records into the results directory.
+//! Runs the paper harness in one process: Tables 2–6, Figures 1–4 and the
+//! ablations, writing every JSON record into the results directory.
 
 use std::time::Instant;
 
 fn main() {
     let cfg = laf_bench::HarnessConfig::from_env();
     println!(
-        "LAF-DBSCAN experiment suite (scale={}, dim_cap={:?}, train_queries={})",
+        "LAF-DBSCAN paper harness (scale={}, dim_cap={:?}, train_queries={})",
         cfg.scale, cfg.dim_cap, cfg.train_queries
     );
     let started = Instant::now();
@@ -20,12 +20,5 @@ fn main() {
     let _ = laf_bench::experiments::fig_tradeoff(&cfg, "Glove-150k", "fig3");
     let _ = laf_bench::experiments::fig4(&cfg);
     let _ = laf_bench::ablation::run(&cfg);
-    let _ = laf_bench::throughput::run(&cfg);
-    let _ = laf_bench::serving::run(&cfg);
-    let _ = laf_bench::sharding::run(&cfg);
-    let _ = laf_bench::mutable_bench::run(&cfg);
-    println!(
-        "\ncomplete experiment suite finished in {:.1?}",
-        started.elapsed()
-    );
+    println!("\npaper harness finished in {:.1?}", started.elapsed());
 }

@@ -12,7 +12,9 @@ use laf_vector::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Instant;
 
 /// Scale and training knobs, read from the environment so the same binaries
@@ -52,38 +54,76 @@ impl Default for HarnessConfig {
     }
 }
 
+/// A `LAF_*` variable set to a value the harness cannot use.
+#[derive(Debug)]
+pub(crate) struct EnvError {
+    /// The variable.
+    pub var: &'static str,
+    /// Its value.
+    pub value: String,
+    /// The values the variable accepts.
+    pub accepted: &'static str,
+}
+
+impl fmt::Display for EnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}={:?}: expected {}",
+            self.var, self.value, self.accepted
+        )
+    }
+}
+
 impl HarnessConfig {
     /// Read the configuration from `LAF_SCALE`, `LAF_DIM_CAP`,
-    /// `LAF_TRAIN_QUERIES` and `LAF_RESULTS_DIR`.
+    /// `LAF_TRAIN_QUERIES` and `LAF_RESULTS_DIR`. An unset or empty
+    /// variable keeps its default. Any other value outside the accepted
+    /// range (scale in (0, 1], dim cap a non-negative integer, train queries
+    /// at least 1) is printed with the variable's name and exits the
+    /// process with code 2.
     pub fn from_env() -> Self {
+        Self::from_lookup(|var| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned()))
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2)
+            })
+    }
+
+    /// The configuration the variables `lookup` returns describe. An unset
+    /// (`None`) or empty variable keeps its default.
+    ///
+    /// # Errors
+    /// [`EnvError`] when `LAF_SCALE` is not a number in (0, 1],
+    /// `LAF_DIM_CAP` is not a non-negative integer, or `LAF_TRAIN_QUERIES`
+    /// is not an integer of at least 1.
+    pub(crate) fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
+        let set = |var: &str| lookup(var).filter(|v| !v.is_empty());
         let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("LAF_SCALE") {
-            if let Ok(scale) = v.parse::<f64>() {
-                if scale > 0.0 && scale <= 1.0 {
-                    cfg.scale = scale;
-                }
-            }
+        if let Some(scale) = parse_var(set, "LAF_SCALE", "a number in (0, 1]", |s: &f64| {
+            *s > 0.0 && *s <= 1.0
+        })? {
+            cfg.scale = scale;
         }
-        if let Ok(v) = std::env::var("LAF_DIM_CAP") {
-            match v.parse::<usize>() {
-                Ok(0) => cfg.dim_cap = None,
-                Ok(cap) => cfg.dim_cap = Some(cap),
-                Err(_) => {}
-            }
+        if let Some(cap) = parse_var(
+            set,
+            "LAF_DIM_CAP",
+            "a non-negative integer (0 = no cap)",
+            |_: &usize| true,
+        )? {
+            cfg.dim_cap = (cap > 0).then_some(cap);
         }
-        if let Ok(v) = std::env::var("LAF_TRAIN_QUERIES") {
-            if let Ok(q) = v.parse::<usize>() {
-                if q > 0 {
-                    cfg.train_queries = q;
-                }
-            }
+        if let Some(queries) =
+            parse_var(set, "LAF_TRAIN_QUERIES", "an integer >= 1", |q: &usize| {
+                *q >= 1
+            })?
+        {
+            cfg.train_queries = queries;
         }
-        if let Ok(v) = std::env::var("LAF_RESULTS_DIR") {
-            if !v.is_empty() {
-                cfg.results_dir = PathBuf::from(v);
-            }
+        if let Some(dir) = set("LAF_RESULTS_DIR") {
+            cfg.results_dir = PathBuf::from(dir);
         }
-        cfg
+        Ok(cfg)
     }
 
     /// The dataset catalog implied by this configuration.
@@ -137,6 +177,26 @@ impl HarnessConfig {
             .iter()
             .map(|n| self.prepare(n))
             .collect()
+    }
+}
+
+/// `var` parsed as a `T` that `valid` accepts, or `None` when unset.
+fn parse_var<T: FromStr>(
+    lookup: impl Fn(&str) -> Option<String>,
+    var: &'static str,
+    accepted: &'static str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>, EnvError> {
+    let Some(value) = lookup(var) else {
+        return Ok(None);
+    };
+    match value.parse::<T>() {
+        Ok(parsed) if valid(&parsed) => Ok(Some(parsed)),
+        _ => Err(EnvError {
+            var,
+            value,
+            accepted,
+        }),
     }
 }
 
@@ -561,6 +621,77 @@ mod tests {
         let cfg = HarnessConfig::from_env();
         assert!(cfg.scale > 0.0);
         assert!(cfg.train_queries > 0);
+    }
+
+    /// `from_lookup` over one variable set to `value`.
+    fn from_one(var: &str, value: &str) -> Result<HarnessConfig, EnvError> {
+        HarnessConfig::from_lookup(|v| (v == var).then(|| value.to_string()))
+    }
+
+    fn assert_rejected(var: &str, value: &str) {
+        let err = from_one(var, value).unwrap_err();
+        assert_eq!((err.var, err.value.as_str()), (var, value));
+        let message = err.to_string();
+        assert!(
+            message.contains(var) && message.contains(value) && message.contains(err.accepted),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn from_lookup_reads_every_variable() {
+        let vars = [
+            ("LAF_SCALE", "0.1"),
+            ("LAF_DIM_CAP", "0"),
+            ("LAF_TRAIN_QUERIES", "50"),
+            ("LAF_RESULTS_DIR", "out"),
+        ];
+        let cfg = HarnessConfig::from_lookup(|var| {
+            vars.iter()
+                .find(|(k, _)| *k == var)
+                .map(|(_, v)| v.to_string())
+        })
+        .unwrap();
+        assert_eq!((cfg.scale, cfg.dim_cap, cfg.train_queries), (0.1, None, 50));
+        assert_eq!(cfg.results_dir, PathBuf::from("out"));
+        assert_eq!(from_one("LAF_DIM_CAP", "32").unwrap().dim_cap, Some(32));
+        assert_eq!(from_one("LAF_SCALE", "1").unwrap().scale, 1.0);
+        // Unset and empty variables keep the defaults.
+        assert_eq!(
+            HarnessConfig::from_lookup(|_| None).unwrap(),
+            HarnessConfig::default()
+        );
+        assert_eq!(
+            HarnessConfig::from_lookup(|_| Some(String::new())).unwrap(),
+            HarnessConfig::default()
+        );
+    }
+
+    #[test]
+    fn a_scale_with_trailing_text_is_rejected() {
+        assert_rejected("LAF_SCALE", "0.1x");
+    }
+
+    #[test]
+    fn a_scale_above_one_is_rejected() {
+        assert_rejected("LAF_SCALE", "2");
+    }
+
+    #[test]
+    fn a_scale_of_zero_or_nan_is_rejected() {
+        assert_rejected("LAF_SCALE", "0");
+        assert_rejected("LAF_SCALE", "NaN");
+    }
+
+    #[test]
+    fn a_negative_dim_cap_is_rejected() {
+        assert_rejected("LAF_DIM_CAP", "-1");
+    }
+
+    #[test]
+    fn zero_train_queries_are_rejected() {
+        assert_rejected("LAF_TRAIN_QUERIES", "0");
+        assert_rejected("LAF_TRAIN_QUERIES", "many");
     }
 
     #[test]

@@ -15,13 +15,10 @@
 //! | `exp_fig2`   | Figure 2 — speed–quality trade-off on MS-150k |
 //! | `exp_fig3`   | Figure 3 — speed–quality trade-off on Glove-150k |
 //! | `exp_fig4`   | Figure 4 — scalability over MS-50k/100k/150k |
-//! | `exp_throughput` | (not a paper exhibit) the kernel gate: single-thread cosine `range_count` of the linear scan vs the brute-force `ReferenceScan`, exit non-zero below 2x |
-//! | `exp_snapshot` | (not a paper exhibit) cold (train+save) vs warm (load) startup to first served clustering |
-//! | `exp_serving` | (not a paper exhibit) coalesced vs one-at-a-time dispatch through the serving front, per offered load |
-//! | `exp_sharding` | (not a paper exhibit) sharded scatter-gather fan-out vs the unsharded engine, plus tenant-cache churn counters |
-//! | `exp_mutable` | (not a paper exhibit) WAL insert throughput, base+delta read overhead, crash-recovery time, post-compaction bit-exactness |
+//! | `exp_ablation` | (not a paper exhibit) estimator, post-processing and range-engine ablations |
+//! | `exp_gates`  | (not a paper exhibit) the systems gates: eight timing comparisons (kernel, warm start, engine restore, mmap load, group commit, coalesced dispatch), exit non-zero when one misses its bound |
 //! | `exp_faults` | (not a paper exhibit) degraded-load matrix on corrupt snapshot sections, cache scrub/quarantine, seeded chaos replay (with `--features fault-injection`) |
-//! | `run_all`    | all of the above, writing JSON into `results/` |
+//! | `run_all`    | Tables 2–6, Figures 1–4 and the ablations in one process, writing JSON into `results/` |
 //!
 //! Scale is controlled by environment variables so the same binaries serve
 //! quick smoke runs and larger overnight runs:
@@ -33,19 +30,19 @@
 //! * `LAF_TRAIN_QUERIES` — queries used to build the estimator training set
 //!   (default `400`);
 //! * `LAF_RESULTS_DIR` — where JSON results are written (default `results`).
+//!
+//! An unset or empty variable keeps its default. Any other value the
+//! harness cannot use makes a binary print the error and exit with code 2
+//! (see [`HarnessConfig::from_env`]).
 
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod experiments;
 pub mod fault_bench;
+pub mod gates;
 pub mod harness;
-pub mod mutable_bench;
 pub mod report;
-pub mod serving;
-pub mod sharding;
-pub mod snapshot_bench;
-pub mod throughput;
 
 pub use harness::{HarnessConfig, Method, MethodOutcome, PreparedDataset, SettingOutcome};
 pub use report::{format_seconds, print_table, write_json};

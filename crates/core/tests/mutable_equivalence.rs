@@ -3,8 +3,10 @@
 //! **bit-identically** to a from-scratch engine (and pipeline) built over
 //! the equivalent final dataset — before compaction, after a reopen
 //! (WAL-replay path), after compaction, and after further writes on the
-//! compacted base. Exercised for every exact engine configuration (the
-//! k-means tree visiting every leaf and IVF probing every list are exact).
+//! compacted base. The compacted base must also cluster (labels and
+//! `LafStats`) like a from-scratch pipeline over the live rows. Exercised
+//! for every exact engine configuration (the k-means tree visiting every
+//! leaf and IVF probing every list are exact).
 //! `knn` distance bits match because the merge path scores delta rows
 //! with an engine of the same kind as the base, so every (distance, id)
 //! pair is the same floating-point evaluation a from-scratch engine
@@ -146,6 +148,13 @@ fn run_scenario(tag: &str, choice: EngineChoice) {
         "compaction preserves the live rows in dense order"
     );
     assert_matches_from_scratch(&mutable, choice, &config, "post-compaction");
+    // The compacted base clusters like a pipeline built from scratch over
+    // the live rows with the trained config and estimator.
+    let scratch = LafPipeline::from_parts(config.clone(), live_before, trained.estimator().clone());
+    let (want, want_stats) = scratch.cluster_with_stats();
+    let (got, got_stats) = mutable.base().cluster_with_stats();
+    assert_eq!(got.labels(), want.labels(), "{tag}: compacted labels");
+    assert_eq!(got_stats, want_stats, "{tag}: compacted LafStats");
 
     // Writes keep working against the compacted base.
     mutate(&mut mutable);

@@ -4,7 +4,7 @@
 //! (query, row) pair and nothing else: no norm cache, no register tiles, no
 //! blocked batch path. It is the engine the tests check every other engine
 //! against, and the baseline of the kernel gate in `laf-bench`'s
-//! `exp_throughput`. No [`crate::EngineChoice`] names it, so no config,
+//! `exp_gates`. No [`crate::EngineChoice`] names it, so no config,
 //! snapshot or CLI can select it.
 
 use crate::engine::{Neighbor, RangeQueryEngine};

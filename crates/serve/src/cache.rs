@@ -342,8 +342,8 @@ impl CacheStats {
     }
 }
 
-/// Serializable snapshot of a cache's counters and residency, embedded in
-/// `BENCH_sharding.json` and printed by the `serve-tenants` example mode.
+/// Serializable snapshot of a cache's counters and residency, printed by
+/// the `serve-tenants` example mode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheStatsReport {
     /// Pins served from a resident entry.

@@ -3,10 +3,15 @@
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// Queries per mini-GEMM tile of the specialized batch kernels
-/// (`laf_vector`'s `dot4` path processes 4 queries per dataset-row load).
-/// The dispatcher flushes early once a whole tile is queued, because waiting
-/// longer cannot improve per-row amortization for those queries.
+/// The dispatcher's early-flush size: once at least `TILE` requests are
+/// queued, it flushes the largest multiple of `TILE` (up to `max_batch`)
+/// without waiting out the coalescing window.
+///
+/// A heuristic, not a kernel width. The linear scan blocks
+/// `laf_vector::tile::BLOCK_PROBES` (16) queries at a time and answers a
+/// batch of fewer than 16 with one scan per query. Whether the flush rule
+/// should follow the block size is open (ROADMAP.md, item 4: "Serve's batch
+/// sizes").
 pub const TILE: usize = 4;
 
 /// Tuning knobs for [`crate::LafServer`].
@@ -23,7 +28,7 @@ pub struct ServeConfig {
     pub coalesce_window_us: u64,
     /// Largest merged batch handed to one kernel call. Values are clamped to
     /// at least 1; `1` degenerates to one-request-at-a-time dispatch (the
-    /// uncoalesced baseline arm of `exp_serving`).
+    /// baseline of the coalescing gate in `exp_gates`).
     pub max_batch: usize,
     /// Admission-control bound: submissions beyond this many queued requests
     /// are rejected with [`crate::ServeError::Overloaded`] instead of
@@ -57,7 +62,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The baseline configuration `exp_serving` compares against: no
+    /// The baseline configuration `exp_gates` compares against: no
     /// coalescing window and single-request batches, so every query runs the
     /// scalar kernel path exactly as a direct synchronous call would.
     pub fn uncoalesced() -> Self {

@@ -7,22 +7,23 @@
 //! ## Why a serving layer
 //!
 //! [`laf_core::LafPipeline`] is a synchronous handle: each caller runs its
-//! own query, one at a time, on the scalar kernel path. But the specialized
-//! distance kernels underneath (see `laf_vector`'s `MetricKernel`) have a
-//! query-major mini-GEMM batch path that amortizes every dataset-row load
-//! across [`TILE`] queries — throughput that independent single-query
-//! callers can never reach. [`LafServer`] closes that gap with the standard
-//! continuous-batching idea: requests from any number of threads land in a
-//! queue, a dispatcher thread merges them inside a bounded micro-batch
-//! window, one batch-kernel call answers the whole merged batch, and the
-//! per-request results scatter back to the blocked callers. Each engine's
-//! batch entry points are bit-identical to its per-query forms, so
-//! coalescing is invisible to callers — same results, better throughput.
+//! own query, one at a time, on the scalar kernel path. But the linear scan
+//! underneath has a blocked batch path: it packs up to 16 queries
+//! (`laf_vector::tile::BLOCK_PROBES`) and scores each dataset row against
+//! all of them while the row is hot — throughput that independent
+//! single-query callers can never reach. [`LafServer`] closes that gap with
+//! the standard continuous-batching idea: requests from any number of
+//! threads land in a queue, a dispatcher thread merges them inside a
+//! bounded micro-batch window, one batch-kernel call answers the whole
+//! merged batch, and the per-request results scatter back to the blocked
+//! callers. Each engine's batch entry points are bit-identical to its
+//! per-query forms, so coalescing is invisible to callers — same results,
+//! better throughput.
 //!
 //! Submission comes in two shapes: [`LafServer::submit`] blocks until its
 //! result is served, and [`LafServer::submit_async`] returns a [`Ticket`]
 //! immediately so one caller can keep several requests in flight. Pipelined
-//! tickets are how a single connection still feeds full tiles: the
+//! tickets are how a single connection still fills whole batches: the
 //! dispatcher coalesces whatever is queued, no matter how many threads
 //! queued it.
 //!
@@ -55,10 +56,10 @@
 //! holds:
 //!
 //! 1. **Size cap** — `max_batch` requests are queued (takes `max_batch`);
-//! 2. **Tile fill** — at least [`TILE`] (= 4) requests are queued (takes the
-//!    largest whole-tile prefix): waiting longer cannot improve the
-//!    mini-GEMM's per-row amortization for those queries, so holding them
-//!    would add latency for nothing;
+//! 2. **Early flush** — at least [`TILE`] (= 4) requests are queued (takes
+//!    the largest multiple of [`TILE`]). This is a latency heuristic, not a
+//!    kernel width: the linear scan blocks 16 queries at a time and answers
+//!    a smaller batch with one scan per query (see [`TILE`]);
 //! 3. **Deadline** — the oldest queued request has waited
 //!    `coalesce_window_us` (takes everything queued): the window bounds the
 //!    queueing latency a lone request can pay;

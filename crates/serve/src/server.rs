@@ -209,7 +209,7 @@ struct Pending {
 /// Returned by [`LafServer::submit_async`] as a `Ticket<QueryResponse>`.
 /// Holding several tickets pipelines requests: a client keeps N submissions
 /// in flight and the dispatcher sees a deeper queue to coalesce from, which
-/// is how a single-connection caller still feeds full dot4 tiles. Waiting
+/// is how a single-connection caller still fills whole batches. Waiting
 /// consumes the ticket; dropping it abandons the result (the request is
 /// still answered and counted, nobody observes the value).
 #[must_use = "a ticket does nothing until waited on; drop abandons the result"]
@@ -286,7 +286,7 @@ struct Shared {
 /// until their [`QueryResponse`] is ready, or hold a [`Ticket`]. A dedicated
 /// dispatcher thread coalesces queued requests into merged batches and runs
 /// them through the engine's batch kernels, so concurrent single-query
-/// callers get the query-major mini-GEMM path that a synchronous
+/// callers get the blocked batch kernels that a synchronous
 /// one-caller-at-a-time handle can never reach. See the crate docs for the
 /// flush policy, admission control and the hot-reload epoch model.
 pub struct LafServer {
@@ -540,7 +540,7 @@ impl LafServer {
         };
         // Wake the dispatcher only when this submission changes what it
         // would do: the first request arms the window deadline, and a whole
-        // dot4 tile or a full batch makes a flush eligible right now.
+        // multiple of TILE or a full batch makes a flush eligible right now.
         // Intermediate depths would be spurious wake-ups (the dispatcher
         // re-checks and goes back to sleep), and under load those wake-ups
         // are the dominant per-request dispatch cost. Depths skipped here
@@ -590,10 +590,10 @@ fn dispatch_loop(shared: &Shared) {
                 let n = state.queue.len();
                 let oldest = state.queue.front().expect("queue is non-empty").submitted;
                 // Flush policy, in priority order: drain on shutdown; flush a
-                // full batch; flush whole dot4 tiles immediately (waiting
-                // longer cannot improve their per-row amortization); flush
-                // whatever is queued once the oldest request has waited out
-                // the window; otherwise sleep until that deadline.
+                // full batch; flush the largest multiple of TILE at once (a
+                // latency heuristic, see `TILE`); flush whatever is queued
+                // once the oldest request has waited out the window;
+                // otherwise sleep until that deadline.
                 let take = if state.shutdown || n >= max_batch {
                     max_batch.min(n)
                 } else if n >= TILE && max_batch >= TILE {
@@ -1047,7 +1047,7 @@ mod tests {
     }
 
     /// A server whose config lets tests park 3 clients in the queue: below
-    /// the dot4 tile, inside a long window, the dispatcher will not flush
+    /// `TILE`, inside a long window, the dispatcher will not flush
     /// them until woken.
     fn parking_server(config: ServeConfig, seed: u64) -> (LafServer, Vec<f32>) {
         let pipeline = pipeline(seed);
@@ -1459,7 +1459,7 @@ mod tests {
             },
             61,
         );
-        // One parked request — below the dot4 tile, inside the long window —
+        // One parked request — below `TILE`, inside the long window —
         // must unblock with a typed timeout, not hang for the window.
         match server.submit(range(&q, 0.3)) {
             Err(ServeError::Timeout { waited_us }) => assert!(waited_us >= 2_000, "{waited_us}"),

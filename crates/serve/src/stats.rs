@@ -3,10 +3,11 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Upper bounds (inclusive) of the batch-occupancy histogram buckets. The
-/// first [`crate::TILE`] buckets are exact sizes — whether the dispatcher
-/// fills whole `dot4` tiles is the main thing the histogram exists to show —
-/// and the tail is power-of-two ranges up to the default `max_batch`.
+/// Upper bounds (inclusive) of the batch-occupancy histogram buckets: exact
+/// sizes up to [`crate::TILE`], the dispatcher's early-flush size, then
+/// power-of-two ranges up to the default `max_batch`. Only batches of 16
+/// queries or more reach the linear scan's blocked path; smaller ones run
+/// one scan per query.
 const OCCUPANCY_BOUNDS: [u64; 8] = [1, 2, 3, 4, 8, 16, 32, 64];
 
 /// Number of occupancy buckets (the bounds above plus an overflow bucket).
@@ -228,8 +229,8 @@ pub struct OccupancyBucket {
     pub batches: u64,
 }
 
-/// Serializable snapshot of [`ServeStats`], embedded in `BENCH_serving.json`
-/// and printed by the `serve-concurrent` example mode.
+/// Serializable snapshot of [`ServeStats`], printed by the
+/// `serve-concurrent` example mode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeStatsReport {
     /// Requests admitted past admission control.
@@ -240,7 +241,8 @@ pub struct ServeStatsReport {
     pub completed: u64,
     /// Kernel batches dispatched.
     pub batches: u64,
-    /// Batches whose size was a whole multiple of the `dot4` tile.
+    /// Batches whose size was a whole multiple of [`crate::TILE`], the
+    /// early-flush size (a heuristic, not a kernel width).
     pub tile_batches: u64,
     /// Snapshot hot-reloads performed.
     pub reloads: u64,

@@ -9,8 +9,11 @@
 //!   choice, and `Overloaded` is returned instead of evicting it;
 //! * every answer is bit-identical to the tenant's own pipeline, no matter
 //!   how many times the snapshot was evicted and reloaded in between;
-//! * pins and unpins balance, and the hit/miss/eviction counters are
-//!   mutually consistent with residency.
+//! * every pin is a hit or a miss, pins and unpins balance, and the
+//!   hit/miss/eviction counters are mutually consistent with residency.
+//!
+//! Tenant `t` is trained with `t + 1` shards, so sharded snapshots go
+//! through the cache as well as the classic layout.
 
 use laf::prelude::*;
 use laf::serve::CacheError;
@@ -37,6 +40,7 @@ fn snapshot_file(dir: &std::path::Path, tenant: usize) -> (PathBuf, LafPipeline)
             max_queries: Some(40),
             ..Default::default()
         })
+        .shards(tenant + 1)
         .train_and_save(data, &path)
         .unwrap();
     (path, pipeline)
@@ -48,10 +52,14 @@ fn four_tenants_through_a_two_snapshot_cache_under_concurrency() {
     std::fs::create_dir_all(&dir).unwrap();
     let (paths, directs): (Vec<PathBuf>, Vec<LafPipeline>) =
         (0..TENANTS).map(|t| snapshot_file(&dir, t)).unzip();
-    let bytes = std::fs::metadata(&paths[0]).unwrap().len();
+    let bytes = paths
+        .iter()
+        .map(|p| std::fs::metadata(p).unwrap().len())
+        .max()
+        .unwrap();
 
-    // Budget for exactly two resident snapshots (all four are the same
-    // shape, hence the same file size).
+    // Budget for two resident snapshots of the largest size; the entry cap
+    // holds residency at two whatever the sizes.
     let cache = SnapshotCache::new(CacheConfig {
         byte_budget: bytes * 2 + bytes / 2,
         max_entries: 2,
@@ -125,9 +133,23 @@ fn four_tenants_through_a_two_snapshot_cache_under_concurrency() {
         }
     });
 
+    // With both slots pinned, a third tenant is rejected, not admitted.
+    let held = [cache.pin("t0").unwrap(), cache.pin("t1").unwrap()];
+    assert!(matches!(
+        cache.pin("t2").unwrap_err(),
+        CacheError::Overloaded { .. }
+    ));
+    drop(held);
+
     let report = cache.report();
     assert!(report.resident_bytes <= report.byte_budget);
     assert!(report.resident_entries <= 2);
+    assert!(report.rejections >= 1);
+    assert_eq!(
+        report.pins,
+        report.hits + report.misses,
+        "every pin is a hit or a miss; rejections are neither"
+    );
     assert_eq!(report.pins, report.unpins, "all pins must be released");
     assert!(
         report.misses > report.resident_entries as u64,
