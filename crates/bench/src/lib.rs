@@ -17,7 +17,6 @@
 //! | `exp_fig4`   | Figure 4 — scalability over MS-50k/100k/150k |
 //! | `exp_ablation` | (not a paper exhibit) estimator, post-processing and range-engine ablations |
 //! | `exp_gates`  | (not a paper exhibit) the systems gates: eight timing comparisons (kernel, warm start, engine restore, mmap load, group commit, coalesced dispatch), exit non-zero when one misses its bound |
-//! | `exp_faults` | (not a paper exhibit) degraded-load matrix on corrupt snapshot sections, cache scrub/quarantine, seeded chaos replay (with `--features fault-injection`) |
 //! | `run_all`    | Tables 2–6, Figures 1–4 and the ablations in one process, writing JSON into `results/` |
 //!
 //! Scale is controlled by environment variables so the same binaries serve
@@ -39,7 +38,6 @@
 
 pub mod ablation;
 pub mod experiments;
-pub mod fault_bench;
 pub mod gates;
 pub mod harness;
 pub mod report;

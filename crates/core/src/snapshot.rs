@@ -1317,6 +1317,7 @@ mod tests {
     use super::*;
     use bytes::BufMut;
     use laf_cardest::{CardinalityEstimator, NetConfig, TrainingSetBuilder};
+    use laf_clustering::{Clusterer, Dbscan};
     use laf_index::build_engine;
     use laf_synth::EmbeddingMixtureConfig;
 
@@ -1522,6 +1523,12 @@ mod tests {
             assert!(e.is_finite() && e > 1.0e30, "gate-off estimate {e}");
         }
         assert!(report.to_string().contains("exact-only"));
+        // Clustered through the degraded pipeline, every range query runs
+        // and the labels are exact DBSCAN's.
+        let exact = Dbscan::with_params(back.config.eps, back.config.min_pts).cluster(&back.data);
+        let (clustering, stats) = crate::LafPipeline::from_snapshot(back).cluster_with_stats();
+        assert_eq!(stats.skipped_range_queries, 0, "gate-off skips nothing");
+        assert_eq!(clustering.labels(), exact.labels());
     }
 
     #[test]

@@ -180,10 +180,10 @@ pub mod prelude {
         ClusteringStats, ContingencyTable, MissedClusterReport,
     };
     pub use laf_serve::{
-        CacheConfig, CacheStatsReport, EvictionPolicy, LafServer, LruPolicy, MaintenanceConfig,
-        MaintenanceSupervisor, PinnedSnapshot, QueryRequest, QueryResponse, ReplicaSet,
-        ServeConfig, ServeStats, ServeStatsReport, Served, SnapshotCache, SnapshotSource,
-        TenantHealth, TenantServer, Ticket, WriteError,
+        CacheConfig, CacheStatsReport, LafServer, MaintenanceConfig, MaintenanceSupervisor,
+        PinnedSnapshot, QueryRequest, QueryResponse, ReplicaSet, ServeConfig, ServeStats,
+        ServeStatsReport, Served, SnapshotCache, SnapshotSource, TenantHealth, TenantServer,
+        Ticket, WriteError,
     };
     pub use laf_synth::{
         BagOfWordsConfig, DatasetCatalog, DatasetSpec, EmbeddingMixtureConfig, SyntheticDataset,

@@ -24,13 +24,13 @@
 //!
 //! ## Eviction
 //!
-//! Victim choice is delegated to an [`EvictionPolicy`] (default
-//! [`LruPolicy`]); the cache enforces the *rules* — only unpinned entries
-//! are offered as candidates, the byte budget and entry cap are checked
-//! after every admission — while the policy supplies the *preference*. If
-//! every resident entry is pinned and the budget still does not fit the
-//! incoming snapshot, admission fails with [`CacheError::Overloaded`]
-//! rather than over-committing.
+//! Least recently used first: every entry carries the stamp of its last
+//! admission or pin, and the victim is the unpinned entry with the oldest
+//! stamp. Only unpinned entries are ever candidates, and the byte budget
+//! and entry cap are checked before every admission. If every resident
+//! entry is pinned and the budget still does not fit the incoming
+//! snapshot, admission fails with [`CacheError::Overloaded`] rather than
+//! over-committing.
 //!
 //! Bytes are accounted at snapshot-file granularity (the on-disk size,
 //! which for mmap-served snapshots is exactly the mapped footprint), so
@@ -219,67 +219,6 @@ impl std::error::Error for CacheError {
     }
 }
 
-/// Victim-selection strategy plugged into a [`SnapshotCache`].
-///
-/// The cache calls the `on_*` hooks (under its internal lock, in event
-/// order) so the policy can maintain whatever bookkeeping it wants, and
-/// consults [`choose_victim`](EvictionPolicy::choose_victim) when an
-/// admission needs space. The cache — not the policy — enforces the safety
-/// rules: only unpinned tenants are ever offered as candidates, and a
-/// policy returning `None` (or a tenant outside `candidates`) simply fails
-/// the admission with [`CacheError::Overloaded`].
-pub trait EvictionPolicy: Send + fmt::Debug {
-    /// A snapshot was admitted for `tenant`.
-    fn on_admit(&mut self, tenant: &str);
-    /// A resident snapshot was pinned again (a cache hit).
-    fn on_use(&mut self, tenant: &str);
-    /// `tenant`'s snapshot left the cache (evicted or invalidated).
-    fn on_remove(&mut self, tenant: &str);
-    /// Pick the next victim among `candidates` (all resident, all
-    /// unpinned). `None` means "no preference — fail the admission".
-    fn choose_victim(&mut self, candidates: &[&str]) -> Option<String>;
-}
-
-/// Least-recently-used eviction: victims are chosen in order of last pin.
-#[derive(Debug, Default)]
-pub struct LruPolicy {
-    /// Tenants from least- to most-recently used.
-    order: Vec<String>,
-}
-
-impl LruPolicy {
-    /// A fresh LRU policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn touch(&mut self, tenant: &str) {
-        self.order.retain(|t| t != tenant);
-        self.order.push(tenant.to_string());
-    }
-}
-
-impl EvictionPolicy for LruPolicy {
-    fn on_admit(&mut self, tenant: &str) {
-        self.touch(tenant);
-    }
-
-    fn on_use(&mut self, tenant: &str) {
-        self.touch(tenant);
-    }
-
-    fn on_remove(&mut self, tenant: &str) {
-        self.order.retain(|t| t != tenant);
-    }
-
-    fn choose_victim(&mut self, candidates: &[&str]) -> Option<String> {
-        self.order
-            .iter()
-            .find(|t| candidates.contains(&t.as_str()))
-            .cloned()
-    }
-}
-
 /// Lock-free cache counters; every mutation happens while the cache's inner
 /// lock is held, so `report` values are mutually consistent snapshots
 /// whenever no operation is mid-flight.
@@ -397,6 +336,9 @@ struct CacheEntry {
     pipeline: Arc<LafPipeline>,
     bytes: u64,
     pins: u32,
+    /// The cache's `clock` at the entry's admission or latest pin; the
+    /// unpinned entry with the smallest stamp is the eviction victim.
+    last_use: u64,
 }
 
 struct CacheInner {
@@ -407,8 +349,17 @@ struct CacheInner {
     /// Tenants whose snapshot failed a [`SnapshotCache::scrub`] CRC
     /// re-verification. Pins are rejected until the tenant re-registers.
     quarantined: HashSet<String>,
-    policy: Box<dyn EvictionPolicy>,
+    /// Source of `CacheEntry::last_use` stamps, advanced on every admission
+    /// and pin.
+    clock: u64,
     resident_bytes: u64,
+}
+
+impl CacheInner {
+    fn next_stamp(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
 }
 
 /// Outcome of one [`SnapshotCache::scrub`] pass.
@@ -453,20 +404,15 @@ impl fmt::Debug for SnapshotCache {
 }
 
 impl SnapshotCache {
-    /// A cache with the default [`LruPolicy`].
+    /// An empty cache with the given budgets.
     pub fn new(config: CacheConfig) -> Arc<Self> {
-        Self::with_policy(config, Box::new(LruPolicy::new()))
-    }
-
-    /// A cache with a custom eviction policy.
-    pub fn with_policy(config: CacheConfig, policy: Box<dyn EvictionPolicy>) -> Arc<Self> {
         Arc::new(Self {
             config,
             inner: Mutex::new(CacheInner {
                 tenants: HashMap::new(),
                 entries: HashMap::new(),
                 quarantined: HashSet::new(),
-                policy,
+                clock: 0,
                 resident_bytes: 0,
             }),
             stats: CacheStats::default(),
@@ -547,10 +493,11 @@ impl SnapshotCache {
                 tenant: tenant.to_string(),
             });
         }
+        let now = inner.next_stamp();
         if let Some(entry) = inner.entries.get_mut(tenant) {
             entry.pins += 1;
+            entry.last_use = now;
             let pipeline = Arc::clone(&entry.pipeline);
-            inner.policy.on_use(tenant);
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             self.stats.pins.fetch_add(1, Ordering::Relaxed);
             return Ok(self.guard(tenant, pipeline));
@@ -594,16 +541,17 @@ impl SnapshotCache {
         // pin (and on every hit) reuses the cached build.
         let _ = pipeline.engine();
         let pipeline = Arc::new(pipeline);
+        let last_use = inner.next_stamp();
         inner.entries.insert(
             tenant.to_string(),
             CacheEntry {
                 pipeline: Arc::clone(&pipeline),
                 bytes,
                 pins: 1,
+                last_use,
             },
         );
         inner.resident_bytes += bytes;
-        inner.policy.on_admit(tenant);
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         self.stats.pins.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_loaded.fetch_add(bytes, Ordering::Relaxed);
@@ -623,10 +571,11 @@ impl SnapshotCache {
                 tenant: tenant.to_string(),
             });
         }
+        let now = inner.next_stamp();
         if let Some(entry) = inner.entries.get_mut(tenant) {
             entry.pins += 1;
+            entry.last_use = now;
             let pipeline = Arc::clone(&entry.pipeline);
-            inner.policy.on_use(tenant);
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             self.stats.pins.fetch_add(1, Ordering::Relaxed);
             return Ok(self.guard(tenant, pipeline));
@@ -758,16 +707,12 @@ impl SnapshotCache {
         while inner.resident_bytes + incoming > self.config.byte_budget
             || inner.entries.len() + 1 > self.config.max_entries.max(1)
         {
-            let candidates: Vec<&str> = inner
+            let victim = inner
                 .entries
                 .iter()
                 .filter(|(_, e)| e.pins == 0)
-                .map(|(t, _)| t.as_str())
-                .collect();
-            let victim = inner
-                .policy
-                .choose_victim(&candidates)
-                .filter(|v| candidates.iter().any(|c| c == v));
+                .min_by_key(|(_, e)| e.last_use)
+                .map(|(t, _)| t.clone());
             let Some(victim) = victim else {
                 return Err(CacheError::Overloaded {
                     needed: incoming,
@@ -784,7 +729,6 @@ impl SnapshotCache {
         if let Some(entry) = inner.entries.remove(tenant) {
             debug_assert_eq!(entry.pins, 0, "evicting a pinned entry");
             inner.resident_bytes -= entry.bytes;
-            inner.policy.on_remove(tenant);
         }
     }
 

@@ -92,9 +92,9 @@
 //! [`SnapshotCache`] is a buffer manager over snapshot files: tenants
 //! register their (read-only) snapshot paths, [`SnapshotCache::pin`]
 //! returns a pinned pipeline — loading it via mmap on a miss, evicting
-//! unpinned victims chosen by an [`EvictionPolicy`] (LRU by default) when
-//! the byte budget or entry cap would be exceeded — and dropping the
-//! [`PinnedSnapshot`] guard makes the entry evictable again. Pinned
+//! the least recently used unpinned snapshots when the byte budget or
+//! entry cap would be exceeded — and dropping the [`PinnedSnapshot`]
+//! guard makes the entry evictable again. Pinned
 //! entries are never evicted; an admission that cannot make room fails
 //! with the typed [`CacheError::Overloaded`], and a non-loading
 //! [`SnapshotCache::try_pin`] reports cold tenants as
@@ -156,8 +156,8 @@ mod stats;
 mod tenant;
 
 pub use cache::{
-    CacheConfig, CacheError, CacheStats, CacheStatsReport, EvictionPolicy, LruPolicy,
-    PinnedSnapshot, ScrubReport, SnapshotCache,
+    CacheConfig, CacheError, CacheStats, CacheStatsReport, PinnedSnapshot, ScrubReport,
+    SnapshotCache,
 };
 pub use config::{ServeConfig, TILE};
 pub use maintenance::{

@@ -621,7 +621,7 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use laf_cardest::{NetConfig, TrainingSetBuilder};
-    use laf_core::{LafConfig, LafPipeline};
+    use laf_core::{section_id, LafConfig, LafPipeline};
     use laf_synth::EmbeddingMixtureConfig;
     use std::path::Path;
 
@@ -650,6 +650,8 @@ mod tests {
                 max_queries: Some(40),
                 ..Default::default()
             })
+            // Calibrated, so the file has all five unsharded sections.
+            .calibrate(true)
             .train_and_save(data, &path)
             .unwrap();
         path
@@ -660,6 +662,26 @@ mod tests {
         let mut bytes = std::fs::read(path).unwrap();
         let at = bytes.len() / 2;
         bytes[at] ^= 0x01;
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    /// XOR one bit in the middle of section `id`'s body, found through the
+    /// file's section table (`[magic, version, count]` then 24 bytes per
+    /// section: id, offset, length, CRC).
+    fn flip_section_bit(path: &Path, id: u32) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let word = |at: usize, len: usize| {
+            let mut le = [0u8; 8];
+            le[..len].copy_from_slice(&bytes[at..at + len]);
+            u64::from_le_bytes(le) as usize
+        };
+        let count = word(8, 4);
+        let entry = (0..count)
+            .map(|e| 12 + e * 24)
+            .find(|&at| word(at, 4) == id as usize)
+            .unwrap_or_else(|| panic!("no `{}` section", section_id::name(id)));
+        let (offset, len) = (word(entry + 4, 8), word(entry + 12, 8));
+        bytes[12 + count * 24 + offset + len / 2] ^= 0x01;
         std::fs::write(path, bytes).unwrap();
     }
 
@@ -675,40 +697,53 @@ mod tests {
 
     #[test]
     fn supervisor_heals_a_quarantined_tenant_from_a_replica() {
+        const SECTIONS: [u32; 5] = [
+            section_id::DATASET,
+            section_id::ENGINE,
+            section_id::ESTIMATOR,
+            section_id::CALIBRATION,
+            section_id::CONFIG,
+        ];
         let dir = temp_dir("heal");
-        let primary = snapshot_file(&dir, "primary", 1);
-        let replica = dir.join("replica.lafs");
-        std::fs::copy(&primary, &replica).unwrap();
-
+        let replica = snapshot_file(&dir, "replica", 1);
         let cache = SnapshotCache::new(CacheConfig::default());
-        cache.register("a", &primary).unwrap();
-        drop(cache.pin("a").unwrap()); // resident, so the scrub sees it
         let source = Arc::new(ReplicaSet::new());
-        source.set("a", [primary.clone(), replica.clone()]);
+        // One tenant per section, each serving its own copy of the replica.
+        for id in SECTIONS {
+            let tenant = section_id::name(id);
+            let primary = dir.join(format!("{tenant}.lafs"));
+            std::fs::copy(&replica, &primary).unwrap();
+            cache.register(tenant, &primary).unwrap();
+            drop(cache.pin(tenant).unwrap()); // resident, so the scrub sees it
+            source.set(tenant, [primary, replica.clone()]);
+        }
         let supervisor = MaintenanceSupervisor::start(Arc::clone(&cache), source, manual_config());
 
         // A clean pass changes nothing.
         supervisor.tick();
-        assert_eq!(supervisor.health("a"), TenantHealth::Healthy);
         assert_eq!(supervisor.passes(), 1);
-
-        // Rot the registered file; the next pass must quarantine AND heal
-        // (the primary candidate fails verification, the replica wins).
-        flip_byte(&primary);
-        supervisor.tick();
-        assert_eq!(supervisor.health("a"), TenantHealth::Healthy);
         assert!(cache.quarantined().is_empty());
-        assert_eq!(cache.registered_path("a"), Some(replica.clone()));
-        let pin = cache.pin("a").unwrap();
-        assert_eq!(pin.tenant(), "a");
-        drop(pin);
+
+        // Rot one section of a registered file per pass; the pass must
+        // quarantine AND heal that tenant (the primary candidate fails
+        // verification, the replica wins).
+        for id in SECTIONS {
+            let tenant = section_id::name(id);
+            flip_section_bit(&dir.join(format!("{tenant}.lafs")), id);
+            supervisor.tick();
+            assert_eq!(supervisor.health(tenant), TenantHealth::Healthy, "{tenant}");
+            assert!(cache.quarantined().is_empty(), "{tenant}");
+            assert_eq!(cache.registered_path(tenant), Some(replica.clone()));
+            assert_eq!(cache.pin(tenant).unwrap().tenant(), tenant);
+        }
 
         let report = cache.report();
-        assert_eq!(report.scrub_passes, 2);
-        assert_eq!(report.quarantines, 1);
-        assert_eq!(report.repairs_attempted, 1);
-        assert_eq!(report.repairs_succeeded, 1);
+        assert_eq!(report.scrub_passes, 6);
+        assert_eq!(report.quarantines, 5);
+        assert_eq!(report.repairs_attempted, 5);
+        assert_eq!(report.repairs_succeeded, 5);
         assert_eq!(report.repairs_failed, 0);
+        assert!(report.mean_time_to_repair_us > 0.0);
         drop(supervisor);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -619,7 +619,9 @@ fn dispatch_loop(shared: &Shared) {
             shared.stats.record_flush_retry();
             retry_backoff(flush_attempt);
         }
-        shared.stats.record_batch(batch.len());
+        shared
+            .stats
+            .record_batch(batch.len(), shared.mutable.is_none());
         match &shared.mutable {
             Some(mutable) => answer_mutable(shared, mutable, &batch, &mut compact_floor),
             None => {
@@ -1343,6 +1345,11 @@ mod tests {
         assert_eq!(
             lsn(server.submit(delete).unwrap().value),
             Err(WriteError::OutOfBounds)
+        );
+        assert_eq!(
+            server.stats_report().tile_batches,
+            0,
+            "a mutable server answers each read on its own"
         );
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();

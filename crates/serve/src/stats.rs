@@ -1,13 +1,15 @@
 //! Aggregate serving counters: admission, batch occupancy, reloads.
 
+use laf_vector::tile::BLOCK_PROBES;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bounds (inclusive) of the batch-occupancy histogram buckets: exact
 /// sizes up to [`crate::TILE`], the dispatcher's early-flush size, then
-/// power-of-two ranges up to the default `max_batch`. Only batches of 16
-/// queries or more reach the linear scan's blocked path; smaller ones run
-/// one scan per query.
+/// power-of-two ranges up to the default `max_batch`. Only batches of at
+/// least [`BLOCK_PROBES`] (16) queries can reach the linear scan's blocked
+/// path, and [`ServeStatsReport::tile_batches`] counts those; smaller ones
+/// run one scan per query.
 const OCCUPANCY_BOUNDS: [u64; 8] = [1, 2, 3, 4, 8, 16, 32, 64];
 
 /// Number of occupancy buckets (the bounds above plus an overflow bucket).
@@ -69,11 +71,12 @@ impl ServeStats {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one dispatched batch of `size` requests.
-    pub(crate) fn record_batch(&self, size: usize) {
+    /// Record one dispatched batch of `size` requests. `frozen` is false on
+    /// a mutable server, which answers each read on its own.
+    pub(crate) fn record_batch(&self, size: usize, frozen: bool) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.completed.fetch_add(size as u64, Ordering::Relaxed);
-        if size > 0 && size.is_multiple_of(crate::TILE) {
+        if frozen && size >= BLOCK_PROBES {
             self.tile_batches.fetch_add(1, Ordering::Relaxed);
         }
         self.occupancy[bucket_index(size)].fetch_add(1, Ordering::Relaxed);
@@ -241,8 +244,11 @@ pub struct ServeStatsReport {
     pub completed: u64,
     /// Kernel batches dispatched.
     pub batches: u64,
-    /// Batches whose size was a whole multiple of [`crate::TILE`], the
-    /// early-flush size (a heuristic, not a kernel width).
+    /// Batches of a frozen server ([`crate::LafServer::start`]) with at
+    /// least `laf_vector::tile::BLOCK_PROBES` (16) requests: large enough
+    /// for the linear scan's blocked path, which a batch only reaches if
+    /// one kind and parameter fill a block. A mutable server answers each
+    /// read on its own, so it counts none.
     pub tile_batches: u64,
     /// Snapshot hot-reloads performed.
     pub reloads: u64,
@@ -298,18 +304,23 @@ mod tests {
         stats.record_submit(3);
         stats.record_submit(7);
         stats.record_reject();
-        stats.record_batch(4);
-        stats.record_batch(1);
+        stats.record_batch(4, true);
+        stats.record_batch(1, true);
+        stats.record_batch(16, true);
+        stats.record_batch(17, true);
+        stats.record_batch(16, false);
         stats.record_reload();
         let report = stats.report();
         assert_eq!(report.submitted, 2);
         assert_eq!(report.rejected, 1);
-        assert_eq!(report.completed, 5);
-        assert_eq!(report.batches, 2);
-        assert_eq!(report.tile_batches, 1);
+        assert_eq!(report.completed, 54);
+        assert_eq!(report.batches, 5);
+        // A batch of 4 stays below the 16-probe block; a mutable server's
+        // batch of 16 is answered one read at a time.
+        assert_eq!(report.tile_batches, 2, "the frozen batches of 16 and 17");
         assert_eq!(report.reloads, 1);
         assert_eq!(report.peak_queue_depth, 7);
-        assert!((report.mean_batch_occupancy - 2.5).abs() < 1e-12);
+        assert!((report.mean_batch_occupancy - 10.8).abs() < 1e-12);
         assert_eq!(report.occupancy[3].batches, 1, "one size-4 batch");
         assert_eq!(report.occupancy[0].batches, 1, "one size-1 batch");
 
@@ -324,7 +335,7 @@ mod tests {
     fn report_serde_round_trip() {
         let stats = ServeStats::default();
         stats.record_submit(1);
-        stats.record_batch(3);
+        stats.record_batch(3, true);
         let report = stats.report();
         let json = serde_json::to_string(&report).unwrap();
         let back: ServeStatsReport = serde_json::from_str(&json).unwrap();

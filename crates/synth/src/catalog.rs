@@ -135,14 +135,6 @@ impl Default for DatasetCatalog {
 }
 
 impl DatasetCatalog {
-    /// A catalog at an explicit scale with the default seed.
-    pub fn with_scale(scale: f64) -> Self {
-        Self {
-            scale,
-            ..Default::default()
-        }
-    }
-
     /// Tiny catalog for unit/integration tests: a few hundred points,
     /// dimensionality capped at 48.
     pub fn tiny() -> Self {

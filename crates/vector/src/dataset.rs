@@ -620,48 +620,6 @@ impl Dataset {
     }
 }
 
-/// Incremental builder used by the synthetic generators.
-#[derive(Debug, Clone)]
-pub struct DatasetBuilder {
-    inner: Dataset,
-}
-
-impl DatasetBuilder {
-    /// Start building a dataset of dimensionality `dim`.
-    ///
-    /// # Errors
-    /// Returns [`VectorError::InvalidParameter`] if `dim == 0`.
-    pub fn new(dim: usize) -> Result<Self, VectorError> {
-        Ok(Self {
-            inner: Dataset::new(dim)?,
-        })
-    }
-
-    /// Append a row.
-    ///
-    /// # Errors
-    /// Returns [`VectorError::DimensionMismatch`] on a wrong-length row.
-    pub fn push(&mut self, row: &[f32]) -> Result<&mut Self, VectorError> {
-        self.inner.push(row)?;
-        Ok(self)
-    }
-
-    /// Number of rows added so far.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` when no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Finish and return the dataset.
-    pub fn build(self) -> Dataset {
-        self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,17 +736,6 @@ mod tests {
         assert_eq!(train.len(), 3);
         assert_eq!(test.len(), 1);
         assert_eq!(train.dim(), 2);
-    }
-
-    #[test]
-    fn builder_accumulates_rows() {
-        let mut b = DatasetBuilder::new(3).unwrap();
-        assert!(b.is_empty());
-        b.push(&[1.0, 2.0, 3.0]).unwrap();
-        b.push(&[4.0, 5.0, 6.0]).unwrap();
-        assert_eq!(b.len(), 2);
-        let d = b.build();
-        assert_eq!(d.row(1), &[4.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod tile;
 
 #[cfg(target_endian = "little")]
 pub use dataset::MappedSlice;
-pub use dataset::{DataBacking, Dataset, DatasetBuilder, RowNorms, SharedSlice};
+pub use dataset::{DataBacking, Dataset, RowNorms, SharedSlice};
 pub use delta::{DeltaSegment, TombstoneSet};
 pub use distance::{
     cosine_to_euclidean, euclidean_to_cosine, AngularDistance, CosineDistance, DistanceMetric,

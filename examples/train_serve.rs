@@ -320,7 +320,7 @@ fn serve_concurrent(snapshot_path: &str, n_clients: usize) {
         total as f64 / elapsed.as_secs_f64()
     );
     println!(
-        "[serve-concurrent] {} batches, mean occupancy {:.2}, {} whole-tile, \
+        "[serve-concurrent] {} batches, mean occupancy {:.2}, {} of at least 16 requests, \
          peak queue depth {}, {} rejected",
         report.batches,
         report.mean_batch_occupancy,
