@@ -4,11 +4,14 @@
 //!
 //! Multiply-adds per iteration, for converting ns/iter into GMAC/s: `dim`
 //! for `dot`, `4 * dim` for `dot4`, `8 * dim` for `row_tile` and `16 * dim`
-//! for `probe_block`.
+//! for `probe_block` and `probe_block_hits`. The difference between the last
+//! two is the cost of deciding sixteen cosine lanes against one row.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use laf_vector::tile::{self, ProbeBlock, BLOCK_PROBES, ROW_TILE};
-use laf_vector::{ops, AngularDistance, CosineDistance, DistanceMetric, EuclideanDistance};
+use laf_vector::{
+    ops, AngularDistance, CosineDistance, DistanceMetric, EuclideanDistance, Metric, MetricKernel,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -79,11 +82,19 @@ fn bench_distances(c: &mut Criterion) {
                 black_box(out)
             })
         });
+        // The same sixteen probes as one cosine range block: the dots plus
+        // the hit mask (decided in registers on AVX2, per lane elsewhere).
+        let kernel = MetricKernel::new(Metric::Cosine);
+        let range_block = kernel.block(&refs, 0.35);
+        let (b_norm, b_sq) = (ops::norm(&b), ops::dot(&b, &b));
+        group.bench_with_input(
+            BenchmarkId::new("probe_block_hits", dim),
+            &dim,
+            |bench, _| bench.iter(|| black_box(range_block.hits(black_box(&b), b_norm, b_sq))),
+        );
         // Norm-cached cosine: the specialized kernel's per-row work (one dot
         // + O(1) epilogue) vs the 3-dot `CosineDistance` above.
-        let kernel = laf_vector::MetricKernel::new(laf_vector::Metric::Cosine);
         let prep = kernel.prepare(&a);
-        let b_norm = ops::norm(&b);
         group.bench_with_input(BenchmarkId::new("cosine_kernel", dim), &dim, |bench, _| {
             bench.iter(|| black_box(kernel.dist(black_box(&prep), black_box(&b), b_norm)))
         });

@@ -20,6 +20,7 @@
 //! same kind is needed, and at most `2W` lists are resident at any time.
 
 use laf_index::RangeQueryEngine;
+use laf_vector::tile::BLOCK_PROBES;
 use laf_vector::Dataset;
 use std::mem::size_of;
 
@@ -27,16 +28,13 @@ use std::mem::size_of;
 /// case of lists of `n` hits (see [`join_window`]).
 const JOIN_BUDGET_BYTES: usize = 64 << 20;
 
-/// Queries per cache block of the blocked batch kernels: the window never
-/// shrinks below one block per pool thread.
-const QUERY_BLOCK: usize = 16;
-
 /// Rows per window for a dataset of `n` rows: a 64 MiB budget over a list of
-/// `n` hits (2,097 rows at n = 8,000), floored at one 16-query block per
-/// thread of the current rayon pool.
+/// `n` hits (2,097 rows at n = 8,000), floored at one probe block of the
+/// blocked batch kernels ([`BLOCK_PROBES`] queries) per thread of the
+/// current rayon pool.
 pub fn join_window(n: usize) -> usize {
     let budgeted = JOIN_BUDGET_BYTES / n.max(1).saturating_mul(size_of::<u32>());
-    budgeted.max(QUERY_BLOCK * rayon::current_num_threads())
+    budgeted.max(BLOCK_PROBES * rayon::current_num_threads())
 }
 
 /// Where one row's list stands.
@@ -169,7 +167,7 @@ mod tests {
 
     #[test]
     fn window_is_budgeted_and_floored_at_one_block_per_thread() {
-        let floor = QUERY_BLOCK * rayon::current_num_threads();
+        let floor = BLOCK_PROBES * rayon::current_num_threads();
         assert_eq!(join_window(8_000), 2_097.max(floor));
         assert_eq!(join_window(152_185), 110.max(floor));
         assert_eq!(join_window(usize::MAX / 8), floor);

@@ -9,14 +9,26 @@
 //! stop point with at least τ recorded partial neighbors must actually be a
 //! core point (false negative), and the clusters around it get merged by the
 //! post-processing step.
+//!
+//! The map is dense over row ids: a per-row flag is tested before anything
+//! else, so the hits of an executed query that are not stop points (nearly
+//! all of them) cost one load each.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// Map from predicted stop points to the partial neighbors discovered so far.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Equality is set equality: the same stop points, each with the same set
+/// of partial neighbors, in whatever order they were recorded.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PartialNeighborMap {
-    entries: HashMap<u32, HashSet<u32>>,
+    /// `lists[p]` is `Some` iff row `p` is a registered stop point, holding
+    /// its partial neighbors in the order they were recorded.
+    lists: Vec<Option<Vec<u32>>>,
+    /// `queried[q]`: `q` has called `update`, so a later call by `q` must
+    /// check for duplicates.
+    queried: Vec<bool>,
 }
 
 impl PartialNeighborMap {
@@ -27,69 +39,89 @@ impl PartialNeighborMap {
 
     /// Register `point` as a predicted stop point (line 8 / 27 of
     /// Algorithm 1: `if P not in E then E(P) := ∅`). Keeps any partial
-    /// neighbors already recorded for it.
+    /// neighbors already recorded for it. The map grows to `point + 1` rows.
     pub fn register_stop_point(&mut self, point: u32) {
-        self.entries.entry(point).or_default();
+        let p = point as usize;
+        if self.lists.len() <= p {
+            self.lists.resize(p + 1, None);
+        }
+        self.lists[p].get_or_insert_with(Vec::new);
     }
 
     /// `UpdatePartialNeighbors` (Algorithm 2): `querier` has just executed a
     /// range query and found `neighbors`; for every neighbor already tracked
-    /// in the map, record `querier` as one of its partial neighbors.
+    /// in the map, record `querier` as one of its partial neighbors (once).
     pub fn update(&mut self, querier: u32, neighbors: &[u32]) {
+        let q = querier as usize;
+        // Only a repeated querier can already sit in a list; within this
+        // call, its own push is the list's last entry.
+        let repeat = self.queried.get(q).copied().unwrap_or(false);
         for &nb in neighbors {
-            if nb == querier {
-                continue;
-            }
-            if let Some(partial) = self.entries.get_mut(&nb) {
-                partial.insert(querier);
+            if let Some(Some(list)) = self.lists.get_mut(nb as usize) {
+                let known = list.last() == Some(&querier) || (repeat && list.contains(&querier));
+                if nb != querier && !known {
+                    list.push(querier);
+                }
             }
         }
+        if self.queried.len() <= q {
+            self.queried.resize(q + 1, false);
+        }
+        self.queried[q] = true;
     }
 
     /// Whether `point` is tracked as a predicted stop point.
     pub fn contains(&self, point: u32) -> bool {
-        self.entries.contains_key(&point)
+        self.list(point).is_some()
     }
 
     /// Partial neighbors recorded for `point` (empty if not tracked).
     pub fn partial_neighbors(&self, point: u32) -> impl Iterator<Item = u32> + '_ {
-        self.entries
-            .get(&point)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
+        self.list(point).into_iter().flatten().copied()
     }
 
     /// Number of partial neighbors recorded for `point`.
     pub fn neighbor_count(&self, point: u32) -> usize {
-        self.entries.get(&point).map_or(0, HashSet::len)
+        self.list(point).map_or(0, <[u32]>::len)
     }
 
     /// Number of tracked predicted stop points.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.iter().count()
     }
 
     /// `true` when no stop points are tracked.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.iter().next().is_none()
     }
 
-    /// Iterate over `(stop_point, partial_neighbors)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &HashSet<u32>)> + '_ {
-        self.entries.iter().map(|(&p, s)| (p, s))
+    /// Iterate over `(stop_point, partial_neighbors)` entries, in ascending
+    /// stop-point order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        let tracked = self.lists.iter().enumerate();
+        tracked.filter_map(|(p, list)| Some((p as u32, list.as_deref()?)))
     }
 
     /// The predicted stop points whose partial-neighbor count reaches τ —
-    /// the detected false negatives the post-processing acts on.
+    /// the detected false negatives the post-processing acts on, ascending.
     pub fn false_negatives(&self, tau: usize) -> Vec<u32> {
-        let mut fns: Vec<u32> = self
-            .entries
-            .iter()
-            .filter(|(_, s)| s.len() >= tau)
-            .map(|(&p, _)| p)
-            .collect();
-        fns.sort_unstable();
-        fns
+        let detected = self.iter().filter(|(_, list)| list.len() >= tau);
+        detected.map(|(p, _)| p).collect()
+    }
+
+    fn list(&self, point: u32) -> Option<&[u32]> {
+        self.lists.get(point as usize)?.as_deref()
+    }
+}
+
+impl PartialEq for PartialNeighborMap {
+    fn eq(&self, other: &Self) -> bool {
+        let sets = |map: &Self| -> Vec<(u32, BTreeSet<u32>)> {
+            map.iter()
+                .map(|(p, list)| (p, list.iter().copied().collect()))
+                .collect()
+        };
+        sets(self) == sets(other)
     }
 }
 
@@ -152,6 +184,27 @@ mod tests {
         e.update(5, &[1, 2, 3]);
         assert!(e.is_empty());
         assert_eq!(e.partial_neighbors(1).count(), 0);
+    }
+
+    #[test]
+    fn duplicates_within_one_call_record_once_and_equality_ignores_order() {
+        let mut a = PartialNeighborMap::new();
+        let mut b = PartialNeighborMap::new();
+        for e in [&mut a, &mut b] {
+            e.register_stop_point(2);
+            e.register_stop_point(5);
+        }
+        a.update(1, &[2, 2, 5]);
+        a.update(3, &[2]);
+        // A repeated querier is found even behind a later one.
+        a.update(1, &[2]);
+        b.update(3, &[2]);
+        b.update(1, &[5, 2]);
+        assert_eq!(a.neighbor_count(2), 2);
+        assert_eq!(a, b);
+        b.update(4, &[5]);
+        assert_ne!(a, b);
+        assert_eq!(b.iter().map(|(p, _)| p).collect::<Vec<_>>(), vec![2, 5]);
     }
 
     #[test]

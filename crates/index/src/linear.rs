@@ -7,26 +7,33 @@
 //! The scan loops run on the metric-specialized kernels of
 //! [`laf_vector::kernel`]: the query norm is computed once per query and row
 //! norms come from the dataset's lazily-built cache. The dot products come
-//! from the exact register tiles of [`laf_vector::tile`]: a single query
-//! scores eight rows per step ([`tile::dot_rows8`]), and a block of up to
-//! [`tile::BLOCK_PROBES`] queries is packed once and scored against each row
-//! in one step ([`tile::ProbeBlock`]). Every row is then decided by
-//! [`MetricKernel::within_dot`]. The tiles keep `ops::dot`'s accumulation
-//! order per pair, so results are bit-identical to the per-pair
-//! [`Metric::dist`] evaluation of [`crate::ReferenceScan`], the engine the
-//! tests check this one against.
+//! from the exact register tiles of [`laf_vector::tile`]:
+//!
+//! * a single query scores eight rows per step ([`tile::dot_rows8`]), and
+//!   each row is decided by [`MetricKernel::within_dot`];
+//! * from [`tile::BLOCK_PROBES`] queries on, the batch entry points pack
+//!   blocks of up to that many queries once ([`MetricKernel::block`]) and
+//!   take one hit mask per row against the whole block
+//!   ([`laf_vector::RangeBlock::hits`]; cosine lanes are decided in
+//!   registers on AVX2), then walk its set bits in query order.
+//!
+//! The tiles keep `ops::dot`'s accumulation order per pair and both
+//! decisions equal the scalar predicate, so results are bit-identical to the
+//! per-pair [`Metric::dist`] evaluation of [`crate::ReferenceScan`], the
+//! engine the tests check this one against.
 
 use crate::engine::{Neighbor, RangeQueryEngine};
 use crate::persist::PersistedEngine;
 use crate::topk::TopK;
-use laf_vector::tile::{self, ProbeBlock, ROW_TILE};
+use laf_vector::tile::{self, ROW_TILE};
 use laf_vector::{Dataset, Metric, MetricKernel};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of queries processed per cache block in the batched kernels: the
-/// block is packed into one [`ProbeBlock`] and each dataset row is scored
-/// against all of it in one step while the row is hot.
+/// block is packed once by [`MetricKernel::block`] and each dataset row gets
+/// one hit mask against all of it ([`laf_vector::RangeBlock::hits`]) while
+/// the row is hot.
 const QUERY_BLOCK: usize = tile::BLOCK_PROBES;
 
 /// Exact linear-scan engine.
@@ -137,20 +144,17 @@ impl<'a> LinearScan<'a> {
 
     /// The block scan: calls `hit(slot, i)`, rows in ascending order, for
     /// every row `i` within `eps` of `block[slot]`. The block is packed once;
-    /// each row is scored against all of it in one step.
+    /// each row is decided against all of it in one
+    /// [`laf_vector::RangeBlock::hits`] call, whose set bits are walked in
+    /// slot order.
     fn scan_block(&self, block: &[&[f32]], eps: f32, mut hit: impl FnMut(usize, usize)) {
         let norms = self.data.row_norms();
-        let probes: Vec<_> = block.iter().map(|q| self.kernel.probe(q, eps)).collect();
-        let packed = ProbeBlock::new(block);
-        let mut dots = [0.0f32; QUERY_BLOCK];
-        let dots = &mut dots[..block.len()];
+        let block = self.kernel.block(block, eps);
         for (i, x) in self.data.rows().enumerate() {
-            packed.dots(x, dots);
-            let (x_norm, x_sq) = (norms.norm(i), norms.sq(i));
-            for (slot, (probe, &dot)) in probes.iter().zip(dots.iter()).enumerate() {
-                if self.kernel.within_dot(probe, dot, x, x_norm, x_sq) {
-                    hit(slot, i);
-                }
+            let mut mask = block.hits(x, norms.norm(i), norms.sq(i));
+            while mask != 0 {
+                hit(mask.trailing_zeros() as usize, i);
+                mask &= mask - 1;
             }
         }
     }

@@ -44,17 +44,22 @@
 //!
 //! # Tiled scans
 //!
-//! [`MetricKernel::within_dot`] is the one decision entry point of every
-//! tiled scan: the caller computes `dot(q, x)` in a tile — the register
-//! tiles of [`crate::tile`] (one probe × eight rows, or up to sixteen packed
-//! probes × one row) in the linear scan — and the kernel decides the row
-//! from that dot exactly as [`MetricKernel::within`] would. Every
-//! tile lane reproduces `ops::dot`'s accumulation order, so the tiles change
-//! how many pairs are in flight, never a bit of a result. [`RangeProbe`]
-//! stays opaque: callers hand it back, they never read its constants.
+//! Tiled scans decide rows through two entry points, both equal to
+//! [`MetricKernel::within`] bit for bit. [`MetricKernel::within_dot`]
+//! decides one pair from a dot the caller computed in a tile (the row tile
+//! of [`crate::tile`]). [`MetricKernel::block`] packs up to sixteen queries
+//! into a [`RangeBlock`], whose [`RangeBlock::hits`] returns one row's hit
+//! mask against all of them: on AVX2, cosine lanes are decided in
+//! registers with `within_dot`'s IEEE operations in its order; other tiers
+//! and metrics decide each lane of the block's dots with `within_dot`.
+//! Every tile lane reproduces `ops::dot`'s accumulation order, so the tiles
+//! change how many pairs are in flight, never a bit of a result.
+//! [`RangeProbe`] stays opaque: callers hand it back, they never read its
+//! constants.
 
 use crate::distance::Metric;
 use crate::ops;
+use crate::tile::{CosineTest, ProbeBlock, Tier, BLOCK_PROBES};
 
 /// Relative half-width of the certified error band used by the Euclidean
 /// threshold pushdown, as a multiple of `dim · f32::EPSILON` (see
@@ -149,6 +154,65 @@ impl<'q> RangeProbe<'q> {
     }
 }
 
+/// Up to [`BLOCK_PROBES`] range probes sharing one threshold, packed into
+/// one [`ProbeBlock`]: [`RangeBlock::hits`] decides all of them against one
+/// row per call.
+#[derive(Debug, Clone)]
+pub struct RangeBlock<'q> {
+    kernel: MetricKernel,
+    probes: Vec<RangeProbe<'q>>,
+    block: ProbeBlock<'q>,
+    /// The cosine test the block decides in registers (AVX2 only).
+    fused: Option<CosineTest>,
+}
+
+impl<'q> RangeBlock<'q> {
+    /// [`MetricKernel::block`] on an explicit tier (the seam the tier tests
+    /// force).
+    pub(crate) fn with_tier(
+        kernel: MetricKernel,
+        queries: &[&'q [f32]],
+        eps: f32,
+        tier: Tier,
+    ) -> Self {
+        let block = ProbeBlock::with_tier(queries, tier);
+        let probes: Vec<RangeProbe<'q>> = queries.iter().map(|q| kernel.probe(q, eps)).collect();
+        let fused = (tier == Tier::Avx2 && kernel.metric == Metric::Cosine).then(|| CosineTest {
+            norms: std::array::from_fn(|p| probes.get(p).map_or(0.0, |probe| probe.norm)),
+            eps,
+        });
+        Self {
+            kernel,
+            probes,
+            block,
+            fused,
+        }
+    }
+
+    /// Bit `p` is set iff [`MetricKernel::within`] holds for query `p`
+    /// against row `x`; higher bits are clear. `x_norm`/`x_sq` must come from
+    /// [`crate::Dataset::row_norms`].
+    ///
+    /// # Panics
+    /// Panics if `x.len()` differs from the queries' length.
+    #[inline]
+    pub fn hits(&self, x: &[f32], x_norm: f32, x_sq: f32) -> u32 {
+        if let Some(test) = &self.fused {
+            return self.block.lane_hits(test, x, x_norm);
+        }
+        let mut dots = [0.0f32; BLOCK_PROBES];
+        let dots = &mut dots[..self.probes.len()];
+        self.block.dots(x, dots);
+        let mut mask = 0;
+        for (p, (probe, &dot)) in self.probes.iter().zip(dots.iter()).enumerate() {
+            if self.kernel.within_dot(probe, dot, x, x_norm, x_sq) {
+                mask |= 1 << p;
+            }
+        }
+        mask
+    }
+}
+
 /// The exact expression of [`ops::cosine_similarity`] with the two norms
 /// supplied instead of recomputed: bit-identical given `na == norm(a)` and
 /// `nb == norm(b)`.
@@ -218,6 +282,16 @@ impl MetricKernel {
         }
     }
 
+    /// Prepare up to [`BLOCK_PROBES`] queries for [`RangeBlock::hits`]
+    /// against threshold `eps`, on the fastest tier the running CPU supports.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= queries.len() <= BLOCK_PROBES` and every query
+    /// has the same length.
+    pub fn block<'q>(&self, queries: &[&'q [f32]], eps: f32) -> RangeBlock<'q> {
+        RangeBlock::with_tier(*self, queries, eps, Tier::detect())
+    }
+
     /// Distance from a prepared query to row `x` with cached norm `x_norm`,
     /// bit-identical to `self.metric().dist(prepared.query(), x)`.
     ///
@@ -263,8 +337,9 @@ impl MetricKernel {
     }
 
     /// The range predicate of [`MetricKernel::within`], decided from a dot
-    /// product the caller already has: the entry point of the register tiles
-    /// of [`crate::tile`].
+    /// product the caller already has: the entry point of the row tile of
+    /// [`crate::tile`], and of every lane [`RangeBlock::hits`] does not
+    /// decide in registers.
     ///
     /// `dot` must be bit-identical to `ops::dot(probe.query(), x)` — every
     /// tile lane is — and `x_norm`/`x_sq` must come from
@@ -466,6 +541,96 @@ mod tests {
                 expected,
                 "{metric:?} tile"
             );
+        }
+    }
+
+    /// Sixteen probes and the rows they are tested against. The probes
+    /// alternate ordinary vectors with edge cases, rotated by `dim` so each
+    /// edge case visits every odd lane: zero and 1e-13 vectors (the norm
+    /// guard), a NaN, a +∞ and a −∞ coordinate, subnormal and signed-zero
+    /// vectors. The rows hold the same edge cases, ordinary rows, and copies
+    /// of the probes (distance 0), one scaled and one negated (similarities
+    /// that round past ±1).
+    fn block_vectors(dim: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+        let plain = |seed: usize| -> Vec<f32> {
+            (0..dim)
+                .map(|j| ((seed * 131 + j * 17) as f32 * 0.7371).sin())
+                .collect()
+        };
+        let with = |seed: usize, v: f32| {
+            let mut x = plain(seed);
+            if dim > 0 {
+                x[seed % dim] = v;
+            }
+            x
+        };
+        let edges = |seed: usize| {
+            vec![
+                vec![0.0; dim],
+                vec![1e-13; dim],
+                with(seed, f32::NAN),
+                with(seed + 1, f32::INFINITY),
+                with(seed + 2, f32::NEG_INFINITY),
+                vec![f32::MIN_POSITIVE / 4.0; dim],
+                vec![-0.0; dim],
+                with(seed + 3, -0.0),
+            ]
+        };
+        let mut odd = edges(100);
+        odd.rotate_left(dim % 8);
+        let probes: Vec<Vec<f32>> = (0..8).flat_map(|p| [plain(p), odd[p].clone()]).collect();
+        let mut rows = vec![plain(50), plain(51), probes[0].clone(), probes[2].clone()];
+        rows.push(probes[4].iter().map(|v| 3.0 * v).collect());
+        rows.push(probes[6].iter().map(|v| -v).collect());
+        rows.extend(edges(200));
+        (probes, rows)
+    }
+
+    #[test]
+    fn block_hits_equal_within_on_every_tier() {
+        let tiers: Vec<Tier> = Tier::ALL.into_iter().filter(|t| t.is_supported()).collect();
+        for dim in 0..=70usize {
+            let (probes, rows) = block_vectors(dim);
+            let norms: Vec<(f32, f32)> = rows
+                .iter()
+                .map(|x| (ops::norm(x), ops::dot(x, x)))
+                .collect();
+            let queries: Vec<&[f32]> = probes.iter().map(Vec::as_slice).collect();
+            for metric in Metric::ALL {
+                let kernel = MetricKernel::new(metric);
+                // Two thresholds sit exactly on a computed distance.
+                let boundary = [
+                    metric.dist(queries[0], &rows[0]),
+                    metric.dist(queries[2], &rows[1]),
+                ];
+                let fixed = [-0.5f32, 0.0, 1e-6, 0.3, 1.0, 2.0, f32::INFINITY, f32::NAN];
+                for eps in fixed.into_iter().chain(boundary) {
+                    // want[r]: bit p set iff probe p is within eps of row r.
+                    let scalar: Vec<RangeProbe> =
+                        queries.iter().map(|q| kernel.probe(q, eps)).collect();
+                    let want: Vec<u32> = rows
+                        .iter()
+                        .zip(&norms)
+                        .map(|(x, &(x_norm, x_sq))| {
+                            scalar.iter().enumerate().fold(0, |mask, (p, probe)| {
+                                mask | u32::from(kernel.within(probe, x, x_norm, x_sq)) << p
+                            })
+                        })
+                        .collect();
+                    for &tier in &tiers {
+                        for len in 1..=BLOCK_PROBES {
+                            let block = RangeBlock::with_tier(kernel, &queries[..len], eps, tier);
+                            for (r, (x, &(x_norm, x_sq))) in rows.iter().zip(&norms).enumerate() {
+                                assert_eq!(
+                                    block.hits(x, x_norm, x_sq),
+                                    want[r] & ((1 << len) - 1),
+                                    "{tier:?} {metric:?} dim {dim} probes {len} eps {eps} row {r}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

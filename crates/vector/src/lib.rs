@@ -19,8 +19,9 @@
 //!   conversion of Equation (1) in the paper.
 //! * [`MetricKernel`] — metric-specialized distance kernels: per-row norm
 //!   caching ([`Dataset::row_norms`]), dot-only predicates with threshold
-//!   pushdown, and one decision entry point for dots computed in a tile
-//!   ([`MetricKernel::within_dot`]), all bit-identical to the generic
+//!   pushdown, and the decisions of tiled scans — one pair from a tiled dot
+//!   ([`MetricKernel::within_dot`]) or a packed block's hit mask against one
+//!   row ([`RangeBlock::hits`]) — all bit-identical to the generic
 //!   evaluation.
 //! * [`tile`] — the exact register tiles of the linear scan: one probe
 //!   against eight rows ([`tile::dot_rows8`]) and up to sixteen packed
@@ -68,7 +69,7 @@ pub use distance::{
 };
 pub use error::VectorError;
 pub use fault::{FaultMode, FaultPlan};
-pub use kernel::{MetricKernel, PreparedQuery, RangeProbe};
+pub use kernel::{MetricKernel, PreparedQuery, RangeBlock, RangeProbe};
 pub use projection::GaussianRandomProjection;
 pub use shard::ShardMap;
 

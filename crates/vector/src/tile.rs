@@ -13,6 +13,11 @@
 //!   [`BLOCK_PROBES`] probes out chunk by chunk, two per 256-bit AVX2
 //!   register, and scores all of them against one row per call.
 //!
+//! On AVX2 the block can instead decide a cosine range test on every lane
+//! in registers right after the reduction, with the IEEE operations of
+//! [`crate::MetricKernel::within_dot`] in the same order (reached through
+//! [`crate::MetricKernel::block`]).
+//!
 //! # Accumulation contract
 //!
 //! Every lane is bit-identical to [`ops::dot`] on the same pair; only the
@@ -118,7 +123,8 @@ pub(crate) fn dot_rows8_on(tier: Tier, q: &[f32], rows: &[f32]) -> [f32; ROW_TIL
 }
 
 /// Up to [`BLOCK_PROBES`] probes prepared for the block tile, which scores
-/// all of them against one row per [`ProbeBlock::dots`] call.
+/// all of them against one row per [`ProbeBlock::dots`] call (or decides a
+/// cosine range test on all of them, for [`crate::RangeBlock::hits`]).
 ///
 /// On the AVX2 tier the probes' 4-element chunks are packed chunk-major:
 /// probe `p`'s chunk `c` sits at `(c * lanes + p) * 4`, where `lanes` is the
@@ -199,18 +205,9 @@ impl<'q> ProbeBlock<'q> {
         match self.tier {
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => {
-                let chunks = self.dim / 4;
-                let mut tails = [0.0f32; BLOCK_PROBES];
-                for (tail, probe) in tails.iter_mut().zip(&self.probes) {
-                    for j in chunks * 4..self.dim {
-                        *tail += probe[j] * x[j];
-                    }
-                }
-                let slots = self.probes.len().next_multiple_of(2);
                 let mut lanes = [0.0f32; BLOCK_PROBES];
-                // SAFETY: `with_tier` asserted that the running CPU supports
-                // AVX2 before storing `Tier::Avx2`.
-                unsafe { x86::block_avx2(&self.packed, slots, x, &tails, &mut lanes) };
+                // SAFETY: this block's tier is AVX2.
+                unsafe { self.avx2(x, x86::Epilogue::Store(&mut lanes)) };
                 out.copy_from_slice(&lanes[..out.len()]);
             }
             _ => {
@@ -225,13 +222,64 @@ impl<'q> ProbeBlock<'q> {
             }
         }
     }
+
+    /// Bit `p` is set iff `test` holds for probe `p` against `x`, a row of
+    /// norm `x_norm`; higher bits are clear. The dots are never stored.
+    ///
+    /// # Panics
+    /// Panics if `x.len()` differs from the probes' length, or off AVX2.
+    #[inline]
+    pub(crate) fn lane_hits(&self, test: &CosineTest, x: &[f32], x_norm: f32) -> u32 {
+        assert_eq!(x.len(), self.dim, "ProbeBlock::lane_hits: length mismatch");
+        match self.tier {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => {
+                // SAFETY: this block's tier is AVX2.
+                let mask = unsafe { self.avx2(x, x86::Epilogue::Decide(test, x_norm)) };
+                // A padding slot's zero probe passes a cosine test at ε > 1.
+                mask & ((1 << self.probes.len()) - 1)
+            }
+            _ => unreachable!("only the AVX2 block decides lanes in registers"),
+        }
+    }
+
+    /// The AVX2 kernel over this block's packing, each probe's `dim % 4`
+    /// tail summed sequentially from `+0.0` as [`ops::dot`] sums it.
+    ///
+    /// # Safety
+    /// The block's tier must be AVX2: `with_tier` asserted that the running
+    /// CPU supports it before storing `Tier::Avx2`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn avx2(&self, x: &[f32], epilogue: x86::Epilogue<'_>) -> u32 {
+        let mut tails = [0.0f32; BLOCK_PROBES];
+        for (tail, probe) in tails.iter_mut().zip(&self.probes) {
+            for j in self.dim / 4 * 4..self.dim {
+                *tail += probe[j] * x[j];
+            }
+        }
+        let slots = self.probes.len().next_multiple_of(2);
+        // SAFETY: the caller guarantees AVX2.
+        unsafe { x86::block_avx2(&self.packed, slots, x, &tails, epilogue) }
+    }
+}
+
+/// The cosine range test [`ProbeBlock::lane_hits`] decides per lane, with
+/// the IEEE operations of [`crate::MetricKernel::within_dot`] in the same
+/// order: `1 − sim < eps`, where `sim` is `dot / (norms[p] · x_norm)`
+/// clamped to `[−1, 1]` (NaN stays NaN), or `+0.0` when a norm is at most
+/// `1e-12`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CosineTest {
+    /// The probes' norms, zero in padding slots.
+    pub(crate) norms: [f32; BLOCK_PROBES],
+    pub(crate) eps: f32,
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The `std::arch` kernels behind the SSE2 row tile and the AVX2 block.
 
-    use super::{BLOCK_PROBES, ROW_TILE};
+    use super::{CosineTest, BLOCK_PROBES, ROW_TILE};
     use std::arch::x86_64::*;
 
     /// `s0 + s1 + s2 + s3 + tail` for four pairs whose partial sums are the
@@ -290,8 +338,16 @@ mod x86 {
         out
     }
 
-    /// The packed block on AVX2: all `lanes` probe slots of `packed`
-    /// against `x`, into `out[..lanes]`.
+    /// What the AVX2 block does with its dot lanes: store them (probe `p` at
+    /// index `p`), or decide them against a row of the given norm.
+    pub(super) enum Epilogue<'a> {
+        Store(&'a mut [f32; BLOCK_PROBES]),
+        Decide(&'a CosineTest, f32),
+    }
+
+    /// The packed block on AVX2: all `lanes` probe slots of `packed` against
+    /// `x`, finished by `epilogue`. Returns the mask of decided lanes (bit
+    /// `p` for slot `p`, padding included), 0 when storing.
     ///
     /// # Safety
     /// The running CPU must support AVX2.
@@ -300,20 +356,20 @@ mod x86 {
         lanes: usize,
         x: &[f32],
         tails: &[f32; BLOCK_PROBES],
-        out: &mut [f32; BLOCK_PROBES],
-    ) {
+        epilogue: Epilogue<'_>,
+    ) -> u32 {
         // SAFETY: the caller guarantees AVX2, the only requirement of the
         // `#[target_feature]` functions called here.
         unsafe {
             match lanes / 2 {
-                1 => block_avx2_n::<1>(packed, x, tails, out),
-                2 => block_avx2_n::<2>(packed, x, tails, out),
-                3 => block_avx2_n::<3>(packed, x, tails, out),
-                4 => block_avx2_n::<4>(packed, x, tails, out),
-                5 => block_avx2_n::<5>(packed, x, tails, out),
-                6 => block_avx2_n::<6>(packed, x, tails, out),
-                7 => block_avx2_n::<7>(packed, x, tails, out),
-                8 => block_avx2_n::<8>(packed, x, tails, out),
+                1 => block_avx2_n::<1>(packed, x, tails, epilogue),
+                2 => block_avx2_n::<2>(packed, x, tails, epilogue),
+                3 => block_avx2_n::<3>(packed, x, tails, epilogue),
+                4 => block_avx2_n::<4>(packed, x, tails, epilogue),
+                5 => block_avx2_n::<5>(packed, x, tails, epilogue),
+                6 => block_avx2_n::<6>(packed, x, tails, epilogue),
+                7 => block_avx2_n::<7>(packed, x, tails, epilogue),
+                8 => block_avx2_n::<8>(packed, x, tails, epilogue),
                 _ => unreachable!("a probe block has 2..=16 even probe slots"),
             }
         }
@@ -326,8 +382,8 @@ mod x86 {
         packed: &[f32],
         x: &[f32],
         tails: &[f32; BLOCK_PROBES],
-        out: &mut [f32; BLOCK_PROBES],
-    ) {
+        mut epilogue: Epilogue<'_>,
+    ) -> u32 {
         let lanes = 2 * A;
         let chunks = x.len() / 4;
         assert_eq!(packed.len(), chunks * lanes * 4, "block_avx2: bad packing");
@@ -348,6 +404,7 @@ mod x86 {
         // leaves probes [0 2 4 6 | 1 3 5 7]; the permute restores probe
         // order before the tail is added.
         let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let mut mask = 0;
         for g in 0..A.div_ceil(4) {
             let mut s = [_mm256_setzero_ps(); 4];
             let n = (A - 4 * g).min(4);
@@ -363,12 +420,42 @@ mod x86 {
             let sum = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(s0, s1), s2), s3);
             let sum = _mm256_permutevar8x32_ps(sum, order);
             // SAFETY: `g < A.div_ceil(4) <= 2`, so `8g + 8 <= BLOCK_PROBES`
-            // floats of `tails` and `out`.
-            unsafe {
-                let tail = _mm256_loadu_ps(tails.as_ptr().add(8 * g));
-                _mm256_storeu_ps(out.as_mut_ptr().add(8 * g), _mm256_add_ps(sum, tail));
+            // floats of `tails`.
+            let dot = _mm256_add_ps(sum, unsafe { _mm256_loadu_ps(tails.as_ptr().add(8 * g)) });
+            match &mut epilogue {
+                // SAFETY: as for `tails`.
+                Epilogue::Store(out) => unsafe {
+                    _mm256_storeu_ps(out.as_mut_ptr().add(8 * g), dot)
+                },
+                Epilogue::Decide(test, x_norm) => {
+                    let hit = decide(test, g, dot, *x_norm);
+                    mask |= (_mm256_movemask_ps(hit) as u32) << (8 * g);
+                }
             }
         }
+        mask
+    }
+
+    /// `test` on the dots of probes `8g..8g + 8`: all-ones in each lane that
+    /// passes. The operations are `MetricKernel::within_dot`'s, in its order.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn decide(test: &CosineTest, g: usize, dot: __m256, x_norm: f32) -> __m256 {
+        // SAFETY: `g <= 1`, so `8g + 8 <= BLOCK_PROBES` floats.
+        let qn = unsafe { _mm256_loadu_ps(test.norms.as_ptr().add(8 * g)) };
+        let xn = _mm256_set1_ps(x_norm);
+        let one = _mm256_set1_ps(1.0);
+        let sim = _mm256_div_ps(dot, _mm256_mul_ps(qn, xn));
+        // `max`/`min` return their second operand when either is NaN, so a
+        // NaN `sim` passes through the clamp as in `f32::clamp`.
+        let sim = _mm256_min_ps(one, _mm256_max_ps(_mm256_set1_ps(-1.0), sim));
+        let tiny = _mm256_set1_ps(1e-12);
+        let degenerate = _mm256_or_ps(
+            _mm256_cmp_ps::<_CMP_LE_OQ>(qn, tiny),
+            _mm256_cmp_ps::<_CMP_LE_OQ>(xn, tiny),
+        );
+        let sim = _mm256_andnot_ps(degenerate, sim);
+        _mm256_cmp_ps::<_CMP_LT_OQ>(_mm256_sub_ps(one, sim), _mm256_set1_ps(test.eps))
     }
 }
 

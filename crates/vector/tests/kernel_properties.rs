@@ -6,8 +6,9 @@
 //! the unrolled dot kernels), zero and near-zero vectors (degenerate-norm
 //! semantics), unnormalized data, and thresholds parked right on top of the
 //! computed distances (the Euclidean pushdown's fallback band). The batch
-//! tiles (`ops::dot4` and the register tiles of `laf_vector::tile`) are held
-//! to the same contract, NaN, infinities and subnormals included.
+//! tiles (`ops::dot4` and the register tiles of `laf_vector::tile`) and the
+//! hit masks of `MetricKernel::block` are held to the same contract, NaN,
+//! infinities and subnormals included.
 
 use laf_vector::tile::{self, ProbeBlock, BLOCK_PROBES, ROW_TILE};
 use laf_vector::{ops, Dataset, Metric, MetricKernel};
@@ -82,6 +83,8 @@ proptest! {
     /// five metrics. Dims 0..=70 cover the tails and dim < 4; the row count
     /// (`random + 7`) is rarely a multiple of 8, and the row tile slides over
     /// every window of eight consecutive rows; blocks take 1..=16 probes.
+    /// The same blocks as `MetricKernel::block`s, on the detected tier, must
+    /// set exactly the hit bits `within` gives.
     #[test]
     fn dot4_is_bit_identical_to_dot(
         dim in 0usize..=70,
@@ -152,6 +155,31 @@ proptest! {
                                 "{:?} dim {} probe {} row {} eps {}", metric, dim, p, r, eps
                             );
                         }
+                    }
+                }
+            }
+        }
+
+        for len in 1..=BLOCK_PROBES {
+            let first = len % (probes.len() - len + 1);
+            let queries = &refs[first..first + len];
+            for metric in Metric::ALL {
+                let kernel = MetricKernel::new(metric);
+                // One threshold per block: the raw one, and one sitting
+                // exactly on a computed distance.
+                for eps in [eps_raw, metric.dist(queries[0], &rows[0])] {
+                    let scalar: Vec<_> = queries.iter().map(|q| kernel.probe(q, eps)).collect();
+                    let block = kernel.block(queries, eps);
+                    for (r, row) in rows.iter().enumerate() {
+                        let (x_norm, x_sq) = norms_of(row);
+                        let want = scalar.iter().enumerate().fold(0u32, |mask, (k, probe)| {
+                            mask | u32::from(kernel.within(probe, row, x_norm, x_sq)) << k
+                        });
+                        prop_assert_eq!(
+                            block.hits(row, x_norm, x_sq),
+                            want,
+                            "{:?} dim {} probes {}..{} row {} eps {}", metric, dim, first, first + len, r, eps
+                        );
                     }
                 }
             }
@@ -277,6 +305,49 @@ proptest! {
             prop_assert_eq!(norms.sq(i).to_bits(), ops::dot(row, row).to_bits());
         }
     }
+}
+
+/// Magnitudes where f32 squares land in the subnormal range, where the
+/// relative-error model behind the Euclidean pushdown band breaks down.
+/// Every batch tile (the row tile and the packed block, through
+/// `within_dot`) and the range block's hit mask must still decide like the
+/// generic path.
+#[test]
+fn euclid_tile_agrees_in_subnormal_range() {
+    let mut diverged = Vec::new();
+    for metric in [Metric::Euclidean, Metric::SquaredEuclidean] {
+        let kernel = MetricKernel::new(metric);
+        for scale in [1e-23f32, 3e-23, 5e-23, 1e-22, 3e-22] {
+            let q = vec![scale, 0.0];
+            let row = vec![-scale, 0.0];
+            let data = Dataset::from_rows(vec![row.clone()]).unwrap();
+            let norms = data.row_norms();
+            let (x_norm, x_sq) = (norms.norm(0), norms.sq(0));
+            let exact = metric.dist(&q, &row);
+            let row_dots = tile::dot_rows8(&q, &row.repeat(ROW_TILE));
+            let mut block_dots = [0.0f32; BLOCK_PROBES];
+            let queries = [q.as_slice(); BLOCK_PROBES];
+            ProbeBlock::new(&queries).dots(&row, &mut block_dots);
+            for mult in [0.5f32, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0] {
+                let eps = exact * mult;
+                let expected = exact < eps;
+                let probe = kernel.probe(&q, eps);
+                for (name, dots) in [("row tile", &row_dots[..]), ("block", &block_dots[..])] {
+                    for &dot in dots {
+                        let got = kernel.within_dot(&probe, dot, &row, x_norm, x_sq);
+                        if got != expected {
+                            diverged.push((metric, name, scale, eps, exact, got, expected));
+                        }
+                    }
+                }
+                let mask = kernel.block(&queries, eps).hits(&row, x_norm, x_sq);
+                if mask != if expected { 0xFFFF } else { 0 } {
+                    diverged.push((metric, "hits", scale, eps, exact, mask != 0, expected));
+                }
+            }
+        }
+    }
+    assert!(diverged.is_empty(), "divergences: {diverged:?}");
 }
 
 /// The mapped and owned backings must serve bit-identical kernels: a mapped
