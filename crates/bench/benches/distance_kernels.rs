@@ -9,9 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use laf_vector::tile::{self, ProbeBlock, BLOCK_PROBES, ROW_TILE};
-use laf_vector::{
-    ops, AngularDistance, CosineDistance, DistanceMetric, EuclideanDistance, Metric, MetricKernel,
-};
+use laf_vector::{ops, Metric};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -30,13 +28,13 @@ fn bench_distances(c: &mut Criterion) {
         let a = random_unit(dim, &mut rng);
         let b = random_unit(dim, &mut rng);
         group.bench_with_input(BenchmarkId::new("cosine", dim), &dim, |bench, _| {
-            bench.iter(|| black_box(CosineDistance.dist(black_box(&a), black_box(&b))))
+            bench.iter(|| black_box(Metric::Cosine.dist(black_box(&a), black_box(&b))))
         });
         group.bench_with_input(BenchmarkId::new("euclidean", dim), &dim, |bench, _| {
-            bench.iter(|| black_box(EuclideanDistance.dist(black_box(&a), black_box(&b))))
+            bench.iter(|| black_box(Metric::Euclidean.dist(black_box(&a), black_box(&b))))
         });
         group.bench_with_input(BenchmarkId::new("angular", dim), &dim, |bench, _| {
-            bench.iter(|| black_box(AngularDistance.dist(black_box(&a), black_box(&b))))
+            bench.iter(|| black_box(Metric::Angular.dist(black_box(&a), black_box(&b))))
         });
         group.bench_with_input(BenchmarkId::new("dot", dim), &dim, |bench, _| {
             bench.iter(|| black_box(ops::dot(black_box(&a), black_box(&b))))
@@ -84,19 +82,18 @@ fn bench_distances(c: &mut Criterion) {
         });
         // The same sixteen probes as one cosine range block: the dots plus
         // the hit mask (decided in registers on AVX2, per lane elsewhere).
-        let kernel = MetricKernel::new(Metric::Cosine);
-        let range_block = kernel.block(&refs, 0.35);
+        let range_block = Metric::Cosine.block(&refs, 0.35);
         let (b_norm, b_sq) = (ops::norm(&b), ops::dot(&b, &b));
         group.bench_with_input(
             BenchmarkId::new("probe_block_hits", dim),
             &dim,
             |bench, _| bench.iter(|| black_box(range_block.hits(black_box(&b), b_norm, b_sq))),
         );
-        // Norm-cached cosine: the specialized kernel's per-row work (one dot
-        // + O(1) epilogue) vs the 3-dot `CosineDistance` above.
-        let prep = kernel.prepare(&a);
+        // Norm-cached cosine: the prepared distance's per-row work (one dot
+        // + O(1) epilogue) vs the 3-dot generic `cosine` above.
+        let prep = Metric::Cosine.prepare(&a);
         group.bench_with_input(BenchmarkId::new("cosine_kernel", dim), &dim, |bench, _| {
-            bench.iter(|| black_box(kernel.dist(black_box(&prep), black_box(&b), b_norm)))
+            bench.iter(|| black_box(black_box(&prep).dist(black_box(&b), b_norm)))
         });
     }
     group.finish();

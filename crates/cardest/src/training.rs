@@ -15,7 +15,7 @@
 //!    transform keeps the regression well-conditioned across the orders of
 //!    magnitude that cardinalities span.
 
-use laf_vector::{Dataset, Metric, MetricKernel, VectorError};
+use laf_vector::{Dataset, Metric, VectorError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -174,23 +174,22 @@ impl TrainingSetBuilder {
 }
 
 /// Exact neighbor counts of `q` in `reference` at every threshold, in one
-/// pass: the query is prepared once, and each row's
-/// [`MetricKernel::dist`] is computed once and counted against every
-/// threshold. `counts[t]` equals `LinearScan::range_count(q, thresholds[t])`
-/// because both equal the generic `metric.dist(q, x) < thresholds[t]`
-/// count: the kernel's distance is bit-identical to [`Metric::dist`].
+/// pass: the query is prepared once ([`Metric::prepare`]), and each row's
+/// prepared distance is computed once and counted against every threshold.
+/// `counts[t]` equals `LinearScan::range_count(q, thresholds[t])` because
+/// both equal the generic `metric.dist(q, x) < thresholds[t]` count: the
+/// prepared distance is bit-identical to [`Metric::dist`].
 pub(crate) fn threshold_counts(
     reference: &Dataset,
     metric: Metric,
     q: &[f32],
     thresholds: &[f32],
 ) -> Vec<usize> {
-    let kernel = MetricKernel::new(metric);
-    let prepared = kernel.prepare(q);
+    let prepared = metric.prepare(q);
     let norms = reference.row_norms().norms();
     let mut counts = vec![0usize; thresholds.len()];
     for (x, &x_norm) in reference.rows().zip(norms) {
-        let dist = kernel.dist(&prepared, x, x_norm);
+        let dist = prepared.dist(x, x_norm);
         for (count, &eps) in counts.iter_mut().zip(thresholds) {
             *count += usize::from(dist < eps);
         }

@@ -18,8 +18,7 @@
 //! distances. Cosine thresholds are converted through Equation (1).
 
 use crate::result::{Clusterer, Clustering, NOISE, UNDEFINED};
-use laf_vector::distance::DistanceMetric;
-use laf_vector::{cosine_to_euclidean, Dataset, EuclideanDistance, Metric};
+use laf_vector::{cosine_to_euclidean, Dataset, Metric};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -173,7 +172,7 @@ fn probe(data: &Dataset, grid: &Grid, q: &[f32], eps: f32, rho: f32) -> Probe {
         }
         for &p in points {
             evaluations += 1;
-            if EuclideanDistance.dist(q, data.row(p as usize)) < eps {
+            if Metric::Euclidean.dist(q, data.row(p as usize)) < eps {
                 neighbors.push(p);
             }
         }

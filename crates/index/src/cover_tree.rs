@@ -16,8 +16,7 @@
 
 use crate::engine::{Neighbor, RangeQueryEngine, TotalDist};
 use crate::persist::{PersistError, PersistedCoverTree, PersistedCtNode, PersistedEngine};
-use laf_vector::distance::DistanceMetric;
-use laf_vector::{cosine_to_euclidean, euclidean_to_cosine, Dataset, EuclideanDistance, Metric};
+use laf_vector::{cosine_to_euclidean, euclidean_to_cosine, Dataset, Metric};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const LEAF_SIZE: usize = 16;
@@ -134,7 +133,7 @@ impl<'a> CoverTree<'a> {
     fn euc(&self, a: &[f32], b: &[f32]) -> f32 {
         // Internal distances use Euclidean geometry; the public metric only
         // affects threshold conversion.
-        EuclideanDistance.dist(a, b)
+        Metric::Euclidean.dist(a, b)
     }
 
     /// Convert a public-metric threshold into the internal Euclidean one.

@@ -10,7 +10,7 @@
 
 use crate::engine::{Neighbor, RangeQueryEngine, TotalDist};
 use crate::persist::{PersistError, PersistedEngine, PersistedIvf, PersistedIvfList};
-use laf_vector::{ops, Dataset, Metric, MetricKernel};
+use laf_vector::{ops, Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +21,6 @@ const KMEANS_ITERS: usize = 8;
 pub struct IvfIndex<'a> {
     data: &'a Dataset,
     metric: Metric,
-    kernel: MetricKernel,
     centroids: Vec<Vec<f32>>,
     /// L2 norm of each centroid (`ops::norm`), kept in lockstep with
     /// `centroids` so probe ordering needs one dot per centroid.
@@ -44,7 +43,6 @@ impl<'a> IvfIndex<'a> {
         let mut index = Self {
             data,
             metric,
-            kernel: MetricKernel::new(metric),
             centroids: Vec::new(),
             centroid_norms: Vec::new(),
             lists: Vec::new(),
@@ -78,7 +76,6 @@ impl<'a> IvfIndex<'a> {
         Ok(Self {
             data,
             metric: p.metric,
-            kernel: MetricKernel::new(p.metric),
             centroids,
             centroid_norms,
             lists: p.lists.iter().map(|l| l.points.clone()).collect(),
@@ -119,11 +116,11 @@ impl<'a> IvfIndex<'a> {
             // Assignment distances are bit-identical to `Metric::dist`.
             let iter_norms = norms_of(&centroids);
             for (i, row) in self.data.rows().enumerate() {
-                let prep = self.kernel.prepare_with_norm(row, row_norms.norm(i));
+                let prep = self.metric.prepare_with_norm(row, row_norms.norm(i));
                 let mut best = 0usize;
                 let mut best_d = f32::INFINITY;
                 for (c, centroid) in centroids.iter().enumerate() {
-                    let d = self.kernel.dist(&prep, centroid, iter_norms[c]);
+                    let d = prep.dist(centroid, iter_norms[c]);
                     if d < best_d {
                         best_d = d;
                         best = c;
@@ -169,13 +166,13 @@ impl<'a> IvfIndex<'a> {
     /// centroid, plus one per point of the probed lists, which every caller
     /// scans in full.
     fn probe_order(&self, q: &[f32]) -> Vec<usize> {
-        let prep = self.kernel.prepare(q);
+        let prep = self.metric.prepare(q);
         let mut order: Vec<(TotalDist, usize)> = self
             .centroids
             .iter()
             .zip(&self.centroid_norms)
             .enumerate()
-            .map(|(i, (c, &norm))| (TotalDist(self.kernel.dist(&prep, c, norm)), i))
+            .map(|(i, (c, &norm))| (TotalDist(prep.dist(c, norm)), i))
             .collect();
         order.sort_unstable();
         order.truncate(self.nprobe);
@@ -202,14 +199,11 @@ impl RangeQueryEngine for IvfIndex<'_> {
         }
         let mut out = Vec::new();
         let norms = self.data.row_norms();
-        let probe = self.kernel.probe(q, eps);
+        let probe = self.metric.probe(q, eps);
         for list_id in self.probe_order(q) {
             for &p in &self.lists[list_id] {
                 let i = p as usize;
-                if self
-                    .kernel
-                    .within(&probe, self.data.row(i), norms.norm(i), norms.sq(i))
-                {
+                if probe.within(self.data.row(i), norms.norm(i)) {
                     out.push(p);
                 }
             }
@@ -223,12 +217,12 @@ impl RangeQueryEngine for IvfIndex<'_> {
             return Vec::new();
         }
         let norms = self.data.row_norms();
-        let prep = self.kernel.prepare(q);
+        let prep = self.metric.prepare(q);
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
         for list_id in self.probe_order(q) {
             for &p in &self.lists[list_id] {
                 let i = p as usize;
-                let d = self.kernel.dist(&prep, self.data.row(i), norms.norm(i));
+                let d = prep.dist(self.data.row(i), norms.norm(i));
                 if best.len() < k || d < best.last().map(|n| n.dist).unwrap_or(f32::INFINITY) {
                     best.push(Neighbor::new(p, d));
                     best.sort_unstable();

@@ -16,7 +16,7 @@
 
 use crate::engine::{Neighbor, RangeQueryEngine, TotalDist};
 use crate::persist::{PersistError, PersistedEngine, PersistedKMeansTree, PersistedKmNode};
-use laf_vector::{ops, Dataset, Metric, MetricKernel};
+use laf_vector::{ops, Dataset, Metric};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -29,8 +29,8 @@ const KMEANS_ITERS: usize = 6;
 #[derive(Debug)]
 struct KmNode {
     centroid: Vec<f32>,
-    /// `ops::norm(centroid)`, cached at construction for the traversal
-    /// kernel.
+    /// `ops::norm(centroid)`, cached at construction for the traversal's
+    /// prepared distance.
     centroid_norm: f32,
     children: Vec<u32>,
     /// Points stored at this node (leaves only).
@@ -41,7 +41,6 @@ struct KmNode {
 pub struct KMeansTree<'a> {
     data: &'a Dataset,
     metric: Metric,
-    kernel: MetricKernel,
     branching: usize,
     leaf_ratio: f64,
     nodes: Vec<KmNode>,
@@ -71,7 +70,6 @@ impl<'a> KMeansTree<'a> {
         let mut tree = Self {
             data,
             metric,
-            kernel: MetricKernel::new(metric),
             branching,
             leaf_ratio,
             nodes: Vec::new(),
@@ -128,7 +126,6 @@ impl<'a> KMeansTree<'a> {
         Ok(Self {
             data,
             metric: p.metric,
-            kernel: MetricKernel::new(p.metric),
             branching: p.branching as usize,
             leaf_ratio: p.leaf_ratio,
             nodes,
@@ -232,12 +229,12 @@ impl<'a> KMeansTree<'a> {
             for (slot, &p) in points.iter().enumerate() {
                 let row = self.data.row(p as usize);
                 let prep = self
-                    .kernel
+                    .metric
                     .prepare_with_norm(row, row_norms.norm(p as usize));
                 let mut best = 0usize;
                 let mut best_d = f32::INFINITY;
                 for (c_idx, c) in centroids.iter().enumerate() {
-                    let d = self.kernel.dist(&prep, c, iter_norms[c_idx]);
+                    let d = prep.dist(c, iter_norms[c_idx]);
                     if d < best_d {
                         best_d = d;
                         best = c_idx;
@@ -273,7 +270,7 @@ impl<'a> KMeansTree<'a> {
     /// scans in full.
     fn traverse<F: FnMut(&[u32])>(&self, q: &[f32], mut visit: F) {
         let Some(root) = self.root else { return };
-        let prep = self.kernel.prepare(q);
+        let prep = self.metric.prepare(q);
         let leaf_budget = ((self.n_leaves as f64) * self.leaf_ratio).ceil().max(1.0) as usize;
         let mut visited = 0usize;
         let mut evals = 0u64;
@@ -293,7 +290,7 @@ impl<'a> KMeansTree<'a> {
             evals += node.children.len() as u64;
             for &child in &node.children {
                 let c = &self.nodes[child as usize];
-                let d = self.kernel.dist(&prep, &c.centroid, c.centroid_norm);
+                let d = prep.dist(&c.centroid, c.centroid_norm);
                 pq.push(Reverse((TotalDist(d), child)));
             }
         }
@@ -313,14 +310,11 @@ impl RangeQueryEngine for KMeansTree<'_> {
     fn range(&self, q: &[f32], eps: f32) -> Vec<u32> {
         let mut out = Vec::new();
         let norms = self.data.row_norms();
-        let probe = self.kernel.probe(q, eps);
+        let probe = self.metric.probe(q, eps);
         self.traverse(q, |points| {
             for &p in points {
                 let i = p as usize;
-                if self
-                    .kernel
-                    .within(&probe, self.data.row(i), norms.norm(i), norms.sq(i))
-                {
+                if probe.within(self.data.row(i), norms.norm(i)) {
                     out.push(p);
                 }
             }
@@ -335,11 +329,11 @@ impl RangeQueryEngine for KMeansTree<'_> {
         }
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
         let norms = self.data.row_norms();
-        let prep = self.kernel.prepare(q);
+        let prep = self.metric.prepare(q);
         self.traverse(q, |points| {
             for &p in points {
                 let i = p as usize;
-                let d = self.kernel.dist(&prep, self.data.row(i), norms.norm(i));
+                let d = prep.dist(self.data.row(i), norms.norm(i));
                 if best.len() < k || d < best.last().map(|n| n.dist).unwrap_or(f32::INFINITY) {
                     best.push(Neighbor::new(p, d));
                     best.sort_unstable();

@@ -4,15 +4,15 @@
 //! variants in the paper (their cost model is "one range query = one full
 //! scan"), and the default engine of every clusterer.
 //!
-//! The scan loops run on the metric-specialized kernels of
-//! [`laf_vector::kernel`]: the query norm is computed once per query and row
-//! norms come from the dataset's lazily-built cache. The dot products come
+//! The scan loops run on the prepared forms of the engine's [`Metric`]
+//! ([`laf_vector::kernel`]): the query norm is computed once per query and
+//! row norms come from the dataset's lazily-built cache. The dot products come
 //! from the exact register tiles of [`laf_vector::tile`]:
 //!
 //! * a single query scores eight rows per step ([`tile::dot_rows8`]), and
-//!   each row is decided by [`MetricKernel::within_dot`];
+//!   each row is decided by [`laf_vector::RangeProbe::within_dot`];
 //! * from [`tile::BLOCK_PROBES`] queries on, the batch entry points pack
-//!   blocks of up to that many queries once ([`MetricKernel::block`]) and
+//!   blocks of up to that many queries once ([`Metric::block`]) and
 //!   take one hit mask per row against the whole block
 //!   ([`laf_vector::RangeBlock::hits`]; cosine lanes are decided in
 //!   registers on AVX2), then walk its set bits in query order.
@@ -26,12 +26,12 @@ use crate::engine::{Neighbor, RangeQueryEngine};
 use crate::persist::PersistedEngine;
 use crate::topk::TopK;
 use laf_vector::tile::{self, ROW_TILE};
-use laf_vector::{Dataset, Metric, MetricKernel};
+use laf_vector::{Dataset, Metric};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of queries processed per cache block in the batched kernels: the
-/// block is packed once by [`MetricKernel::block`] and each dataset row gets
+/// block is packed once by [`Metric::block`] and each dataset row gets
 /// one hit mask against all of it ([`laf_vector::RangeBlock::hits`]) while
 /// the row is hot.
 const QUERY_BLOCK: usize = tile::BLOCK_PROBES;
@@ -40,7 +40,6 @@ const QUERY_BLOCK: usize = tile::BLOCK_PROBES;
 pub struct LinearScan<'a> {
     data: &'a Dataset,
     metric: Metric,
-    kernel: MetricKernel,
     evaluations: AtomicU64,
 }
 
@@ -50,7 +49,6 @@ impl<'a> LinearScan<'a> {
         Self {
             data,
             metric,
-            kernel: MetricKernel::new(metric),
             evaluations: AtomicU64::new(0),
         }
     }
@@ -80,7 +78,7 @@ impl<'a> LinearScan<'a> {
     /// time; the last `n % 8` rows take the scalar predicate.
     fn scan(&self, q: &[f32], eps: f32, mut hit: impl FnMut(usize)) {
         let norms = self.data.row_norms();
-        let probe = self.kernel.probe(q, eps);
+        let probe = self.metric.probe(q, eps);
         let dim = self.data.dim();
         let tiled = self.data.len() / ROW_TILE * ROW_TILE;
         let (head, rest) = self.data.as_flat().split_at(tiled * dim);
@@ -88,17 +86,14 @@ impl<'a> LinearScan<'a> {
             let dots = tile::dot_rows8(q, rows);
             for (r, (x, &dot)) in rows.chunks_exact(dim).zip(&dots).enumerate() {
                 let i = t * ROW_TILE + r;
-                if self
-                    .kernel
-                    .within_dot(&probe, dot, x, norms.norm(i), norms.sq(i))
-                {
+                if probe.within_dot(dot, x, norms.norm(i), norms.sq(i)) {
                     hit(i);
                 }
             }
         }
         for (r, x) in rest.chunks_exact(dim).enumerate() {
             let i = tiled + r;
-            if self.kernel.within(&probe, x, norms.norm(i), norms.sq(i)) {
+            if probe.within(x, norms.norm(i)) {
                 hit(i);
             }
         }
@@ -117,12 +112,9 @@ impl<'a> LinearScan<'a> {
         }
         let mut top = TopK::new(k);
         let norms = self.data.row_norms();
-        let prep = self.kernel.prepare(q);
+        let prep = self.metric.prepare(q);
         for (i, row) in self.data.rows().enumerate() {
-            top.push(Neighbor::new(
-                i as u32,
-                self.kernel.dist(&prep, row, norms.norm(i)),
-            ));
+            top.push(Neighbor::new(i as u32, prep.dist(row, norms.norm(i))));
         }
         top.into_sorted()
     }
@@ -149,7 +141,7 @@ impl<'a> LinearScan<'a> {
     /// slot order.
     fn scan_block(&self, block: &[&[f32]], eps: f32, mut hit: impl FnMut(usize, usize)) {
         let norms = self.data.row_norms();
-        let block = self.kernel.block(block, eps);
+        let block = self.metric.block(block, eps);
         for (i, x) in self.data.rows().enumerate() {
             let mut mask = block.hits(x, norms.norm(i), norms.sq(i));
             while mask != 0 {

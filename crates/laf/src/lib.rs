@@ -189,9 +189,8 @@ pub mod prelude {
         BagOfWordsConfig, DatasetCatalog, DatasetSpec, EmbeddingMixtureConfig, SyntheticDataset,
     };
     pub use laf_vector::{
-        cosine_to_euclidean, euclidean_to_cosine, AngularDistance, CosineDistance, Dataset,
-        DeltaSegment, DistanceMetric, EuclideanDistance, GaussianRandomProjection, Metric,
-        ShardMap, TombstoneSet,
+        cosine_to_euclidean, euclidean_to_cosine, Dataset, DeltaSegment, GaussianRandomProjection,
+        Metric, ShardMap, TombstoneSet,
     };
 }
 

@@ -176,7 +176,7 @@ fn sample_doc_len<R: Rng>(avg: usize, rng: &mut R) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laf_vector::{CosineDistance, DistanceMetric};
+    use laf_vector::Metric;
 
     fn small() -> BagOfWordsConfig {
         BagOfWordsConfig {
@@ -276,7 +276,7 @@ mod tests {
         let mut inter = Vec::new();
         for i in (0..data.len()).step_by(3) {
             for j in (i + 1..data.len()).step_by(5) {
-                let d = CosineDistance.dist(data.row(i), data.row(j));
+                let d = Metric::Cosine.dist(data.row(i), data.row(j));
                 match (labels[i], labels[j]) {
                     (Some(a), Some(b)) if a == b => intra.push(d),
                     (Some(_), Some(_)) => inter.push(d),

@@ -240,7 +240,7 @@ fn skewed_sizes(total: usize, clusters: usize, skew: f64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laf_vector::{CosineDistance, DistanceMetric};
+    use laf_vector::Metric;
 
     #[test]
     fn default_config_is_valid() {
@@ -354,7 +354,7 @@ mod tests {
         let mut inter = Vec::new();
         for i in (0..data.len()).step_by(7) {
             for j in (i + 1..data.len()).step_by(11) {
-                let d = CosineDistance.dist(data.row(i), data.row(j));
+                let d = Metric::Cosine.dist(data.row(i), data.row(j));
                 match (labels[i], labels[j]) {
                     (Some(a), Some(b)) if a == b => intra.push(d),
                     (Some(_), Some(_)) => inter.push(d),

@@ -133,7 +133,7 @@ impl DataBacking {
 /// Both the squared norm (`dot(row, row)`, used by the Euclidean threshold
 /// pushdown) and the norm itself (`dot(row, row).sqrt()`, bit-identical to
 /// [`ops::norm`], used by the cosine-family kernels) are stored, so the
-/// specialized distance kernels never recompute either inside a scan loop.
+/// prepared metric forms never recompute either inside a scan loop.
 #[derive(Debug)]
 pub struct RowNorms {
     sq: Vec<f32>,
@@ -332,8 +332,8 @@ impl Dataset {
     /// Per-row L2 norms, built on first use and cached until the next
     /// mutation.
     ///
-    /// The cache is what turns the specialized distance kernels' cosine
-    /// evaluation into a single dot product: dataset rows are immutable while
+    /// The cache is what turns the prepared cosine distance
+    /// ([`crate::Metric::prepare`]) into a single dot product: dataset rows are immutable while
     /// serving, so `||x||` is computed once per row per dataset generation
     /// instead of once per distance evaluation. Any mutating accessor
     /// (including the copy-on-write promotion of a mapped backing) clears the
@@ -432,16 +432,6 @@ impl Dataset {
         Ok(self.row(i))
     }
 
-    /// Mutable access to row `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        let dim = self.dim;
-        &mut self.owned_mut()[i * dim..(i + 1) * dim]
-    }
-
     /// Append a row.
     ///
     /// # Errors
@@ -458,22 +448,6 @@ impl Dataset {
         Ok(())
     }
 
-    /// Append every row of `other`.
-    ///
-    /// # Errors
-    /// Returns [`VectorError::DimensionMismatch`] if dimensionalities differ.
-    pub fn extend_from(&mut self, other: &Dataset) -> Result<(), VectorError> {
-        if other.dim != self.dim {
-            return Err(VectorError::DimensionMismatch {
-                expected: self.dim,
-                found: other.dim,
-            });
-        }
-        self.owned_mut().extend_from_slice(other.as_flat());
-        self.len += other.len;
-        Ok(())
-    }
-
     /// Iterate over rows as slices.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[f32]> + '_ {
         self.data.as_slice().chunks_exact(self.dim)
@@ -483,15 +457,6 @@ impl Dataset {
     #[inline]
     pub fn as_flat(&self) -> &[f32] {
         self.data.as_slice()
-    }
-
-    /// Consume the dataset and return the flat buffer (copying if it was
-    /// memory-mapped or shared).
-    pub fn into_flat(self) -> Vec<f32> {
-        match self.data {
-            DataBacking::Owned(v) => v,
-            other => other.as_slice().to_vec(),
-        }
     }
 
     /// Convert an owned backing into a reference-counted shared one without
@@ -679,18 +644,7 @@ mod tests {
         let mut d = Dataset::new(2).unwrap();
         d.push(&[1.0, 2.0]).unwrap();
         assert!(d.push(&[1.0]).is_err());
-        let other = toy();
-        d.extend_from(&other).unwrap();
-        assert_eq!(d.len(), 5);
-        let mismatched = Dataset::new(3).unwrap();
-        assert!(d.extend_from(&mismatched).is_err());
-    }
-
-    #[test]
-    fn extend_from_rejects_dim_mismatch() {
-        let mut d = toy();
-        let other = Dataset::from_rows(vec![vec![1.0f32, 2.0, 3.0]]).unwrap();
-        assert!(d.extend_from(&other).is_err());
+        assert_eq!(d.len(), 1);
     }
 
     #[test]
@@ -779,30 +733,12 @@ mod tests {
         assert!(!d.has_norm_cache(), "push must drop the cache");
         assert_eq!(d.row_norms().norm(4), 13.0);
 
-        // row_mut
-        let mut d = toy();
-        d.row_norms();
-        d.row_mut(0)[0] = 100.0;
-        assert!(!d.has_norm_cache(), "row_mut must drop the cache");
-        assert_eq!(
-            d.row_norms().norm(0).to_bits(),
-            crate::ops::norm(d.row(0)).to_bits()
-        );
-
         // normalize
         let mut d = toy();
         d.row_norms();
         d.normalize();
         assert!(!d.has_norm_cache(), "normalize must drop the cache");
         assert!((d.row_norms().norm(2) - 1.0).abs() < 1e-5);
-
-        // extend_from
-        let mut d = toy();
-        d.row_norms();
-        let other = toy();
-        d.extend_from(&other).unwrap();
-        assert!(!d.has_norm_cache(), "extend_from must drop the cache");
-        assert_eq!(d.row_norms().len(), 8);
     }
 
     #[test]
@@ -842,13 +778,13 @@ mod tests {
         let shared = toy().into_shared();
         let mut view = shared.slice_rows(0, 2).unwrap();
         view.row_norms();
-        view.row_mut(0)[0] = 42.0;
+        view.push(&[42.0, 0.0]).unwrap();
         assert!(
             !view.backing().is_shared(),
             "mutation must promote to owned"
         );
         assert!(!view.has_norm_cache(), "mutation must drop the cache");
-        assert_eq!(view.row(0)[0], 42.0);
+        assert_eq!(view.row(2), [42.0, 0.0]);
         // The shared buffer itself is untouched.
         assert_eq!(shared.row(0), toy().row(0));
     }
@@ -860,7 +796,9 @@ mod tests {
         let back: Dataset = serde_json::from_str(&json).unwrap();
         assert_eq!(back, shared);
         let view = shared.slice_rows(2, 2).unwrap();
-        assert_eq!(view.clone().into_flat(), view.as_flat().to_vec());
+        let json = serde_json::to_string(&view).unwrap();
+        let back: Dataset = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.as_flat(), view.as_flat());
     }
 
     #[test]

@@ -1,34 +1,34 @@
-//! Metric-specialized distance kernels with threshold pushdown.
+//! Prepared forms of a [`Metric`], with threshold pushdown.
 //!
 //! Every range query in the workspace bottoms out in a `dist(q, x) < eps`
-//! comparison. Evaluated generically through [`crate::distance::Metric`],
-//! the paper's primary metric (cosine) recomputes **both** vector norms on
-//! every call — three full dot products per distance evaluation — even
-//! though dataset rows are immutable during serving and the query is reused
-//! across the whole scan. This module removes that waste without changing a
-//! single result:
+//! comparison. Evaluated generically through [`Metric::dist`], the paper's
+//! primary metric (cosine) recomputes **both** vector norms on every call —
+//! three full dot products per distance evaluation — even though dataset
+//! rows are immutable during serving and the query is reused across the
+//! whole scan. This module removes that waste without changing a single
+//! result:
 //!
-//! * [`MetricKernel::prepare`] computes the query's norm **once per query**;
+//! * [`Metric::prepare`] computes the query's norm **once per query**;
 //! * [`crate::Dataset::row_norms`] caches every row's norm **once per
 //!   dataset generation**;
 //! * the hot predicates then need **one** dot product per row.
 //!
 //! # Bit-exactness contract
 //!
-//! Every specialized path returns *exactly* the result the generic
+//! Every prepared path returns *exactly* the result the generic
 //! [`Metric::dist`] comparison would have produced — same bits, same
 //! degenerate-vector semantics (zero-norm rows keep similarity 0), same NaN
-//! behavior. The per-metric strategies:
+//! behavior — because both evaluate the metric's one formula (see
+//! [`crate::distance`]). The per-metric strategies:
 //!
-//! * **Cosine / Angular** — the scalar formula is already a function of
-//!   `dot(q, x)`, `||q||` and `||x||`; the kernel evaluates the *same
-//!   expression* with both norms read from caches (bit-identical by
-//!   construction, since the caches store exactly `ops::norm(row)`). The
-//!   O(d) work drops from 3 dot products to 1; the residual `div`/`clamp`
-//!   (and `acos` for angular) are O(1) per row. A pure algebraic pushdown
-//!   (`dot > t·||x||`) would be ~equally fast but cannot reproduce the
-//!   scalar path's rounding at the decision boundary, so it is *not* used
-//!   for the value-producing cosine family.
+//! * **Cosine / Angular / NegDot** — the formula is a function of
+//!   `dot(q, x)`, `||q||` and `||x||`; the prepared forms feed it both norms
+//!   from caches (bit-identical by construction, since the caches store
+//!   exactly `ops::norm(row)`). The O(d) work drops from 3 dot products to
+//!   1; the residual `div`/`clamp` (and `acos` for angular) are O(1) per row.
+//!   A pure algebraic pushdown (`dot > t·||x||`) would be ~equally fast but
+//!   cannot reproduce the scalar path's rounding at the decision boundary,
+//!   so it is *not* used for the value-producing cosine family.
 //! * **Euclidean / SquaredEuclidean** — in the **tiled scans** the
 //!   predicate is pushed down into the dot domain: `||q||² + ||x||² −
 //!   2·dot(q,x)` is compared against `eps²` (resp. `eps`) inside a certified
@@ -39,23 +39,25 @@
 //!   distance *values* keep the subtract-form kernel: it is already a
 //!   single fused pass over both vectors, and a dot-form value would differ
 //!   in final ulps.
-//! * **NegDot** — already a single dot product; the kernel merely skips the
-//!   enum dispatch.
 //!
 //! # Tiled scans
 //!
 //! Tiled scans decide rows through two entry points, both equal to
-//! [`MetricKernel::within`] bit for bit. [`MetricKernel::within_dot`]
-//! decides one pair from a dot the caller computed in a tile (the row tile
-//! of [`crate::tile`]). [`MetricKernel::block`] packs up to sixteen queries
-//! into a [`RangeBlock`], whose [`RangeBlock::hits`] returns one row's hit
-//! mask against all of them: on AVX2, cosine lanes are decided in
-//! registers with `within_dot`'s IEEE operations in its order; other tiers
-//! and metrics decide each lane of the block's dots with `within_dot`.
-//! Every tile lane reproduces `ops::dot`'s accumulation order, so the tiles
-//! change how many pairs are in flight, never a bit of a result.
-//! [`RangeProbe`] stays opaque: callers hand it back, they never read its
-//! constants.
+//! [`RangeProbe::within`] bit for bit. [`RangeProbe::within_dot`] decides
+//! one pair from a dot the caller computed in a tile (the row tile of
+//! [`crate::tile`]). [`Metric::block`] packs up to sixteen queries into a
+//! [`RangeBlock`], whose [`RangeBlock::hits`] returns one row's hit mask
+//! against all of them: on AVX2, cosine lanes are decided in registers with
+//! `within_dot`'s IEEE operations in its order; other tiers and metrics
+//! decide each lane of the block's dots with `within_dot`. Every tile lane
+//! reproduces `ops::dot`'s accumulation order, so the tiles change how many
+//! pairs are in flight, never a bit of a result. [`RangeProbe`] stays
+//! opaque: callers hand it back, they never read its constants.
+//!
+//! No engine accepts a custom metric. The cover tree, whose traversal is not
+//! a row scan, evaluates [`Metric::dist`] per pair, and so does
+//! `laf_index::ReferenceScan`, the brute-force engine the tests check the
+//! prepared forms against.
 
 use crate::distance::Metric;
 use crate::ops;
@@ -63,7 +65,7 @@ use crate::tile::{CosineTest, ProbeBlock, Tier, BLOCK_PROBES};
 
 /// Relative half-width of the certified error band used by the Euclidean
 /// threshold pushdown, as a multiple of `dim · f32::EPSILON` (see
-/// [`MetricKernel::within`]). The factor is deliberately generous: a wider
+/// [`RangeProbe::within_dot`]). The factor is deliberately generous: a wider
 /// band only sends more rows to the exact fallback, never changes a result.
 const EUCLID_BAND_FACTOR: f64 = 8.0;
 
@@ -90,23 +92,70 @@ const EUCLID_BAND_ABS_FLOOR: f64 = (8.0 * f32::MIN_POSITIVE) as f64;
 /// sum of squares and the error band.
 const EUCLID_OVERFLOW_GUARD: f64 = (f32::MAX / 8.0) as f64;
 
-/// A distance kernel specialized for one built-in [`Metric`].
-///
-/// Engines resolve this **once per engine** from their metric and then run
-/// every scan through the prepared-query entry points below. The cover tree,
-/// whose traversal is not a row scan, evaluates its distances per pair
-/// through [`crate::distance::DistanceMetric`], and `laf_index::ReferenceScan`,
-/// the brute-force engine the tests check the kernels against, calls
-/// [`Metric::dist`] per pair. No engine accepts a custom metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricKernel {
-    metric: Metric,
+impl Metric {
+    /// Prepare `q` for repeated [`PreparedQuery::dist`] evaluations (one dot
+    /// product, amortized over the whole scan).
+    pub fn prepare(self, q: &[f32]) -> PreparedQuery<'_> {
+        self.prepare_with_norm(q, ops::dot(q, q).sqrt())
+    }
+
+    /// [`Metric::prepare`] with the query's norm supplied by the caller, for
+    /// queries that are themselves cached dataset rows (k-means assignment
+    /// sweeps prepare every row against the current centroids).
+    ///
+    /// `norm` must be bit-identical to `ops::norm(q)` — e.g. read from
+    /// [`crate::Dataset::row_norms`] — or the bit-exactness contract breaks.
+    pub fn prepare_with_norm(self, q: &[f32], norm: f32) -> PreparedQuery<'_> {
+        PreparedQuery {
+            metric: self,
+            q,
+            norm,
+        }
+    }
+
+    /// Prepare `q` for repeated [`RangeProbe::within`] /
+    /// [`RangeProbe::within_dot`] predicates against threshold `eps`.
+    pub fn probe(self, q: &[f32], eps: f32) -> RangeProbe<'_> {
+        let sq = ops::dot(q, q);
+        let (accept_below, reject_above) = match self {
+            Metric::Euclidean | Metric::SquaredEuclidean => {
+                let t = if self == Metric::Euclidean {
+                    (eps as f64) * (eps as f64)
+                } else {
+                    eps as f64
+                };
+                (
+                    t * (1.0 - EUCLID_THRESHOLD_SLOP),
+                    t * (1.0 + EUCLID_THRESHOLD_SLOP),
+                )
+            }
+            _ => (0.0, 0.0),
+        };
+        RangeProbe {
+            prepared: self.prepare_with_norm(q, sq.sqrt()),
+            sq,
+            eps,
+            accept_below,
+            reject_above,
+        }
+    }
+
+    /// Prepare up to [`BLOCK_PROBES`] queries for [`RangeBlock::hits`]
+    /// against threshold `eps`, on the fastest tier the running CPU supports.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= queries.len() <= BLOCK_PROBES` and every query
+    /// has the same length.
+    pub fn block<'q>(self, queries: &[&'q [f32]], eps: f32) -> RangeBlock<'q> {
+        RangeBlock::with_tier(self, queries, eps, Tier::detect())
+    }
 }
 
 /// A query prepared for repeated distance evaluations: the norm work that
 /// the generic path redoes per row, done once.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedQuery<'q> {
+    metric: Metric,
     q: &'q [f32],
     /// `ops::norm(q)` (bit-identical — computed as `dot(q,q).sqrt()`).
     norm: f32,
@@ -122,6 +171,24 @@ impl<'q> PreparedQuery<'q> {
     pub fn norm(&self) -> f32 {
         self.norm
     }
+
+    /// Distance from the query to row `x` with cached norm `x_norm`,
+    /// bit-identical to `metric.dist(self.query(), x)`.
+    ///
+    /// `x_norm` must be the row's L2 norm as produced by
+    /// [`crate::Dataset::row_norms`] (i.e. bit-identical to
+    /// `ops::norm(x)`); it is ignored by the metrics that do not need it.
+    #[inline]
+    pub fn dist(&self, x: &[f32], x_norm: f32) -> f32 {
+        match self.metric {
+            Metric::Euclidean | Metric::SquaredEuclidean => self
+                .metric
+                .dist_from_squared(ops::squared_euclidean(self.q, x)),
+            _ => self
+                .metric
+                .dist_from_dot(|| ops::dot(self.q, x), self.norm, x_norm),
+        }
+    }
 }
 
 /// A query prepared for a fixed-threshold range predicate: on top of
@@ -129,8 +196,7 @@ impl<'q> PreparedQuery<'q> {
 /// precomputed so the per-row epilogue is branch-cheap.
 #[derive(Debug, Clone, Copy)]
 pub struct RangeProbe<'q> {
-    q: &'q [f32],
-    norm: f32,
+    prepared: PreparedQuery<'q>,
     /// `dot(q, q)` — the squared norm used by the Euclidean pushdown.
     sq: f32,
     eps: f32,
@@ -145,21 +211,90 @@ pub struct RangeProbe<'q> {
 impl<'q> RangeProbe<'q> {
     /// The query vector this probe belongs to.
     pub fn query(&self) -> &'q [f32] {
-        self.q
+        self.prepared.q
     }
 
     /// The range threshold the probe was prepared for.
     pub fn eps(&self) -> f32 {
         self.eps
     }
+
+    /// The range predicate `metric.dist(self.query(), x) < self.eps()`, on
+    /// the prepared distance: one dot product for the cosine family, the
+    /// exact subtract form for the Euclidean family (already a single fused
+    /// pass over both vectors, so the dot-form pushdown only pays off behind
+    /// a tile that computes the dot anyway: [`RangeProbe::within_dot`]).
+    ///
+    /// `x_norm` must come from [`crate::Dataset::row_norms`] (or equal
+    /// `ops::norm(x)` bit-for-bit).
+    #[inline]
+    pub fn within(&self, x: &[f32], x_norm: f32) -> bool {
+        self.prepared.dist(x, x_norm) < self.eps
+    }
+
+    /// The range predicate of [`RangeProbe::within`], decided from a dot
+    /// product the caller already has: the entry point of the row tile of
+    /// [`crate::tile`], and of every lane [`RangeBlock::hits`] does not
+    /// decide in registers.
+    ///
+    /// `dot` must be bit-identical to `ops::dot(self.query(), x)` — every
+    /// tile lane is — and `x_norm`/`x_sq` must come from
+    /// [`crate::Dataset::row_norms`]. The cosine family then evaluates its
+    /// formula from the dot; the Euclidean family decides clear rows in the
+    /// dot domain and re-evaluates boundary rows in the exact subtract form.
+    /// Either way the result equals [`RangeProbe::within`].
+    #[inline]
+    pub fn within_dot(&self, dot: f32, x: &[f32], x_norm: f32, x_sq: f32) -> bool {
+        let PreparedQuery { metric, norm, .. } = self.prepared;
+        match metric {
+            Metric::Euclidean | Metric::SquaredEuclidean => {
+                self.euclid_decide(dot, x, x_norm, x_sq)
+            }
+            _ => metric.dist_from_dot(|| dot, norm, x_norm) < self.eps,
+        }
+    }
+
+    /// Decide a Euclidean-family predicate from the precomputed dot, with the
+    /// certified error band: clear accepts/rejects come from the dot-form
+    /// squared distance, boundary rows take [`RangeProbe::within`], so the
+    /// result always equals the generic comparison.
+    #[inline]
+    fn euclid_decide(&self, dot: f32, x: &[f32], x_norm: f32, x_sq: f32) -> bool {
+        // Distances are non-negative (or NaN): a non-positive or NaN eps can
+        // never admit a row, exactly as the generic `dist < eps` would decide.
+        if self.eps <= 0.0 || self.eps.is_nan() {
+            return false;
+        }
+        let q_sq = self.sq as f64;
+        let r_sq = x_sq as f64;
+        let d = dot as f64;
+        let se_dot = q_sq + r_sq - 2.0 * d;
+        // Conservative bound on |se_dot - se_subtract|: both forms err from
+        // the true value by at most ~dim·ε·magnitude. Magnitudes near f32
+        // overflow skip the fast paths entirely (see EUCLID_OVERFLOW_GUARD).
+        let magnitude = q_sq + r_sq + 2.0 * d.abs();
+        if magnitude < EUCLID_OVERFLOW_GUARD {
+            let tol =
+                EUCLID_BAND_FACTOR * (x.len() as f64 + 4.0) * (f32::EPSILON as f64) * magnitude
+                    + EUCLID_BAND_ABS_FLOOR;
+            if se_dot + tol < self.accept_below {
+                return true;
+            }
+            if se_dot - tol > self.reject_above {
+                return false;
+            }
+        }
+        // Boundary band (or NaN anywhere): decide exactly like the scalar
+        // path.
+        self.within(x, x_norm)
+    }
 }
 
-/// Up to [`BLOCK_PROBES`] range probes sharing one threshold, packed into
-/// one [`ProbeBlock`]: [`RangeBlock::hits`] decides all of them against one
-/// row per call.
+/// Up to [`BLOCK_PROBES`] range probes sharing one metric and threshold,
+/// packed into one [`ProbeBlock`]: [`RangeBlock::hits`] decides all of them
+/// against one row per call.
 #[derive(Debug, Clone)]
 pub struct RangeBlock<'q> {
-    kernel: MetricKernel,
     probes: Vec<RangeProbe<'q>>,
     block: ProbeBlock<'q>,
     /// The cosine test the block decides in registers (AVX2 only).
@@ -167,30 +302,24 @@ pub struct RangeBlock<'q> {
 }
 
 impl<'q> RangeBlock<'q> {
-    /// [`MetricKernel::block`] on an explicit tier (the seam the tier tests
+    /// [`Metric::block`] on an explicit tier (the seam the tier tests
     /// force).
-    pub(crate) fn with_tier(
-        kernel: MetricKernel,
-        queries: &[&'q [f32]],
-        eps: f32,
-        tier: Tier,
-    ) -> Self {
+    pub(crate) fn with_tier(metric: Metric, queries: &[&'q [f32]], eps: f32, tier: Tier) -> Self {
         let block = ProbeBlock::with_tier(queries, tier);
-        let probes: Vec<RangeProbe<'q>> = queries.iter().map(|q| kernel.probe(q, eps)).collect();
-        let fused = (tier == Tier::Avx2 && kernel.metric == Metric::Cosine).then(|| CosineTest {
-            norms: std::array::from_fn(|p| probes.get(p).map_or(0.0, |probe| probe.norm)),
+        let probes: Vec<RangeProbe<'q>> = queries.iter().map(|q| metric.probe(q, eps)).collect();
+        let fused = (tier == Tier::Avx2 && metric == Metric::Cosine).then(|| CosineTest {
+            norms: std::array::from_fn(|p| probes.get(p).map_or(0.0, |probe| probe.prepared.norm)),
             eps,
         });
         Self {
-            kernel,
             probes,
             block,
             fused,
         }
     }
 
-    /// Bit `p` is set iff [`MetricKernel::within`] holds for query `p`
-    /// against row `x`; higher bits are clear. `x_norm`/`x_sq` must come from
+    /// Bit `p` is set iff [`RangeProbe::within`] holds for query `p` against
+    /// row `x`; higher bits are clear. `x_norm`/`x_sq` must come from
     /// [`crate::Dataset::row_norms`].
     ///
     /// # Panics
@@ -205,222 +334,11 @@ impl<'q> RangeBlock<'q> {
         self.block.dots(x, dots);
         let mut mask = 0;
         for (p, (probe, &dot)) in self.probes.iter().zip(dots.iter()).enumerate() {
-            if self.kernel.within_dot(probe, dot, x, x_norm, x_sq) {
+            if probe.within_dot(dot, x, x_norm, x_sq) {
                 mask |= 1 << p;
             }
         }
         mask
-    }
-}
-
-/// The exact expression of [`ops::cosine_similarity`] with the two norms
-/// supplied instead of recomputed: bit-identical given `na == norm(a)` and
-/// `nb == norm(b)`.
-#[inline]
-fn cosine_sim_from_dot(dot: f32, na: f32, nb: f32) -> f32 {
-    if na <= 1e-12 || nb <= 1e-12 {
-        return 0.0;
-    }
-    (dot / (na * nb)).clamp(-1.0, 1.0)
-}
-
-impl MetricKernel {
-    /// Specialize for `metric`.
-    pub fn new(metric: Metric) -> Self {
-        Self { metric }
-    }
-
-    /// The metric this kernel is specialized for.
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
-    /// Prepare `q` for repeated [`MetricKernel::dist`] evaluations (one dot
-    /// product, amortized over the whole scan).
-    pub fn prepare<'q>(&self, q: &'q [f32]) -> PreparedQuery<'q> {
-        PreparedQuery {
-            q,
-            norm: ops::dot(q, q).sqrt(),
-        }
-    }
-
-    /// [`MetricKernel::prepare`] with the query's norm supplied by the
-    /// caller, for queries that are themselves cached dataset rows (k-means
-    /// assignment sweeps prepare every row against the current centroids).
-    ///
-    /// `norm` must be bit-identical to `ops::norm(q)` — e.g. read from
-    /// [`crate::Dataset::row_norms`] — or the bit-exactness contract breaks.
-    pub fn prepare_with_norm<'q>(&self, q: &'q [f32], norm: f32) -> PreparedQuery<'q> {
-        PreparedQuery { q, norm }
-    }
-
-    /// Prepare `q` for repeated [`MetricKernel::within`] /
-    /// [`MetricKernel::within_dot`] predicates against threshold `eps`.
-    pub fn probe<'q>(&self, q: &'q [f32], eps: f32) -> RangeProbe<'q> {
-        let sq = ops::dot(q, q);
-        let (accept_below, reject_above) = match self.metric {
-            Metric::Euclidean | Metric::SquaredEuclidean => {
-                let t = if matches!(self.metric, Metric::Euclidean) {
-                    (eps as f64) * (eps as f64)
-                } else {
-                    eps as f64
-                };
-                (
-                    t * (1.0 - EUCLID_THRESHOLD_SLOP),
-                    t * (1.0 + EUCLID_THRESHOLD_SLOP),
-                )
-            }
-            _ => (0.0, 0.0),
-        };
-        RangeProbe {
-            q,
-            norm: sq.sqrt(),
-            sq,
-            eps,
-            accept_below,
-            reject_above,
-        }
-    }
-
-    /// Prepare up to [`BLOCK_PROBES`] queries for [`RangeBlock::hits`]
-    /// against threshold `eps`, on the fastest tier the running CPU supports.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= queries.len() <= BLOCK_PROBES` and every query
-    /// has the same length.
-    pub fn block<'q>(&self, queries: &[&'q [f32]], eps: f32) -> RangeBlock<'q> {
-        RangeBlock::with_tier(*self, queries, eps, Tier::detect())
-    }
-
-    /// Distance from a prepared query to row `x` with cached norm `x_norm`,
-    /// bit-identical to `self.metric().dist(prepared.query(), x)`.
-    ///
-    /// `x_norm` must be the row's L2 norm as produced by
-    /// [`crate::Dataset::row_norms`] (i.e. bit-identical to
-    /// `ops::norm(x)`); it is ignored by the metrics that do not need it.
-    #[inline]
-    pub fn dist(&self, prepared: &PreparedQuery<'_>, x: &[f32], x_norm: f32) -> f32 {
-        match self.metric {
-            Metric::Cosine => {
-                1.0 - cosine_sim_from_dot(ops::dot(prepared.q, x), prepared.norm, x_norm)
-            }
-            Metric::Angular => {
-                cosine_sim_from_dot(ops::dot(prepared.q, x), prepared.norm, x_norm)
-                    .clamp(-1.0, 1.0)
-                    .acos()
-                    / std::f32::consts::PI
-            }
-            Metric::Euclidean => ops::squared_euclidean(prepared.q, x).sqrt(),
-            Metric::SquaredEuclidean => ops::squared_euclidean(prepared.q, x),
-            Metric::NegDot => -ops::dot(prepared.q, x),
-        }
-    }
-
-    /// The range predicate `self.metric().dist(probe.query(), x) < probe.eps()`,
-    /// decided from a single dot product wherever the metric allows and
-    /// guaranteed to agree with the generic evaluation bit-for-bit.
-    ///
-    /// The Euclidean family evaluates the exact subtract-form expression
-    /// here: it is already a single fused pass over both vectors, so the
-    /// dot-form pushdown only pays off behind a tile that computes the dot
-    /// anyway ([`MetricKernel::within_dot`]).
-    ///
-    /// `x_norm`/`x_sq` must come from [`crate::Dataset::row_norms`] (or equal
-    /// `ops::norm(x)` / `ops::dot(x, x)` bit-for-bit).
-    #[inline]
-    pub fn within(&self, probe: &RangeProbe<'_>, x: &[f32], x_norm: f32, _x_sq: f32) -> bool {
-        match self.metric {
-            Metric::Euclidean => ops::squared_euclidean(probe.q, x).sqrt() < probe.eps,
-            Metric::SquaredEuclidean => ops::squared_euclidean(probe.q, x) < probe.eps,
-            _ => self.dot_decide(probe, ops::dot(probe.q, x), x_norm),
-        }
-    }
-
-    /// The range predicate of [`MetricKernel::within`], decided from a dot
-    /// product the caller already has: the entry point of the row tile of
-    /// [`crate::tile`], and of every lane [`RangeBlock::hits`] does not
-    /// decide in registers.
-    ///
-    /// `dot` must be bit-identical to `ops::dot(probe.query(), x)` — every
-    /// tile lane is — and `x_norm`/`x_sq` must come from
-    /// [`crate::Dataset::row_norms`]. The cosine family then evaluates the
-    /// generic expression from the dot; the Euclidean family decides clear
-    /// rows in the dot domain and re-evaluates boundary rows in the exact
-    /// subtract form. Either way the result equals [`MetricKernel::within`].
-    #[inline]
-    pub fn within_dot(
-        &self,
-        probe: &RangeProbe<'_>,
-        dot: f32,
-        x: &[f32],
-        x_norm: f32,
-        x_sq: f32,
-    ) -> bool {
-        match self.metric {
-            Metric::Euclidean | Metric::SquaredEuclidean => self.euclid_decide(probe, dot, x, x_sq),
-            _ => self.dot_decide(probe, dot, x_norm),
-        }
-    }
-
-    /// Decide a cosine/angular/neg-dot predicate from the precomputed dot.
-    /// These metrics are exact functions of `(dot, ||q||, ||x||)`, so the
-    /// decision replicates the generic expression bit-for-bit.
-    #[inline]
-    fn dot_decide(&self, probe: &RangeProbe<'_>, dot: f32, x_norm: f32) -> bool {
-        match self.metric {
-            Metric::Cosine => 1.0 - cosine_sim_from_dot(dot, probe.norm, x_norm) < probe.eps,
-            Metric::Angular => {
-                cosine_sim_from_dot(dot, probe.norm, x_norm)
-                    .clamp(-1.0, 1.0)
-                    .acos()
-                    / std::f32::consts::PI
-                    < probe.eps
-            }
-            Metric::NegDot => -dot < probe.eps,
-            Metric::Euclidean | Metric::SquaredEuclidean => {
-                unreachable!("euclidean predicates go through euclid_decide")
-            }
-        }
-    }
-
-    /// Decide a Euclidean-family predicate from the precomputed dot, with the
-    /// certified error band: clear accepts/rejects come from the dot-form
-    /// squared distance, boundary rows re-evaluate the exact subtract-form
-    /// expression, so the result always equals the generic comparison.
-    #[inline]
-    fn euclid_decide(&self, probe: &RangeProbe<'_>, dot: f32, x: &[f32], x_sq: f32) -> bool {
-        // Distances are non-negative (or NaN): a non-positive or NaN eps can
-        // never admit a row, exactly as the generic `dist < eps` would decide.
-        if probe.eps <= 0.0 || probe.eps.is_nan() {
-            return false;
-        }
-        let q_sq = probe.sq as f64;
-        let r_sq = x_sq as f64;
-        let d = dot as f64;
-        let se_dot = q_sq + r_sq - 2.0 * d;
-        // Conservative bound on |se_dot - se_subtract|: both forms err from
-        // the true value by at most ~dim·ε·magnitude. Magnitudes near f32
-        // overflow skip the fast paths entirely (see EUCLID_OVERFLOW_GUARD).
-        let magnitude = q_sq + r_sq + 2.0 * d.abs();
-        if magnitude < EUCLID_OVERFLOW_GUARD {
-            let tol =
-                EUCLID_BAND_FACTOR * (x.len() as f64 + 4.0) * (f32::EPSILON as f64) * magnitude
-                    + EUCLID_BAND_ABS_FLOOR;
-            if se_dot + tol < probe.accept_below {
-                return true;
-            }
-            if se_dot - tol > probe.reject_above {
-                return false;
-            }
-        }
-        // Boundary band (or NaN anywhere): decide exactly like the scalar
-        // path.
-        let se = ops::squared_euclidean(probe.q, x);
-        match self.metric {
-            Metric::Euclidean => se.sqrt() < probe.eps,
-            Metric::SquaredEuclidean => se < probe.eps,
-            _ => unreachable!("only the euclidean family reaches the band fallback"),
-        }
     }
 }
 
@@ -446,11 +364,10 @@ mod tests {
             let norms = data.row_norms();
             let q: Vec<f32> = (0..dim).map(|j| (j as f32 * 0.7).cos()).collect();
             for metric in Metric::ALL {
-                let kernel = MetricKernel::new(metric);
-                let prep = kernel.prepare(&q);
+                let prep = metric.prepare(&q);
                 for (i, row) in data.rows().enumerate() {
                     assert_eq!(
-                        kernel.dist(&prep, row, norms.norm(i)).to_bits(),
+                        prep.dist(row, norms.norm(i)).to_bits(),
                         metric.dist(&q, row).to_bits(),
                         "{metric:?} dim {dim} row {i}"
                     );
@@ -469,12 +386,11 @@ mod tests {
             let norms = data.row_norms();
             let q: Vec<f32> = (0..dim).map(|j| (j as f32 * 1.3).sin() * 3.0).collect();
             for metric in Metric::ALL {
-                let kernel = MetricKernel::new(metric);
                 for eps in [-0.5f32, 0.0, 1e-6, 0.3, 1.0, 2.0, f32::INFINITY, f32::NAN] {
-                    let probe = kernel.probe(&q, eps);
+                    let probe = metric.probe(&q, eps);
                     for (i, row) in data.rows().enumerate() {
                         assert_eq!(
-                            kernel.within(&probe, row, norms.norm(i), norms.sq(i)),
+                            probe.within(row, norms.norm(i)),
                             metric.dist(&q, row) < eps,
                             "{metric:?} dim {dim} row {i} eps {eps}"
                         );
@@ -495,18 +411,17 @@ mod tests {
         let data = Dataset::from_rows(vec![row.clone()]).unwrap();
         let norms = data.row_norms();
         for metric in [Metric::Euclidean, Metric::SquaredEuclidean] {
-            let kernel = MetricKernel::new(metric);
             let exact_dist = metric.dist(&q, &row); // 5 resp. 25
             for eps in [exact_dist, exact_dist + 1e-6, exact_dist - 1e-6] {
-                let probe = kernel.probe(&q, eps);
+                let probe = metric.probe(&q, eps);
                 assert_eq!(
-                    kernel.within(&probe, &row, norms.norm(0), norms.sq(0)),
+                    probe.within(&row, norms.norm(0)),
                     exact_dist < eps,
                     "{metric:?} scalar eps {eps}"
                 );
                 let dot = ops::dot(&q, &row);
                 assert_eq!(
-                    kernel.within_dot(&probe, dot, &row, norms.norm(0), norms.sq(0)),
+                    probe.within_dot(dot, &row, norms.norm(0), norms.sq(0)),
                     exact_dist < eps,
                     "{metric:?} tile eps {eps}"
                 );
@@ -527,17 +442,16 @@ mod tests {
             (Metric::Euclidean, 1e20f32),
             (Metric::SquaredEuclidean, f32::MAX),
         ] {
-            let kernel = MetricKernel::new(metric);
             let expected = metric.dist(&q, &row) < eps;
-            let probe = kernel.probe(&q, eps);
+            let probe = metric.probe(&q, eps);
             assert_eq!(
-                kernel.within(&probe, &row, norms.norm(0), norms.sq(0)),
+                probe.within(&row, norms.norm(0)),
                 expected,
                 "{metric:?} scalar"
             );
             let dot = ops::dot(&q, &row);
             assert_eq!(
-                kernel.within_dot(&probe, dot, &row, norms.norm(0), norms.sq(0)),
+                probe.within_dot(dot, &row, norms.norm(0), norms.sq(0)),
                 expected,
                 "{metric:?} tile"
             );
@@ -597,7 +511,6 @@ mod tests {
                 .collect();
             let queries: Vec<&[f32]> = probes.iter().map(Vec::as_slice).collect();
             for metric in Metric::ALL {
-                let kernel = MetricKernel::new(metric);
                 // Two thresholds sit exactly on a computed distance.
                 let boundary = [
                     metric.dist(queries[0], &rows[0]),
@@ -607,19 +520,19 @@ mod tests {
                 for eps in fixed.into_iter().chain(boundary) {
                     // want[r]: bit p set iff probe p is within eps of row r.
                     let scalar: Vec<RangeProbe> =
-                        queries.iter().map(|q| kernel.probe(q, eps)).collect();
+                        queries.iter().map(|q| metric.probe(q, eps)).collect();
                     let want: Vec<u32> = rows
                         .iter()
                         .zip(&norms)
-                        .map(|(x, &(x_norm, x_sq))| {
+                        .map(|(x, &(x_norm, _))| {
                             scalar.iter().enumerate().fold(0, |mask, (p, probe)| {
-                                mask | u32::from(kernel.within(probe, x, x_norm, x_sq)) << p
+                                mask | u32::from(probe.within(x, x_norm)) << p
                             })
                         })
                         .collect();
                     for &tier in &tiers {
                         for len in 1..=BLOCK_PROBES {
-                            let block = RangeBlock::with_tier(kernel, &queries[..len], eps, tier);
+                            let block = RangeBlock::with_tier(metric, &queries[..len], eps, tier);
                             for (r, (x, &(x_norm, x_sq))) in rows.iter().zip(&norms).enumerate() {
                                 assert_eq!(
                                     block.hits(x, x_norm, x_sq),
@@ -637,12 +550,10 @@ mod tests {
     #[test]
     fn probe_and_prepared_accessors() {
         let q = [3.0f32, 4.0];
-        let kernel = MetricKernel::new(Metric::Cosine);
-        assert_eq!(kernel.metric(), Metric::Cosine);
-        let prep = kernel.prepare(&q);
+        let prep = Metric::Cosine.prepare(&q);
         assert_eq!(prep.query(), &q);
         assert_eq!(prep.norm(), 5.0);
-        let probe = kernel.probe(&q, 0.25);
+        let probe = Metric::Cosine.probe(&q, 0.25);
         assert_eq!(probe.query(), &q);
         assert_eq!(probe.eps(), 0.25);
     }

@@ -13,16 +13,17 @@
 //!   ([`Dataset::slice_rows`] shard views).
 //! * [`ShardMap`] — the shard-aware row-id mapping that rebases shard-local
 //!   hits to global row ids for the scatter-gather engine.
-//! * [`Distance`] — the distance-metric abstraction with [`CosineDistance`],
-//!   [`AngularDistance`], [`EuclideanDistance`], [`SquaredEuclideanDistance`]
-//!   and [`DotProductSimilarity`] implementations, plus the cosine↔Euclidean
-//!   conversion of Equation (1) in the paper.
-//! * [`MetricKernel`] — metric-specialized distance kernels: per-row norm
-//!   caching ([`Dataset::row_norms`]), dot-only predicates with threshold
-//!   pushdown, and the decisions of tiled scans — one pair from a tiled dot
-//!   ([`MetricKernel::within_dot`]) or a packed block's hit mask against one
-//!   row ([`RangeBlock::hits`]) — all bit-identical to the generic
-//!   evaluation.
+//! * [`Metric`] — the one metric type: cosine, angular, Euclidean, squared
+//!   Euclidean and negative inner product, each written once as a formula
+//!   that every path below evaluates, plus the cosine↔Euclidean conversion
+//!   of Equation (1) in the paper.
+//! * [`kernel`] — a metric's prepared forms: per-row norm caching
+//!   ([`Dataset::row_norms`]), the norm-cached distance
+//!   ([`Metric::prepare`]), dot-only predicates with threshold pushdown
+//!   ([`Metric::probe`]), and the decisions of tiled scans — one pair from a
+//!   tiled dot ([`RangeProbe::within_dot`]) or a packed block's hit mask
+//!   against one row ([`Metric::block`], [`RangeBlock::hits`]) — all
+//!   bit-identical to [`Metric::dist`].
 //! * [`tile`] — the exact register tiles of the linear scan: one probe
 //!   against eight rows ([`tile::dot_rows8`]) and up to sixteen packed
 //!   probes against one row ([`tile::ProbeBlock`]), on SSE2 resp. AVX2
@@ -56,23 +57,15 @@ pub mod mapped;
 pub mod ops;
 pub mod projection;
 pub mod shard;
-pub mod stats;
 pub mod tile;
 
 #[cfg(target_endian = "little")]
 pub use dataset::MappedSlice;
 pub use dataset::{DataBacking, Dataset, RowNorms, SharedSlice};
 pub use delta::{DeltaSegment, TombstoneSet};
-pub use distance::{
-    cosine_to_euclidean, euclidean_to_cosine, AngularDistance, CosineDistance, DistanceMetric,
-    DotProductSimilarity, EuclideanDistance, Metric, SquaredEuclideanDistance,
-};
+pub use distance::{cosine_to_euclidean, euclidean_to_cosine, Metric};
 pub use error::VectorError;
 pub use fault::{FaultMode, FaultPlan};
-pub use kernel::{MetricKernel, PreparedQuery, RangeBlock, RangeProbe};
+pub use kernel::{PreparedQuery, RangeBlock, RangeProbe};
 pub use projection::GaussianRandomProjection;
 pub use shard::ShardMap;
-
-/// Alias kept for API clarity: every distance used in this workspace is an
-/// object-safe implementation of [`DistanceMetric`].
-pub use distance::DistanceMetric as Distance;

@@ -5,7 +5,7 @@
 //! sequential tail for `len % 4`, and the reduction `s0 + s1 + s2 + s3 +
 //! tail` in that order. Everything that must agree bit for bit with a scalar
 //! distance — [`dot4`], the register tiles of [`crate::tile`], the
-//! specialized metric kernels and the MLP's batch forward — reproduces that
+//! prepared metric forms and the MLP's batch forward — reproduces that
 //! order per pair. The loops here are plain Rust over slices whose lengths
 //! are asserted once up front; LLVM keeps each pair's four sums in one
 //! vector register, a single add chain, which is why the linear scan's hot
@@ -190,19 +190,6 @@ where
     Some(acc)
 }
 
-/// Cosine similarity between two vectors (not assumed normalized).
-///
-/// Returns 0 when either vector has (near-)zero norm.
-#[inline]
-pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm(a);
-    let nb = norm(b);
-    if na <= 1e-12 || nb <= 1e-12 {
-        return 0.0;
-    }
-    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,12 +294,16 @@ mod tests {
         assert!(mean(std::iter::empty(), 4).is_none());
     }
 
+    /// Cosine distance is one minus the similarity: 0 for a vector against
+    /// itself, 1 for orthogonal vectors and 1 against a zero vector, whose
+    /// similarity is 0.
     #[test]
     fn cosine_similarity_bounds_and_degenerate() {
+        let cosine = crate::Metric::Cosine;
         let a = [1.0f32, 0.0];
         let b = [0.0f32, 1.0];
-        assert!((cosine_similarity(&a, &a) - 1.0).abs() < 1e-6);
-        assert!(cosine_similarity(&a, &b).abs() < 1e-6);
-        assert_eq!(cosine_similarity(&[0.0, 0.0], &a), 0.0);
+        assert!(cosine.dist(&a, &a).abs() < 1e-6);
+        assert!((cosine.dist(&a, &b) - 1.0).abs() < 1e-6);
+        assert_eq!(cosine.dist(&[0.0, 0.0], &a), 1.0);
     }
 }

@@ -14,9 +14,10 @@
 //!   register, and scores all of them against one row per call.
 //!
 //! On AVX2 the block can instead decide a cosine range test on every lane
-//! in registers right after the reduction, with the IEEE operations of
-//! [`crate::MetricKernel::within_dot`] in the same order (reached through
-//! [`crate::MetricKernel::block`]).
+//! in registers right after the reduction, with the IEEE operations of the
+//! cosine formula behind [`crate::RangeProbe::within_dot`] in the same order
+//! (reached through [`crate::Metric::block`]). That lane form is the one
+//! other place the cosine expression is written.
 //!
 //! # Accumulation contract
 //!
@@ -264,7 +265,7 @@ impl<'q> ProbeBlock<'q> {
 }
 
 /// The cosine range test [`ProbeBlock::lane_hits`] decides per lane, with
-/// the IEEE operations of [`crate::MetricKernel::within_dot`] in the same
+/// the IEEE operations of [`crate::RangeProbe::within_dot`] in the same
 /// order: `1 − sim < eps`, where `sim` is `dot / (norms[p] · x_norm)`
 /// clamped to `[−1, 1]` (NaN stays NaN), or `+0.0` when a norm is at most
 /// `1e-12`.
@@ -437,7 +438,7 @@ mod x86 {
     }
 
     /// `test` on the dots of probes `8g..8g + 8`: all-ones in each lane that
-    /// passes. The operations are `MetricKernel::within_dot`'s, in its order.
+    /// passes. The operations are `RangeProbe::within_dot`'s, in its order.
     #[target_feature(enable = "avx2")]
     #[inline]
     fn decide(test: &CosineTest, g: usize, dot: __m256, x_norm: f32) -> __m256 {

@@ -1,4 +1,4 @@
-//! Property-based agreement tests for the metric-specialized kernels.
+//! Property-based agreement tests for the prepared metric forms.
 //!
 //! The kernel layer's whole contract is: same bits as the generic
 //! [`Metric::dist`] evaluation, only cheaper. These tests hammer that
@@ -7,11 +7,11 @@
 //! semantics), unnormalized data, and thresholds parked right on top of the
 //! computed distances (the Euclidean pushdown's fallback band). The batch
 //! tiles (`ops::dot4` and the register tiles of `laf_vector::tile`) and the
-//! hit masks of `MetricKernel::block` are held to the same contract, NaN,
+//! hit masks of `Metric::block` are held to the same contract, NaN,
 //! infinities and subnormals included.
 
 use laf_vector::tile::{self, ProbeBlock, BLOCK_PROBES, ROW_TILE};
-use laf_vector::{ops, Dataset, Metric, MetricKernel};
+use laf_vector::{ops, Dataset, Metric};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,7 +68,7 @@ fn edge_rows(rng: &mut StdRng, dim: usize, random: usize) -> Vec<Vec<f32>> {
     rows
 }
 
-/// The cached norms [`MetricKernel::within`] expects, computed the way
+/// The cached norms the prepared predicates expect, computed the way
 /// [`Dataset::row_norms`] does (a `Dataset` cannot have dim 0).
 fn norms_of(row: &[f32]) -> (f32, f32) {
     (ops::norm(row), ops::dot(row, row))
@@ -79,11 +79,11 @@ proptest! {
 
     /// `dot4`, the row tile and the packed block against `ops::dot`: every
     /// lane's bits, and every decision taken from a lane through
-    /// `MetricKernel::within_dot` against `MetricKernel::within`, for all
+    /// `RangeProbe::within_dot` against `RangeProbe::within`, for all
     /// five metrics. Dims 0..=70 cover the tails and dim < 4; the row count
     /// (`random + 7`) is rarely a multiple of 8, and the row tile slides over
     /// every window of eight consecutive rows; blocks take 1..=16 probes.
-    /// The same blocks as `MetricKernel::block`s, on the detected tier, must
+    /// The same blocks as `Metric::block`s, on the detected tier, must
     /// set exactly the hit bits `within` gives.
     #[test]
     fn dot4_is_bit_identical_to_dot(
@@ -144,13 +144,12 @@ proptest! {
                 }
                 let (x_norm, x_sq) = norms_of(&rows[r]);
                 for metric in Metric::ALL {
-                    let kernel = MetricKernel::new(metric);
                     for eps in [eps_raw, metric.dist(&probes[p], &rows[0])] {
-                        let probe = kernel.probe(&probes[p], eps);
-                        let want = kernel.within(&probe, &rows[r], x_norm, x_sq);
+                        let probe = metric.probe(&probes[p], eps);
+                        let want = probe.within(&rows[r], x_norm);
                         for &lane in tiled.clone().chain([&dot4_lanes[p][r]]) {
                             prop_assert_eq!(
-                                kernel.within_dot(&probe, lane, &rows[r], x_norm, x_sq),
+                                probe.within_dot(lane, &rows[r], x_norm, x_sq),
                                 want,
                                 "{:?} dim {} probe {} row {} eps {}", metric, dim, p, r, eps
                             );
@@ -164,16 +163,15 @@ proptest! {
             let first = len % (probes.len() - len + 1);
             let queries = &refs[first..first + len];
             for metric in Metric::ALL {
-                let kernel = MetricKernel::new(metric);
                 // One threshold per block: the raw one, and one sitting
                 // exactly on a computed distance.
                 for eps in [eps_raw, metric.dist(queries[0], &rows[0])] {
-                    let scalar: Vec<_> = queries.iter().map(|q| kernel.probe(q, eps)).collect();
-                    let block = kernel.block(queries, eps);
+                    let scalar: Vec<_> = queries.iter().map(|q| metric.probe(q, eps)).collect();
+                    let block = metric.block(queries, eps);
                     for (r, row) in rows.iter().enumerate() {
                         let (x_norm, x_sq) = norms_of(row);
                         let want = scalar.iter().enumerate().fold(0u32, |mask, (k, probe)| {
-                            mask | u32::from(kernel.within(probe, row, x_norm, x_sq)) << k
+                            mask | u32::from(probe.within(row, x_norm)) << k
                         });
                         prop_assert_eq!(
                             block.hits(row, x_norm, x_sq),
@@ -188,7 +186,7 @@ proptest! {
 
     /// Swapping the operands changes no bit: `dist` and `within` on both
     /// evaluation paths (the generic `Metric::dist` comparison and the
-    /// specialized `MetricKernel`), and the tile lanes, whose shape must not
+    /// prepared forms), and the tile lanes, whose shape must not
     /// depend on which operand is the query (a symmetric ε-join evaluates
     /// each pair once and uses it both ways).
     #[test]
@@ -223,16 +221,15 @@ proptest! {
                 let (b_norm, b_sq) = norms_of(b);
                 for metric in Metric::ALL {
                     prop_assert!(same(metric.dist(a, b), metric.dist(b, a)), "{:?}", metric);
-                    let kernel = MetricKernel::new(metric);
-                    let (pa, pb) = (kernel.prepare(a), kernel.prepare(b));
-                    prop_assert!(same(kernel.dist(&pa, b, b_norm), kernel.dist(&pb, a, a_norm)));
+                    let (pa, pb) = (metric.prepare(a), metric.prepare(b));
+                    prop_assert!(same(pa.dist(b, b_norm), pb.dist(a, a_norm)));
                     for eps in [eps_raw, metric.dist(a, b)] {
                         prop_assert_eq!(metric.dist(a, b) < eps, metric.dist(b, a) < eps);
-                        let (qa, qb) = (kernel.probe(a, eps), kernel.probe(b, eps));
-                        let ab = kernel.within(&qa, b, b_norm, b_sq);
-                        prop_assert_eq!(ab, kernel.within(&qb, a, a_norm, a_sq), "{:?} {} {}", metric, i, j);
-                        prop_assert_eq!(ab, kernel.within_dot(&qb, row[j][i], a, a_norm, a_sq));
-                        prop_assert_eq!(ab, kernel.within_dot(&qa, packed[j][i], b, b_norm, b_sq));
+                        let (qa, qb) = (metric.probe(a, eps), metric.probe(b, eps));
+                        let ab = qa.within(b, b_norm);
+                        prop_assert_eq!(ab, qb.within(a, a_norm), "{:?} {} {}", metric, i, j);
+                        prop_assert_eq!(ab, qb.within_dot(row[j][i], a, a_norm, a_sq));
+                        prop_assert_eq!(ab, qa.within_dot(packed[j][i], b, b_norm, b_sq));
                     }
                 }
             }
@@ -249,11 +246,10 @@ proptest! {
         let q = raw_vector(&mut rng, dim);
         let norms = data.row_norms();
         for metric in Metric::ALL {
-            let kernel = MetricKernel::new(metric);
-            let prep = kernel.prepare(&q);
+            let prep = metric.prepare(&q);
             for (i, row) in data.rows().enumerate() {
                 prop_assert_eq!(
-                    kernel.dist(&prep, row, norms.norm(i)).to_bits(),
+                    prep.dist(row, norms.norm(i)).to_bits(),
                     metric.dist(&q, row).to_bits(),
                     "{:?} dim {} row {}", metric, dim, i
                 );
@@ -272,7 +268,6 @@ proptest! {
         let q = raw_vector(&mut rng, dim);
         let norms = data.row_norms();
         for metric in Metric::ALL {
-            let kernel = MetricKernel::new(metric);
             // Sweep the raw eps plus thresholds sitting exactly on computed
             // distances (the hardest case for the pushdown band).
             let mut eps_values = vec![eps_raw, -eps_raw, 0.0, f32::INFINITY];
@@ -280,10 +275,10 @@ proptest! {
                 eps_values.push(metric.dist(&q, row));
             }
             for eps in eps_values {
-                let probe = kernel.probe(&q, eps);
+                let probe = metric.probe(&q, eps);
                 for (i, row) in data.rows().enumerate() {
                     prop_assert_eq!(
-                        kernel.within(&probe, row, norms.norm(i), norms.sq(i)),
+                        probe.within(row, norms.norm(i)),
                         metric.dist(&q, row) < eps,
                         "{:?} dim {} row {} eps {}", metric, dim, i, eps
                     );
@@ -316,7 +311,6 @@ proptest! {
 fn euclid_tile_agrees_in_subnormal_range() {
     let mut diverged = Vec::new();
     for metric in [Metric::Euclidean, Metric::SquaredEuclidean] {
-        let kernel = MetricKernel::new(metric);
         for scale in [1e-23f32, 3e-23, 5e-23, 1e-22, 3e-22] {
             let q = vec![scale, 0.0];
             let row = vec![-scale, 0.0];
@@ -331,16 +325,16 @@ fn euclid_tile_agrees_in_subnormal_range() {
             for mult in [0.5f32, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0] {
                 let eps = exact * mult;
                 let expected = exact < eps;
-                let probe = kernel.probe(&q, eps);
+                let probe = metric.probe(&q, eps);
                 for (name, dots) in [("row tile", &row_dots[..]), ("block", &block_dots[..])] {
                     for &dot in dots {
-                        let got = kernel.within_dot(&probe, dot, &row, x_norm, x_sq);
+                        let got = probe.within_dot(dot, &row, x_norm, x_sq);
                         if got != expected {
                             diverged.push((metric, name, scale, eps, exact, got, expected));
                         }
                     }
                 }
-                let mask = kernel.block(&queries, eps).hits(&row, x_norm, x_sq);
+                let mask = metric.block(&queries, eps).hits(&row, x_norm, x_sq);
                 if mask != if expected { 0xFFFF } else { 0 } {
                     diverged.push((metric, "hits", scale, eps, exact, mask != 0, expected));
                 }
@@ -384,27 +378,17 @@ fn kernel_agreement_between_owned_and_mapped_backings() {
 
     let q: Vec<f32> = (0..13).map(|j| (j as f32 * 0.9).cos()).collect();
     for metric in Metric::ALL {
-        let kernel = MetricKernel::new(metric);
-        let probe = kernel.probe(&q, 0.4);
-        let prep = kernel.prepare(&q);
+        let probe = metric.probe(&q, 0.4);
+        let prep = metric.prepare(&q);
         for i in 0..owned.len() {
             assert_eq!(
-                kernel.within(&probe, owned.row(i), owned_norms.norm(i), owned_norms.sq(i)),
-                kernel.within(
-                    &probe,
-                    mapped.row(i),
-                    mapped_norms.norm(i),
-                    mapped_norms.sq(i)
-                ),
+                probe.within(owned.row(i), owned_norms.norm(i)),
+                probe.within(mapped.row(i), mapped_norms.norm(i)),
                 "{metric:?} row {i}"
             );
             assert_eq!(
-                kernel
-                    .dist(&prep, owned.row(i), owned_norms.norm(i))
-                    .to_bits(),
-                kernel
-                    .dist(&prep, mapped.row(i), mapped_norms.norm(i))
-                    .to_bits(),
+                prep.dist(owned.row(i), owned_norms.norm(i)).to_bits(),
+                prep.dist(mapped.row(i), mapped_norms.norm(i)).to_bits(),
                 "{metric:?} row {i}"
             );
         }

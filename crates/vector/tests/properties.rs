@@ -1,9 +1,6 @@
 //! Property-based tests for the vector substrate.
 
-use laf_vector::{
-    cosine_to_euclidean, euclidean_to_cosine, io, ops, AngularDistance, CosineDistance, Dataset,
-    DistanceMetric, EuclideanDistance, Metric,
-};
+use laf_vector::{cosine_to_euclidean, euclidean_to_cosine, io, ops, Dataset, Metric};
 use proptest::prelude::*;
 
 /// Strategy producing a non-degenerate vector of the given dimension.
@@ -23,15 +20,15 @@ proptest! {
 
     #[test]
     fn cosine_distance_is_bounded_and_symmetric(a in unit_vector(16), b in unit_vector(16)) {
-        let d_ab = CosineDistance.dist(&a, &b);
-        let d_ba = CosineDistance.dist(&b, &a);
+        let d_ab = Metric::Cosine.dist(&a, &b);
+        let d_ba = Metric::Cosine.dist(&b, &a);
         prop_assert!((d_ab - d_ba).abs() < 1e-5);
         prop_assert!((-1e-5..=2.0 + 1e-5).contains(&d_ab));
     }
 
     #[test]
     fn cosine_self_distance_is_zero(a in unit_vector(24)) {
-        prop_assert!(CosineDistance.dist(&a, &a).abs() < 1e-4);
+        prop_assert!(Metric::Cosine.dist(&a, &a).abs() < 1e-4);
     }
 
     #[test]
@@ -39,16 +36,16 @@ proptest! {
         a in unit_vector(8), b in unit_vector(8), c in unit_vector(8)
     ) {
         // Angular distance is a proper metric on the unit sphere.
-        let ab = AngularDistance.dist(&a, &b);
-        let bc = AngularDistance.dist(&b, &c);
-        let ac = AngularDistance.dist(&a, &c);
+        let ab = Metric::Angular.dist(&a, &b);
+        let bc = Metric::Angular.dist(&b, &c);
+        let ac = Metric::Angular.dist(&a, &c);
         prop_assert!(ac <= ab + bc + 1e-4, "ac={ac} ab={ab} bc={bc}");
     }
 
     #[test]
     fn equation_1_holds_on_unit_vectors(a in unit_vector(32), b in unit_vector(32)) {
-        let d_cos = CosineDistance.dist(&a, &b);
-        let d_euc = EuclideanDistance.dist(&a, &b);
+        let d_cos = Metric::Cosine.dist(&a, &b);
+        let d_euc = Metric::Euclidean.dist(&a, &b);
         prop_assert!((cosine_to_euclidean(d_cos) - d_euc).abs() < 1e-3,
             "cos={d_cos} euc={d_euc}");
         prop_assert!((euclidean_to_cosine(d_euc) - d_cos).abs() < 1e-3);
@@ -81,17 +78,10 @@ proptest! {
 
     #[test]
     fn euclidean_triangle_inequality(a in vector(12), b in vector(12), c in vector(12)) {
-        let ab = EuclideanDistance.dist(&a, &b);
-        let bc = EuclideanDistance.dist(&b, &c);
-        let ac = EuclideanDistance.dist(&a, &c);
+        let ab = Metric::Euclidean.dist(&a, &b);
+        let bc = Metric::Euclidean.dist(&b, &c);
+        let ac = Metric::Euclidean.dist(&a, &c);
         prop_assert!(ac <= ab + bc + 1e-3);
-    }
-
-    #[test]
-    fn metric_enum_agrees_with_impls(a in unit_vector(10), b in unit_vector(10)) {
-        prop_assert_eq!(Metric::Cosine.dist(&a, &b), CosineDistance.dist(&a, &b));
-        prop_assert_eq!(Metric::Euclidean.dist(&a, &b), EuclideanDistance.dist(&a, &b));
-        prop_assert_eq!(Metric::Angular.dist(&a, &b), AngularDistance.dist(&a, &b));
     }
 
     #[test]

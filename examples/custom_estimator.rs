@@ -56,7 +56,7 @@ impl CardinalityEstimator for PivotEstimator {
             .pivots
             .iter()
             .enumerate()
-            .map(|(i, p)| (i, CosineDistance.dist(query, p)))
+            .map(|(i, p)| (i, Metric::Cosine.dist(query, p)))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("at least one pivot");
         // Nearest threshold in the table.
