@@ -2,7 +2,7 @@
 //! the Criterion counterpart of the paper's Figure 1 bars.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use laf_cardest::{MlpEstimator, NetConfig, TrainingSetBuilder};
+use laf_cardest::{NetConfig, RmiConfig, RmiEstimator, TrainingSetBuilder};
 use laf_clustering::{
     BlockDbscan, Clusterer, Dbscan, DbscanPlusPlus, KnnBlockDbscan, RhoApproxDbscan,
 };
@@ -35,7 +35,7 @@ fn bench_clustering(c: &mut Criterion) {
     }
     .build(&data, &data)
     .unwrap();
-    let estimator = MlpEstimator::train(&training, &NetConfig::tiny());
+    let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny()));
 
     let mut group = c.benchmark_group("clustering_end_to_end");
     group.sample_size(10);

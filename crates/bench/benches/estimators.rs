@@ -2,12 +2,20 @@
 //! must be far cheaper than the range query it potentially replaces. This is
 //! the ablation backing the paper's claim that "prediction time is constant
 //! with the data scale".
+//!
+//! `cardinality_estimate` times one per-row `estimate`;
+//! `cardinality_estimate_batch` times one `estimate_batch` over the gate's
+//! prescan chunk of [`PRESCAN_BATCH`] rows, so its ns/iter divided by
+//! [`PRESCAN_BATCH`] is the batched cost per row. Both run on the calling
+//! thread. `rmi_one_stage` is the single network the pipeline serves,
+//! `rmi_paper` the paper's [1, 2, 4] layout.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use laf_cardest::{
-    CardinalityEstimator, ExactEstimator, HistogramEstimator, MlpEstimator, NetConfig, RmiConfig,
-    RmiEstimator, SamplingEstimator, TrainingSetBuilder,
+    CardinalityEstimator, ExactEstimator, HistogramEstimator, NetConfig, RmiConfig, RmiEstimator,
+    SamplingEstimator, TrainingSetBuilder,
 };
+use laf_core::gate::PRESCAN_BATCH;
 use laf_synth::EmbeddingMixtureConfig;
 use laf_vector::{Dataset, Metric};
 use std::hint::black_box;
@@ -36,15 +44,15 @@ fn bench_estimators(c: &mut Criterion) {
     .build(&data, &data)
     .unwrap();
 
-    let mlp = MlpEstimator::train(&training, &NetConfig::tiny());
+    let one_stage = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny()));
     let rmi = RmiEstimator::train(&training, &RmiConfig::paper_stages(NetConfig::tiny()));
     let exact = ExactEstimator::new(&data, Metric::Cosine);
     let sampling = SamplingEstimator::new(&data, Metric::Cosine, data.len() / 10, 3);
     let histogram = HistogramEstimator::from_training(&training);
 
     let estimators: Vec<(&str, &dyn CardinalityEstimator)> = vec![
-        ("mlp", &mlp),
-        ("rmi", &rmi),
+        ("rmi_one_stage", &one_stage),
+        ("rmi_paper", &rmi),
         ("exact_range_count", &exact),
         ("sampling", &sampling),
         ("histogram", &histogram),
@@ -63,13 +71,27 @@ fn bench_estimators(c: &mut Criterion) {
     }
     group.finish();
 
+    let batch: Vec<&[f32]> = data.rows().take(PRESCAN_BATCH).collect();
+    let mut group = c.benchmark_group("cardinality_estimate_batch");
+    for (name, est) in &estimators[..2] {
+        group.bench_with_input(BenchmarkId::from_parameter(name), name, |bench, _| {
+            bench.iter(|| black_box(est.estimate_batch(&batch, 0.5)))
+        });
+    }
+    group.finish();
+
     // Training cost of the learned estimators (one sample each; training is
     // excluded from the paper's clustering times but reported here for
     // completeness).
     let mut group = c.benchmark_group("estimator_training");
     group.sample_size(10);
-    group.bench_function("mlp_tiny", |bench| {
-        bench.iter(|| black_box(MlpEstimator::train(&training, &NetConfig::tiny())))
+    group.bench_function("rmi_one_stage_tiny", |bench| {
+        bench.iter(|| {
+            black_box(RmiEstimator::train(
+                &training,
+                &RmiConfig::one_stage(NetConfig::tiny()),
+            ))
+        })
     });
     group.finish();
 }

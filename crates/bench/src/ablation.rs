@@ -4,8 +4,9 @@
 //!
 //! 1. **Which estimator feeds the gate** (Section 3.1 of the paper fixes the
 //!    RMI and explicitly leaves "which estimator is best" to future work) —
-//!    [`estimator_ablation`] runs LAF-DBSCAN with the exact oracle, the RMI,
-//!    a single MLP, the sampling estimator and the histogram estimator and
+//!    [`estimator_ablation`] runs LAF-DBSCAN with the exact oracle, the
+//!    paper's [1, 2, 4] RMI, a single MLP (the one-stage RMI the pipeline
+//!    serves), the sampling estimator and the histogram estimator and
 //!    reports quality, time and the false-negative counts of Section 3.3.
 //! 2. **The post-processing module** — [`post_processing_ablation`] runs
 //!    LAF-DBSCAN with the module on and off.
@@ -16,8 +17,8 @@
 use crate::harness::{HarnessConfig, Method, PreparedDataset};
 use crate::report::{format_seconds, print_table, write_json};
 use laf_cardest::{
-    CardinalityEstimator, EstimatorCalibrator, ExactEstimator, HistogramEstimator, MlpEstimator,
-    SamplingEstimator, TrainingSetBuilder,
+    CardinalityEstimator, EstimatorCalibrator, ExactEstimator, HistogramEstimator, RmiConfig,
+    RmiEstimator, SamplingEstimator, TrainingSetBuilder,
 };
 use laf_clustering::{Clusterer, Dbscan, DbscanConfig};
 use laf_core::{LafConfig, LafDbscan};
@@ -71,7 +72,7 @@ pub fn estimator_ablation(
     }
     .build(&prepared.train, &prepared.train)
     .expect("training set");
-    let mlp = MlpEstimator::train(&training, &cfg.net);
+    let mlp = RmiEstimator::train(&training, &RmiConfig::one_stage(cfg.net.clone()));
     let sampling = SamplingEstimator::new(
         &prepared.train,
         Metric::Cosine,

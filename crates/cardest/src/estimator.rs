@@ -20,12 +20,12 @@ pub trait CardinalityEstimator: Send + Sync {
     /// identical (bit-exact) to calling [`CardinalityEstimator::estimate`]
     /// per query.
     ///
-    /// The default implementation is the sequential loop (used by the RMI,
-    /// the traditional baselines and the failure-injection estimators);
-    /// [`crate::MlpEstimator`] overrides it with a single matrix-shaped
-    /// forward pass over the whole query batch, and [`ExactEstimator`]
-    /// forwards to the engine's blocked counting kernel. The LAF gate's
-    /// prescan feeds entire datasets through this entry point.
+    /// The default implementation is the sequential loop (used by the
+    /// traditional baselines and the failure-injection estimators);
+    /// [`crate::RmiEstimator`] overrides it with matrix-shaped forward passes
+    /// over the whole query batch, one per model and stage, and
+    /// [`ExactEstimator`] forwards to the engine's blocked counting kernel.
+    /// The LAF gate's prescan feeds entire datasets through this entry point.
     fn estimate_batch(&self, queries: &[&[f32]], eps: f32) -> Vec<f32> {
         queries.iter().map(|q| self.estimate(q, eps)).collect()
     }

@@ -10,11 +10,12 @@
 //!
 //! * [`CardinalityEstimator`] — the estimator abstraction the LAF framework
 //!   plugs in front of every range query;
-//! * [`RmiEstimator`] — the paper's estimator: a 3-stage Recursive Model
-//!   Index whose stages contain 1 / 2 / 4 fully-connected neural networks
-//!   (the configuration borrowed from CardNet's RMI baseline);
-//! * [`MlpEstimator`] — a single multi-layer perceptron, the building block
-//!   of the RMI and a useful ablation;
+//! * [`RmiEstimator`] — the one learned estimator: a Recursive Model Index
+//!   of fully-connected neural networks. The paper's layout has 3 stages of
+//!   1 / 2 / 4 networks (borrowed from CardNet's RMI baseline); the LAF
+//!   pipeline serves the one-stage layout, a single network, which is also
+//!   the only one snapshots store. Both batch their estimates stage by
+//!   stage;
 //! * [`SamplingEstimator`] and [`HistogramEstimator`] — the traditional
 //!   (non-learned) baselines cardinality-estimation literature compares
 //!   against;
@@ -25,13 +26,12 @@
 //!   0.1–0.9), exploiting the boundedness of angular distance that the paper
 //!   argues makes the learning problem tractable;
 //! * [`nn`] — the from-scratch dense neural network (ReLU, Adam, MSE) the
-//!   learned estimators are built on. No GPU, no external ML framework.
+//!   learned estimator is built on. No GPU, no external ML framework.
 
 #![warn(missing_docs)]
 
 pub mod calibration;
 pub mod estimator;
-pub mod mlp;
 pub mod nn;
 pub mod rmi;
 pub mod traditional;
@@ -39,7 +39,6 @@ pub mod training;
 
 pub use calibration::{CorePredictionReport, EstimatorCalibrator, QErrorReport};
 pub use estimator::{CardinalityEstimator, ConstantEstimator, ExactEstimator};
-pub use mlp::MlpEstimator;
 pub use nn::{Mlp, NetConfig, TrainReport};
 pub use rmi::{RmiConfig, RmiEstimator};
 pub use traditional::{HistogramEstimator, SamplingEstimator};

@@ -1,4 +1,5 @@
-//! From-scratch dense neural network used by the learned estimators.
+//! From-scratch dense neural network: every model of the learned estimator,
+//! [`crate::RmiEstimator`], is one [`Mlp`].
 //!
 //! The paper's cardinality estimator is an RMI whose member models are
 //! fully-connected neural networks with four hidden layers (512, 512, 256,

@@ -1,21 +1,36 @@
-//! Recursive Model Index (RMI) cardinality estimator — the paper's model.
+//! Recursive Model Index (RMI) cardinality estimator — the crate's one
+//! learned estimator.
 //!
 //! The paper borrows its estimator from CardNet's strong baseline: a
 //! three-stage RMI whose stages contain 1, 2 and 4 fully-connected neural
-//! networks from top to bottom. The root model routes each input to one of
-//! the second-stage models, which in turn routes to one of the third-stage
-//! models; the leaf model's prediction is the answer. Every member model is
-//! an [`Mlp`] from this crate (Kraska et al.'s original RMI used the same
-//! idea over linear/NN models for learned indexing).
+//! networks from top to bottom ([`RmiConfig::paper_stages`]). The root model
+//! routes each input to one of the second-stage models, which in turn
+//! routes to one of the third-stage models; the leaf model's prediction is
+//! the answer. Every member model is an [`Mlp`] from this crate (Kraska et
+//! al., "The Case for Learned Index Structures", SIGMOD 2018, built RMIs
+//! over linear and NN models for learned indexing).
+//!
+//! A one-stage RMI ([`RmiConfig::one_stage`]) is a single MLP trained on the
+//! whole training set. It is what the LAF pipeline trains and its snapshots
+//! store, and the only layout with a binary form
+//! ([`RmiEstimator::encode_binary`]).
 //!
 //! Routing follows the standard RMI recipe: a model's prediction (in
 //! normalized target space) selects the child whose bucket the prediction
-//! falls into. Buckets that receive no training samples inherit their
-//! parent's training subset so every leaf is usable at inference time.
+//! falls into. A model whose bucket receives no training samples trains on
+//! the full training set, so every leaf is usable at inference time.
+//!
+//! Inference runs stage by stage: every row of a batch passes the root in
+//! one [`Mlp::predict_batch`], then each later stage makes one
+//! `predict_batch` per model over the rows routed to it. The stages
+//! partition the batch, so batching adds no arithmetic, and `predict_batch`
+//! is bit-exact per row whatever the batch, so a batched estimate equals the
+//! one-row estimate bit for bit.
 
 use crate::estimator::{count_from_log, CardinalityEstimator};
-use crate::nn::{Mlp, NetConfig};
+use crate::nn::{Mlp, NetConfig, TrainReport};
 use crate::training::TrainingSet;
+use laf_vector::VectorError;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,6 +53,15 @@ impl RmiConfig {
             net,
         }
     }
+
+    /// A root model alone: one MLP trained on the whole training set, the
+    /// layout the LAF pipeline serves.
+    pub fn one_stage(net: NetConfig) -> Self {
+        Self {
+            stage_sizes: vec![1],
+            net,
+        }
+    }
 }
 
 impl Default for RmiConfig {
@@ -46,23 +70,49 @@ impl Default for RmiConfig {
     }
 }
 
-/// Three-stage (configurable) recursive model index over [`Mlp`] regressors.
+/// Recursive model index over [`Mlp`] regressors.
+///
+/// The networks regress `ln(1 + cardinality)` from the concatenation of the
+/// query vector and the distance threshold;
+/// [`CardinalityEstimator::estimate`] maps the leaf's prediction back
+/// through `expm1` and clamps it to be non-negative (a NaN prediction stays
+/// NaN, so the gate executes the query).
 #[derive(Debug, Serialize, Deserialize)]
 pub struct RmiEstimator {
-    /// `stages[s][m]` is model `m` of stage `s`.
+    /// `stages[s][m]` is model `m` of stage `s`; `stages[0]` holds the root
+    /// alone.
     stages: Vec<Vec<Mlp>>,
-    stage_sizes: Vec<usize>,
     data_dim: usize,
     /// Minimum and maximum regression target seen in training, used to
-    /// normalize predictions for routing.
+    /// normalize predictions for routing. A one-stage RMI never routes, so
+    /// its binary form omits them and decodes them as zero.
     target_min: f32,
     target_max: f32,
+    /// The root model's training summary.
+    report: TrainReport,
     #[serde(skip)]
     predictions: AtomicU64,
 }
 
+impl Clone for RmiEstimator {
+    fn clone(&self) -> Self {
+        Self {
+            stages: self.stages.clone(),
+            data_dim: self.data_dim,
+            target_min: self.target_min,
+            target_max: self.target_max,
+            report: self.report,
+            predictions: AtomicU64::new(self.predictions.load(Ordering::Relaxed)),
+        }
+    }
+}
+
 impl RmiEstimator {
     /// Train the RMI on a prepared [`TrainingSet`].
+    ///
+    /// The root uses `cfg.net.seed` and the training set's sample order, so
+    /// a one-stage RMI is bit-identical to one [`Mlp`] trained on
+    /// [`TrainingSet::as_xy`].
     ///
     /// # Panics
     /// Panics if the training set is empty or the stage layout is empty or
@@ -86,43 +136,43 @@ impl RmiEstimator {
         let target_max = ys.iter().copied().fold(f32::NEG_INFINITY, f32::max);
 
         let feature_dim = training.feature_dim();
-        let n_stages = cfg.stage_sizes.len();
-        let mut stages: Vec<Vec<Mlp>> = Vec::with_capacity(n_stages);
+        let mut stages: Vec<Vec<Mlp>> = Vec::with_capacity(cfg.stage_sizes.len());
+        let mut root_report = None;
 
         // assignment[i] = which model of the *current* stage sample i belongs to.
         let mut assignment = vec![0usize; xs.len()];
 
         for (stage_idx, &n_models) in cfg.stage_sizes.iter().enumerate() {
+            let next_n = cfg.stage_sizes.get(stage_idx + 1).copied();
             let mut stage_models: Vec<Mlp> = Vec::with_capacity(n_models);
             let mut next_assignment = vec![0usize; xs.len()];
 
             for model_idx in 0..n_models {
                 // Samples routed to this model.
-                let member_indices: Vec<usize> = (0..xs.len())
+                let members: Vec<usize> = (0..xs.len())
                     .filter(|&i| assignment[i] == model_idx)
                     .collect();
-                // Empty bucket: fall back to the full training set so the
-                // model is still usable at inference time.
-                let effective: Vec<usize> = if member_indices.is_empty() {
-                    (0..xs.len()).collect()
-                } else {
-                    member_indices.clone()
-                };
-                let sub_x: Vec<Vec<f32>> = effective.iter().map(|&i| xs[i].clone()).collect();
-                let sub_y: Vec<f32> = effective.iter().map(|&i| ys[i]).collect();
-
                 let seed = cfg
                     .net
                     .seed
                     .wrapping_add((stage_idx as u64) << 16)
                     .wrapping_add(model_idx as u64);
                 let mut net = Mlp::new(feature_dim, &cfg.net.hidden, seed);
-                net.train(&sub_x, &sub_y, &cfg.net);
+                // A bucket holding every sample, or none (the fallback that
+                // keeps the model usable at inference time), trains on the
+                // training matrix itself; only a proper subset is copied.
+                let report = if members.is_empty() || members.len() == xs.len() {
+                    net.train(&xs, &ys, &cfg.net)
+                } else {
+                    let sub_x: Vec<Vec<f32>> = members.iter().map(|&i| xs[i].clone()).collect();
+                    let sub_y: Vec<f32> = members.iter().map(|&i| ys[i]).collect();
+                    net.train(&sub_x, &sub_y, &cfg.net)
+                };
+                root_report.get_or_insert(report);
 
                 // Route this model's members to the next stage.
-                if stage_idx + 1 < n_stages {
-                    let next_n = cfg.stage_sizes[stage_idx + 1];
-                    for &i in &member_indices {
+                if let Some(next_n) = next_n {
+                    for &i in &members {
                         let pred = net.predict(&xs[i]);
                         next_assignment[i] = route(pred, target_min, target_max, next_n);
                     }
@@ -135,12 +185,47 @@ impl RmiEstimator {
 
         Self {
             stages,
-            stage_sizes: cfg.stage_sizes.clone(),
             data_dim: training.dim,
             target_min,
             target_max,
+            report: root_report.expect("the layout starts with a root model"),
             predictions: AtomicU64::new(0),
         }
+    }
+
+    /// A one-stage RMI around `root`.
+    fn one_stage(root: Mlp, data_dim: usize, report: TrainReport) -> Self {
+        Self {
+            stages: vec![vec![root]],
+            data_dim,
+            target_min: 0.0,
+            target_max: 0.0,
+            report,
+            predictions: AtomicU64::new(0),
+        }
+    }
+
+    /// A degraded-mode estimator that can never gate a query off the exact
+    /// path: a one-stage RMI whose every prediction is the constant
+    /// `expm1(80)` (≈ 5.5e34, still finite in `f32`), far above any `α·τ`
+    /// threshold, so the gate always runs the range query. Snapshot loads
+    /// substitute this for a corrupt estimator section instead of failing
+    /// the load — exact-only serving beats no serving, and answers stay
+    /// correct because the gate only ever *skips* work it believes is
+    /// fruitless.
+    pub fn gate_off(data_dim: usize) -> Self {
+        let report = TrainReport {
+            epochs: 0,
+            initial_loss: 0.0,
+            final_loss: 0.0,
+        };
+        Self::one_stage(Mlp::constant(data_dim + 1, 80.0), data_dim, report)
+    }
+
+    /// The root model's training summary (initial/final MSE in
+    /// log-cardinality space).
+    pub fn report(&self) -> TrainReport {
+        self.report
     }
 
     /// Number of stages in the index.
@@ -149,8 +234,8 @@ impl RmiEstimator {
     }
 
     /// Number of models per stage, root first.
-    pub fn stage_sizes(&self) -> &[usize] {
-        &self.stage_sizes
+    pub fn stage_sizes(&self) -> Vec<usize> {
+        self.stages.iter().map(Vec::len).collect()
     }
 
     /// Dimensionality of the data vectors the estimator expects.
@@ -161,6 +246,66 @@ impl RmiEstimator {
     /// Total number of member models.
     pub fn model_count(&self) -> usize {
         self.stages.iter().map(Vec::len).sum()
+    }
+
+    /// Append a one-stage RMI (data dimensionality, the root's training
+    /// report and its raw weight bits) to `buf` in the little-endian binary
+    /// form: the estimator section of every snapshot format version.
+    ///
+    /// Exists alongside the serde JSON representation for the snapshot
+    /// subsystem: the binary form is both compact (4 bytes per weight instead
+    /// of decimal text) and **bit-exact**, which is what makes loaded
+    /// snapshots produce byte-identical estimates, gate decisions and cluster
+    /// labels. See [`crate::Mlp::encode_binary`].
+    ///
+    /// # Errors
+    /// [`VectorError::InvalidParameter`], with nothing written, when the RMI
+    /// has more than one stage: the form holds one network, and a reader
+    /// would serve the root alone.
+    pub fn encode_binary(&self, buf: &mut impl bytes::BufMut) -> Result<(), VectorError> {
+        if self.stages.len() != 1 {
+            return Err(VectorError::InvalidParameter(format!(
+                "only a one-stage RMI has a binary form, this one has {} stages",
+                self.stages.len()
+            )));
+        }
+        buf.put_u32_le(self.data_dim as u32);
+        buf.put_u64_le(self.report.epochs as u64);
+        buf.put_f32_le(self.report.initial_loss);
+        buf.put_f32_le(self.report.final_loss);
+        self.stages[0][0].encode_binary(buf);
+        Ok(())
+    }
+
+    /// Inverse of [`RmiEstimator::encode_binary`], advancing the cursor.
+    ///
+    /// # Errors
+    /// Returns [`VectorError::MalformedPayload`] on truncation or when the
+    /// embedded network's input width does not equal `data_dim + 1` (query
+    /// features plus the ε threshold).
+    pub fn decode_binary(bytes: &mut &[u8]) -> Result<Self, VectorError> {
+        use bytes::Buf;
+        if bytes.remaining() < 20 {
+            return Err(VectorError::MalformedPayload(format!(
+                "truncated estimator header: {} bytes",
+                bytes.remaining()
+            )));
+        }
+        let data_dim = bytes.get_u32_le() as usize;
+        let report = TrainReport {
+            epochs: bytes.get_u64_le() as usize,
+            initial_loss: bytes.get_f32_le(),
+            final_loss: bytes.get_f32_le(),
+        };
+        let root = Mlp::decode_binary(bytes)?;
+        if root.input_dim() != data_dim + 1 {
+            return Err(VectorError::MalformedPayload(format!(
+                "network input width {} does not match data_dim {} + 1",
+                root.input_dim(),
+                data_dim
+            )));
+        }
+        Ok(Self::one_stage(root, data_dim, report))
     }
 }
 
@@ -177,31 +322,42 @@ fn route(pred: f32, target_min: f32, target_max: f32, n_children: usize) -> usiz
 
 impl CardinalityEstimator for RmiEstimator {
     fn estimate(&self, query: &[f32], eps: f32) -> f32 {
-        assert_eq!(
-            query.len(),
-            self.data_dim,
-            "query dimensionality does not match the training data"
-        );
-        self.predictions.fetch_add(1, Ordering::Relaxed);
-        let mut features = Vec::with_capacity(query.len() + 1);
-        features.extend_from_slice(query);
-        features.push(eps);
+        self.estimate_batch(&[query], eps)[0]
+    }
 
-        let mut model_idx = 0usize;
-        let mut pred = 0.0f32;
-        for (stage_idx, stage) in self.stages.iter().enumerate() {
-            let model = &stage[model_idx.min(stage.len() - 1)];
-            pred = model.predict(&features);
-            if stage_idx + 1 < self.stages.len() {
-                model_idx = route(
-                    pred,
-                    self.target_min,
-                    self.target_max,
-                    self.stages[stage_idx + 1].len(),
-                );
+    fn estimate_batch(&self, queries: &[&[f32]], eps: f32) -> Vec<f32> {
+        let width = self.data_dim + 1;
+        let mut features = Vec::with_capacity(queries.len() * width);
+        for q in queries {
+            assert_eq!(
+                q.len(),
+                self.data_dim,
+                "query dimensionality does not match the training data"
+            );
+            features.extend_from_slice(q);
+            features.push(eps);
+        }
+        self.predictions
+            .fetch_add(queries.len() as u64, Ordering::Relaxed);
+        let rows: Vec<&[f32]> = features.chunks_exact(width).collect();
+
+        let mut preds = self.stages[0][0].predict_batch(&rows);
+        for stage in &self.stages[1..] {
+            let routes: Vec<usize> = preds
+                .iter()
+                .map(|&p| route(p, self.target_min, self.target_max, stage.len()))
+                .collect();
+            for (model_idx, model) in stage.iter().enumerate() {
+                let members: Vec<usize> = (0..rows.len())
+                    .filter(|&i| routes[i] == model_idx)
+                    .collect();
+                let group: Vec<&[f32]> = members.iter().map(|&i| rows[i]).collect();
+                for (i, pred) in members.into_iter().zip(model.predict_batch(&group)) {
+                    preds[i] = pred;
+                }
             }
         }
-        count_from_log(pred)
+        preds.into_iter().map(count_from_log).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -236,14 +392,21 @@ mod tests {
         .0
     }
 
-    fn train_rmi(data: &Dataset) -> RmiEstimator {
-        let ts = TrainingSetBuilder {
+    fn training(data: &Dataset) -> TrainingSet {
+        TrainingSetBuilder {
             max_queries: Some(120),
             ..Default::default()
         }
         .build(data, data)
-        .unwrap();
-        RmiEstimator::train(&ts, &RmiConfig::paper_stages(NetConfig::tiny()))
+        .unwrap()
+    }
+
+    fn train_rmi(data: &Dataset) -> RmiEstimator {
+        RmiEstimator::train(&training(data), &RmiConfig::paper_stages(NetConfig::tiny()))
+    }
+
+    fn train_one_stage(data: &Dataset) -> RmiEstimator {
+        RmiEstimator::train(&training(data), &RmiConfig::one_stage(NetConfig::tiny()))
     }
 
     #[test]
@@ -256,14 +419,13 @@ mod tests {
         assert_eq!(rmi.data_dim(), 8);
     }
 
-    #[test]
-    fn estimates_are_finite_and_nonnegative() {
-        let data = data();
-        let rmi = train_rmi(&data);
+    fn assert_finite_and_nonnegative(rmi: &RmiEstimator, data: &Dataset) {
+        assert_eq!(rmi.data_dim(), 8);
+        assert!(rmi.report().final_loss.is_finite());
         for i in (0..data.len()).step_by(23) {
             for eps in [0.1f32, 0.5, 0.9] {
                 let e = rmi.estimate(data.row(i), eps);
-                assert!(e.is_finite() && e >= 0.0);
+                assert!(e.is_finite() && e >= 0.0, "estimate {e}");
             }
         }
         assert!(rmi.predictions().unwrap() > 0);
@@ -271,10 +433,21 @@ mod tests {
     }
 
     #[test]
-    fn rmi_learns_the_monotone_trend() {
+    fn estimates_are_finite_and_nonnegative() {
         let data = data();
-        let rmi = train_rmi(&data);
-        let oracle = ExactEstimator::new(&data, Metric::Cosine);
+        assert_finite_and_nonnegative(&train_rmi(&data), &data);
+    }
+
+    #[test]
+    fn one_stage_estimates_are_finite_and_nonnegative() {
+        let data = data();
+        assert_finite_and_nonnegative(&train_one_stage(&data), &data);
+    }
+
+    /// The average estimate at a large radius must exceed the average at a
+    /// small radius: the estimator must have learned the monotone trend.
+    fn assert_monotone_trend(rmi: &RmiEstimator, data: &Dataset) {
+        let oracle = ExactEstimator::new(data, Metric::Cosine);
         let mut est_small = 0.0f64;
         let mut est_large = 0.0f64;
         let mut true_small = 0.0f64;
@@ -287,7 +460,39 @@ mod tests {
             true_large += oracle.estimate(q, 0.9) as f64;
         }
         assert!(true_large > true_small);
-        assert!(est_large > est_small);
+        assert!(
+            est_large > est_small,
+            "{} stages lost the monotone trend: {est_large} <= {est_small}",
+            rmi.n_stages()
+        );
+    }
+
+    #[test]
+    fn rmi_learns_the_monotone_trend() {
+        let data = data();
+        assert_monotone_trend(&train_rmi(&data), &data);
+    }
+
+    #[test]
+    fn one_stage_rmi_learns_the_monotone_trend() {
+        let data = data();
+        assert_monotone_trend(&train_one_stage(&data), &data);
+    }
+
+    #[test]
+    fn one_stage_rmi_is_the_single_mlp_trained_on_the_whole_set() {
+        let data = data();
+        let ts = training(&data);
+        let cfg = NetConfig::tiny();
+        let rmi = RmiEstimator::train(&ts, &RmiConfig::one_stage(cfg.clone()));
+        let (xs, ys) = ts.as_xy();
+        let mut mlp = Mlp::new(ts.feature_dim(), &cfg.hidden, cfg.seed);
+        assert_eq!(rmi.report(), mlp.train(&xs, &ys, &cfg));
+        let mut mlp_bits = Vec::new();
+        mlp.encode_binary(&mut mlp_bits);
+        let mut rmi_bits = Vec::new();
+        rmi.encode_binary(&mut rmi_bits).unwrap();
+        assert_eq!(&rmi_bits[20..], &mlp_bits[..], "root weights differ");
     }
 
     #[test]
@@ -304,6 +509,48 @@ mod tests {
         *ts.samples[0].features.last_mut().unwrap() = f32::NAN;
         let rmi = RmiEstimator::train(&ts, &RmiConfig::paper_stages(NetConfig::tiny()));
         assert!(rmi.estimate(data.row(0), 0.5).is_nan());
+    }
+
+    /// The leaf a row's per-row walk through the stages ends at.
+    fn leaf_of(rmi: &RmiEstimator, query: &[f32], eps: f32) -> usize {
+        let mut features = query.to_vec();
+        features.push(eps);
+        let mut model_idx = 0;
+        for (s, stage) in rmi.stages.iter().enumerate().skip(1) {
+            let pred = rmi.stages[s - 1][model_idx].predict(&features);
+            model_idx = route(pred, rmi.target_min, rmi.target_max, stage.len());
+        }
+        model_idx
+    }
+
+    #[test]
+    fn estimate_batch_is_bit_exact_with_per_row_estimates_at_every_batch_size() {
+        let data = data();
+        let rmi = train_rmi(&data);
+        let rows: Vec<&[f32]> = data.rows().collect();
+        let mut leaves = std::collections::BTreeSet::new();
+        for eps in [0.1f32, 0.5, 0.9] {
+            for len in [1, 15, 16, 17, rows.len()] {
+                let batch = &rows[..len];
+                let before = rmi.predictions().unwrap();
+                let batched = rmi.estimate_batch(batch, eps);
+                assert_eq!(rmi.predictions().unwrap(), before + len as u64);
+                assert_eq!(batched.len(), len);
+                for (i, q) in batch.iter().enumerate() {
+                    assert_eq!(
+                        batched[i].to_bits(),
+                        rmi.estimate(q, eps).to_bits(),
+                        "row {i} of {len} at eps {eps}"
+                    );
+                    leaves.insert(leaf_of(&rmi, q, eps));
+                }
+            }
+        }
+        assert!(
+            leaves.len() >= 2,
+            "the rows reached only leaves {leaves:?}: the batch never split"
+        );
+        assert!(rmi.estimate_batch(&[], 0.5).is_empty());
     }
 
     #[test]
@@ -336,12 +583,115 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_estimates() {
+    #[should_panic(expected = "empty training set")]
+    fn empty_training_set_panics() {
+        let ts = TrainingSet {
+            dim: 4,
+            thresholds: vec![0.5],
+            samples: vec![],
+        };
+        let _ = RmiEstimator::train(&ts, &RmiConfig::one_stage(NetConfig::tiny()));
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality")]
+    fn wrong_query_dim_panics() {
         let data = data();
-        let rmi = train_rmi(&data);
-        let json = serde_json::to_string(&rmi).unwrap();
+        let rmi = train_one_stage(&data);
+        let _ = rmi.estimate(&[1.0, 2.0], 0.5);
+    }
+
+    fn assert_serde_round_trip(rmi: &RmiEstimator, data: &Dataset) {
+        let json = serde_json::to_string(rmi).unwrap();
         let back: RmiEstimator = serde_json::from_str(&json).unwrap();
         let q = data.row(3);
         assert_eq!(rmi.estimate(q, 0.4), back.estimate(q, 0.4));
+        assert_eq!(back.report(), rmi.report());
+        assert_eq!(back.stage_sizes(), rmi.stage_sizes());
+    }
+
+    #[test]
+    fn serde_round_trip_preserves_estimates() {
+        let data = data();
+        assert_serde_round_trip(&train_rmi(&data), &data);
+    }
+
+    #[test]
+    fn one_stage_serde_round_trip_preserves_estimates() {
+        let data = data();
+        assert_serde_round_trip(&train_one_stage(&data), &data);
+    }
+
+    #[test]
+    fn one_stage_binary_round_trip_is_bit_exact() {
+        let data = data();
+        let rmi = train_one_stage(&data);
+        let mut buf: Vec<u8> = Vec::new();
+        rmi.encode_binary(&mut buf).unwrap();
+        let mut cursor = buf.as_slice();
+        let back = RmiEstimator::decode_binary(&mut cursor).unwrap();
+        assert!(cursor.is_empty(), "decode must consume the whole form");
+        assert_eq!(back.stage_sizes(), &[1]);
+        assert_eq!(back.data_dim(), rmi.data_dim());
+        assert_eq!(back.report(), rmi.report());
+        let rows: Vec<&[f32]> = data.rows().step_by(11).collect();
+        for eps in [0.1f32, 0.5, 0.9] {
+            let expected = rmi.estimate_batch(&rows, eps);
+            for (want, got) in expected.iter().zip(back.estimate_batch(&rows, eps)) {
+                assert_eq!(want.to_bits(), got.to_bits(), "eps {eps}");
+            }
+        }
+        let mut again = Vec::new();
+        back.encode_binary(&mut again).unwrap();
+        assert_eq!(again, buf, "re-encoding changed the bytes");
+    }
+
+    #[test]
+    fn binary_decode_rejects_dim_mismatch_and_truncation() {
+        let data = data();
+        let rmi = train_one_stage(&data);
+        let mut buf: Vec<u8> = Vec::new();
+        rmi.encode_binary(&mut buf).unwrap();
+        for cut in [10, 20, buf.len() - 1] {
+            assert!(
+                matches!(
+                    RmiEstimator::decode_binary(&mut &buf[..cut]),
+                    Err(VectorError::MalformedPayload(_))
+                ),
+                "a form cut at {cut} bytes decoded"
+            );
+        }
+        // Lie about data_dim: the embedded net expects data_dim + 1 inputs.
+        let mut bad = buf.clone();
+        bad[0] = bad[0].wrapping_add(1);
+        assert!(matches!(
+            RmiEstimator::decode_binary(&mut bad.as_slice()),
+            Err(VectorError::MalformedPayload(_))
+        ));
+    }
+
+    #[test]
+    fn gate_off_round_trips_through_the_binary_form() {
+        // A degraded load substitutes `gate_off`; saving that pipeline again
+        // must encode it, and the reload must still never skip a query.
+        let gate_off = RmiEstimator::gate_off(8);
+        let mut buf: Vec<u8> = Vec::new();
+        gate_off.encode_binary(&mut buf).unwrap();
+        let back = RmiEstimator::decode_binary(&mut buf.as_slice()).unwrap();
+        let e = back.estimate(&[0.5; 8], 0.3);
+        assert!(e.is_finite() && e > 1.0e30, "gate-off estimate {e}");
+        assert_eq!(e.to_bits(), gate_off.estimate(&[0.5; 8], 0.3).to_bits());
+    }
+
+    #[test]
+    fn a_multi_stage_rmi_has_no_binary_form() {
+        let data = data();
+        let rmi = train_rmi(&data);
+        let mut buf: Vec<u8> = Vec::new();
+        assert!(matches!(
+            rmi.encode_binary(&mut buf),
+            Err(VectorError::InvalidParameter(_))
+        ));
+        assert!(buf.is_empty(), "a refused encode wrote {} bytes", buf.len());
     }
 }

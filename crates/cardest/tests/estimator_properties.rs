@@ -1,8 +1,8 @@
 //! Property tests for the cardinality estimators.
 
 use laf_cardest::{
-    CardinalityEstimator, ExactEstimator, HistogramEstimator, MlpEstimator, NetConfig, RmiConfig,
-    RmiEstimator, SamplingEstimator, TrainingSetBuilder,
+    CardinalityEstimator, ExactEstimator, HistogramEstimator, NetConfig, RmiConfig, RmiEstimator,
+    SamplingEstimator, TrainingSetBuilder,
 };
 use laf_synth::EmbeddingMixtureConfig;
 use laf_vector::{ops, Dataset, Metric};
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 /// proptest closure would dominate the runtime).
 struct Fixture {
     data: Dataset,
-    mlp: MlpEstimator,
+    one_stage: RmiEstimator,
     rmi: RmiEstimator,
     histogram: HistogramEstimator,
     sampling: SamplingEstimator,
@@ -39,7 +39,7 @@ fn fixture() -> &'static Fixture {
         .build(&data, &data)
         .unwrap();
         Fixture {
-            mlp: MlpEstimator::train(&training, &NetConfig::tiny()),
+            one_stage: RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny())),
             rmi: RmiEstimator::train(&training, &RmiConfig::paper_stages(NetConfig::tiny())),
             histogram: HistogramEstimator::from_training(&training),
             sampling: SamplingEstimator::new(&data, Metric::Cosine, 40, 3),
@@ -64,7 +64,7 @@ proptest! {
     fn all_estimators_return_finite_nonnegative_values(q in unit_query(), eps in 0.05f32..1.5) {
         let f = fixture();
         let estimators: Vec<&dyn CardinalityEstimator> =
-            vec![&f.mlp, &f.rmi, &f.histogram, &f.sampling];
+            vec![&f.one_stage, &f.rmi, &f.histogram, &f.sampling];
         for est in estimators {
             let v = est.estimate(&q, eps);
             prop_assert!(v.is_finite(), "{} produced {}", est.name(), v);
@@ -105,7 +105,7 @@ proptest! {
     #[test]
     fn learned_estimators_are_deterministic(q in unit_query(), eps in 0.1f32..0.9) {
         let f = fixture();
-        prop_assert_eq!(f.mlp.estimate(&q, eps), f.mlp.estimate(&q, eps));
+        prop_assert_eq!(f.one_stage.estimate(&q, eps), f.one_stage.estimate(&q, eps));
         prop_assert_eq!(f.rmi.estimate(&q, eps), f.rmi.estimate(&q, eps));
     }
 }

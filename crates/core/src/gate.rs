@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of points fed to [`laf_cardest::CardinalityEstimator::estimate_batch`]
 /// per prescan batch. Batches are distributed over the rayon thread pool, so
-/// this bounds both the matrix size of an MLP forward pass and the
+/// this bounds both the matrix size of the RMI's forward passes and the
 /// granularity of the parallel split.
 pub const PRESCAN_BATCH: usize = 256;
 
@@ -122,8 +122,8 @@ impl<'a> CardEstGate<'a> {
     ///
     /// Rows are chunked into [`PRESCAN_BATCH`]-sized batches, the batches are
     /// fanned out over the current rayon thread pool, and each batch runs one
-    /// [`CardinalityEstimator::estimate_batch`] call (a single matrix-shaped
-    /// forward pass for the MLP estimator). Because `estimate_batch` is
+    /// [`CardinalityEstimator::estimate_batch`] call (for the RMI, one
+    /// matrix-shaped forward pass per model and stage). Because `estimate_batch` is
     /// bit-exact with per-query `estimate`, the returned decisions are
     /// byte-identical to what the sequential gate would have decided at each
     /// point — Algorithm 1 consumes them via [`CardEstGate::decide`] without
@@ -135,7 +135,7 @@ impl<'a> CardEstGate<'a> {
     /// `calls == skips + executed` regardless of execution model.
     ///
     /// Both batched estimator paths run on the exact register tiles of
-    /// `laf_vector::tile`: the MLP's `predict_batch` scores each weight row
+    /// `laf_vector::tile`: each RMI model's `predict_batch` scores each weight row
     /// against up to sixteen batch activations per `ProbeBlock` step, and
     /// the exact oracle's `range_count_batch` goes through the linear
     /// scan's packed probe block — so the prescan inherits the kernel

@@ -18,7 +18,7 @@ use std::time::Instant;
 /// DBSCAN accelerated by the LAF plugin.
 ///
 /// Generic over the cardinality estimator so the same algorithm can run with
-/// the paper's RMI, a single MLP, the traditional baselines, or the exact
+/// the paper's RMI, the pipeline's one-stage RMI, the traditional baselines, or the exact
 /// oracle used in tests (`LAF-DBSCAN` with the oracle and α = 1 reproduces
 /// plain DBSCAN exactly).
 pub struct LafDbscan<E: CardinalityEstimator> {
@@ -230,7 +230,7 @@ impl<E: CardinalityEstimator> Clusterer for LafDbscan<E> {
 mod tests {
     use super::*;
     use laf_cardest::{
-        ConstantEstimator, ExactEstimator, MlpEstimator, NetConfig, TrainingSetBuilder,
+        ConstantEstimator, ExactEstimator, NetConfig, RmiConfig, RmiEstimator, TrainingSetBuilder,
     };
     use laf_clustering::Dbscan;
     use laf_metrics::{adjusted_mutual_information, adjusted_rand_index};
@@ -324,7 +324,7 @@ mod tests {
         .build(&data, &data)
         .unwrap();
         *ts.samples[0].features.last_mut().unwrap() = f32::NAN;
-        let estimator = MlpEstimator::train(&ts, &NetConfig::tiny());
+        let estimator = RmiEstimator::train(&ts, &RmiConfig::one_stage(NetConfig::tiny()));
         assert!(estimator.estimate(data.row(0), 0.25).is_nan());
         let truth = Dbscan::with_params(0.25, 4).cluster(&data);
         let laf = LafDbscan::new(LafConfig::new(0.25, 4, 1.0), estimator);
@@ -342,7 +342,7 @@ mod tests {
         }
         .build(&data, &data)
         .unwrap();
-        let estimator = MlpEstimator::train(&ts, &NetConfig::tiny());
+        let estimator = RmiEstimator::train(&ts, &RmiConfig::one_stage(NetConfig::tiny()));
         let truth = Dbscan::with_params(0.25, 4).cluster(&data);
         let laf = LafDbscan::new(LafConfig::new(0.25, 4, 1.0), estimator);
         let (result, stats) = laf.cluster_with_stats(&data);
@@ -367,8 +367,8 @@ mod tests {
         }
         .build(&data, &data)
         .unwrap();
-        let est_small = MlpEstimator::train(&ts, &NetConfig::tiny());
-        let est_large = MlpEstimator::train(&ts, &NetConfig::tiny());
+        let est_small = RmiEstimator::train(&ts, &RmiConfig::one_stage(NetConfig::tiny()));
+        let est_large = RmiEstimator::train(&ts, &RmiConfig::one_stage(NetConfig::tiny()));
         let (_, stats_small) =
             LafDbscan::new(LafConfig::new(0.25, 4, 0.5), est_small).cluster_with_stats(&data);
         let (_, stats_large) =

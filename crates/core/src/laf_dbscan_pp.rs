@@ -258,7 +258,7 @@ impl<E: CardinalityEstimator> Clusterer for LafDbscanPlusPlus<E> {
 mod tests {
     use super::*;
     use laf_cardest::{
-        ConstantEstimator, ExactEstimator, MlpEstimator, NetConfig, TrainingSetBuilder,
+        ConstantEstimator, ExactEstimator, NetConfig, RmiConfig, RmiEstimator, TrainingSetBuilder,
     };
     use laf_clustering::Dbscan;
     use laf_metrics::adjusted_rand_index;
@@ -322,7 +322,7 @@ mod tests {
         }
         .build(&data, &data)
         .unwrap();
-        let estimator = MlpEstimator::train(&ts, &NetConfig::tiny());
+        let estimator = RmiEstimator::train(&ts, &RmiConfig::one_stage(NetConfig::tiny()));
         let laf_pp = LafDbscanPlusPlus::new(LafDbscanPlusPlusConfig::new(0.25, 4, 0.2), estimator);
         let (result, stats) = laf_pp.cluster_with_stats(&data);
         let truth = Dbscan::with_params(0.25, 4).cluster(&data);

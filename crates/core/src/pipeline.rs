@@ -1,7 +1,8 @@
 //! Train-once / serve-many pipeline over the snapshot boundary.
 //!
 //! [`LafPipeline`] packages a [`LafConfig`], the indexed [`Dataset`] and a
-//! trained [`MlpEstimator`] behind one handle with two ways in:
+//! trained one-stage [`RmiEstimator`] (a single network,
+//! [`RmiConfig::one_stage`]) behind one handle with two ways in:
 //!
 //! * **Cold start** — [`LafPipelineBuilder::train`] builds the training set,
 //!   fits the estimator and (optionally, via
@@ -24,7 +25,7 @@ use crate::config::{LafConfig, LafStats};
 use crate::laf_dbscan::LafDbscan;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotShard};
 use laf_cardest::{
-    CardinalityEstimator, EstimatorCalibrator, MlpEstimator, NetConfig, QErrorReport,
+    CardinalityEstimator, EstimatorCalibrator, NetConfig, QErrorReport, RmiConfig, RmiEstimator,
     TrainingSetBuilder,
 };
 use laf_clustering::Clustering;
@@ -66,8 +67,8 @@ impl LafPipelineBuilder {
         }
     }
 
-    /// Network architecture / optimizer hyper-parameters (default
-    /// [`NetConfig::small`]).
+    /// Network architecture / optimizer hyper-parameters of the estimator's
+    /// one network (default [`NetConfig::small`]).
     pub fn net(mut self, net: NetConfig) -> Self {
         self.net = net;
         self
@@ -108,7 +109,8 @@ impl LafPipelineBuilder {
         self
     }
 
-    /// **Cold start**: fit the estimator on `data` and assemble the pipeline.
+    /// **Cold start**: fit the estimator, a one-stage [`RmiEstimator`], on
+    /// `data` and assemble the pipeline.
     ///
     /// # Errors
     /// Rejects a learning rate that cannot train ([`NetConfig::validate`])
@@ -125,7 +127,7 @@ impl LafPipelineBuilder {
             ..self.training
         };
         let training = training_builder.build(&data, &data)?;
-        let estimator = MlpEstimator::train(&training, &self.net);
+        let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(self.net));
         let calibration = if self.calibrate {
             use rand::SeedableRng;
             // Distinct stream from the training-query sampler (which seeds
@@ -343,8 +345,9 @@ impl LafPipeline {
     /// Assemble a pipeline from already-constructed parts (e.g. an estimator
     /// trained under a custom regime). No engine structure is persisted;
     /// [`LafPipeline::engine`] rebuilds from the config until the pipeline is
-    /// saved and reloaded through the cold path.
-    pub fn from_parts(config: LafConfig, data: Dataset, estimator: MlpEstimator) -> Self {
+    /// saved and reloaded through the cold path. Only a one-stage estimator
+    /// can be saved: [`Snapshot::encode`] refuses a multi-stage RMI.
+    pub fn from_parts(config: LafConfig, data: Dataset, estimator: RmiEstimator) -> Self {
         Self::from_snapshot(Snapshot {
             config,
             data,
@@ -453,7 +456,7 @@ impl LafPipeline {
     }
 
     /// The trained estimator.
-    pub fn estimator(&self) -> &MlpEstimator {
+    pub fn estimator(&self) -> &RmiEstimator {
         &self.snapshot.estimator
     }
 

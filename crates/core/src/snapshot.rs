@@ -9,8 +9,10 @@
 //! * the [`LafConfig`] (ε, τ, α, metric and the [`laf_index::EngineChoice`]
 //!   needed to rebuild the range-query engine),
 //! * the [`Dataset`] (flat-buffer encoded via [`laf_vector::io`]),
-//! * the trained [`MlpEstimator`] (raw IEEE-754 weight bits via
-//!   [`MlpEstimator::encode_binary`] — **bit-exact**, not a text round-trip),
+//! * the trained estimator, a one-stage [`RmiEstimator`] (raw IEEE-754
+//!   weight bits via [`RmiEstimator::encode_binary`] — **bit-exact**, not a
+//!   text round-trip; every format version's estimator section decodes as a
+//!   one-stage RMI, and [`Snapshot::encode`] refuses a multi-stage one),
 //! * optionally a [`QErrorReport`] calibration summary captured at train
 //!   time,
 //! * optionally (format v2) the **built range-query engine structure**
@@ -101,7 +103,7 @@
 
 use crate::config::LafConfig;
 use bytes::{Buf, Bytes};
-use laf_cardest::{MlpEstimator, QErrorReport};
+use laf_cardest::{QErrorReport, RmiEstimator};
 use laf_index::{EngineChoice, PersistError, PersistedEngine};
 use laf_vector::fault;
 use laf_vector::mapped::{self, Mmap};
@@ -138,7 +140,7 @@ pub mod section_id {
     /// format). Absent from sharded (v4 manifest) files, whose rows live in
     /// the per-shard dataset sections instead.
     pub const DATASET: u32 = 2;
-    /// Binary `MlpEstimator` (raw weight bits).
+    /// Binary one-stage `RmiEstimator` (raw weight bits).
     pub const ESTIMATOR: u32 = 3;
     /// JSON-encoded `QErrorReport` calibration summary (optional).
     pub const CALIBRATION: u32 = 4;
@@ -371,7 +373,7 @@ pub enum DegradedSection {
     /// shard's engine was rebuilt from its dataset slice.
     ShardEngine(u32),
     /// The estimator section was corrupt; a gate-off constant estimator was
-    /// substituted ([`MlpEstimator::gate_off`]), so the pipeline serves
+    /// substituted ([`RmiEstimator::gate_off`]), so the pipeline serves
     /// exact-only — correct answers, none of the learned speedup.
     Estimator,
     /// The calibration summary was corrupt and dropped (it is advisory).
@@ -441,7 +443,7 @@ pub struct Snapshot {
     /// The indexed dataset.
     pub data: Dataset,
     /// The trained estimator (bit-exact across save/load).
-    pub estimator: MlpEstimator,
+    pub estimator: RmiEstimator,
     /// Calibration summary captured at training time, when requested.
     pub calibration: Option<QErrorReport>,
     /// The built range-query engine structure, when the engine persists one
@@ -517,8 +519,10 @@ impl Snapshot {
     /// simultaneously).
     ///
     /// # Errors
-    /// Propagates section serialization failures and writer I/O errors, and
-    /// rejects an inconsistent shard layout (shard rows not summing to the
+    /// Propagates section serialization failures and writer I/O errors,
+    /// refuses an estimator of more than one stage
+    /// ([`SnapshotError::Vector`]: the estimator section holds one network),
+    /// and rejects an inconsistent shard layout (shard rows not summing to the
     /// dataset, a shard with a different dimensionality, a global engine on
     /// a sharded snapshot). Callers handing in a buffered writer should
     /// flush it afterwards (the [`Snapshot::save`] convenience does).
@@ -560,7 +564,7 @@ impl Snapshot {
         }
         let config_json = serde_json::to_string(&self.config)?;
         let mut estimator_bytes: Vec<u8> = Vec::new();
-        self.estimator.encode_binary(&mut estimator_bytes);
+        self.estimator.encode_binary(&mut estimator_bytes)?;
         let calibration_json = self
             .calibration
             .as_ref()
@@ -804,7 +808,7 @@ impl Snapshot {
     /// when a derived section is corrupt: a corrupt engine section (global
     /// or per shard) is dropped so the caller rebuilds it from the dataset,
     /// a corrupt estimator section is replaced by a gate-off constant
-    /// estimator ([`MlpEstimator::gate_off`], exact-only serving), and a
+    /// estimator ([`RmiEstimator::gate_off`], exact-only serving), and a
     /// corrupt calibration summary is dropped. Every substitution is listed
     /// in the returned [`DegradedLoad`] — degradation is typed and
     /// reported, never silent.
@@ -1051,7 +1055,7 @@ impl Snapshot {
         };
         let estimator = match section(section_id::ESTIMATOR)? {
             Some(mut estimator_bytes) => {
-                let estimator = MlpEstimator::decode_binary(&mut estimator_bytes)?;
+                let estimator = RmiEstimator::decode_binary(&mut estimator_bytes)?;
                 if !estimator_bytes.is_empty() {
                     return Err(SnapshotError::Malformed(format!(
                         "{} trailing bytes after the estimator section",
@@ -1062,7 +1066,7 @@ impl Snapshot {
             }
             // The corrupt estimator section was excluded by the degraded
             // parse: serve gate-off exact-only rather than failing the load.
-            None if estimator_dropped => MlpEstimator::gate_off(data.dim()),
+            None if estimator_dropped => RmiEstimator::gate_off(data.dim()),
             None => {
                 return Err(SnapshotError::Malformed(format!(
                     "missing required section estimator (id {})",
@@ -1316,7 +1320,7 @@ impl Snapshot {
 mod tests {
     use super::*;
     use bytes::BufMut;
-    use laf_cardest::{CardinalityEstimator, NetConfig, TrainingSetBuilder};
+    use laf_cardest::{CardinalityEstimator, NetConfig, RmiConfig, TrainingSetBuilder};
     use laf_clustering::{Clusterer, Dbscan};
     use laf_index::build_engine;
     use laf_synth::EmbeddingMixtureConfig;
@@ -1337,7 +1341,7 @@ mod tests {
         }
         .build(&data, &data)
         .unwrap();
-        let estimator = MlpEstimator::train(&training, &NetConfig::tiny());
+        let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny()));
         Snapshot {
             config: LafConfig::new(0.3, 4, 1.5),
             data,
@@ -1414,7 +1418,7 @@ mod tests {
     /// estimator, optional calibration, optional engine), in payload order.
     fn raw_sections(snap: &Snapshot) -> Vec<(u32, Vec<u8>)> {
         let mut estimator = Vec::new();
-        snap.estimator.encode_binary(&mut estimator);
+        snap.estimator.encode_binary(&mut estimator).unwrap();
         let mut sections = vec![
             (
                 section_id::CONFIG,
@@ -2082,6 +2086,36 @@ mod tests {
         short.shards.pop();
         let err = short.encode().unwrap_err().to_string();
         assert!(err.contains("row counts"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn encode_refuses_a_multi_stage_estimator() {
+        // The estimator section holds one network: a paper-layout RMI must
+        // not reach a reader that would serve its root alone.
+        let mut snap = trained_snapshot();
+        let training = TrainingSetBuilder {
+            max_queries: Some(60),
+            ..Default::default()
+        }
+        .build(&snap.data, &snap.data)
+        .unwrap();
+        snap.estimator =
+            RmiEstimator::train(&training, &RmiConfig::paper_stages(NetConfig::tiny()));
+        let mut sink: Vec<u8> = Vec::new();
+        for result in [snap.encode().map(drop), snap.encode_to_writer(&mut sink)] {
+            assert!(
+                matches!(
+                    result,
+                    Err(SnapshotError::Vector(VectorError::InvalidParameter(_)))
+                ),
+                "unexpected result: {result:?}"
+            );
+        }
+        assert!(
+            sink.is_empty(),
+            "a refused encode wrote {} bytes",
+            sink.len()
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::engine::{Neighbor, RangeQueryEngine, TotalDist};
 use crate::persist::{PersistError, PersistedEngine, PersistedIvf, PersistedIvfList};
-use laf_vector::{ops, Dataset, Metric};
+use laf_vector::{ops, Dataset, Metric, PreparedQuery};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,12 +161,12 @@ impl<'a> IvfIndex<'a> {
         self.lists = kept_lists;
     }
 
-    /// The posting lists to probe for a query, closest centroid first. Adds
-    /// the query's distance evaluations to the counter in one step: one per
+    /// The posting lists to probe for a query the caller prepared once for
+    /// both the ranking and its list scan, closest centroid first. Adds the
+    /// query's distance evaluations to the counter in one step: one per
     /// centroid, plus one per point of the probed lists, which every caller
     /// scans in full.
-    fn probe_order(&self, q: &[f32]) -> Vec<usize> {
-        let prep = self.metric.prepare(q);
+    fn probe_order(&self, prep: &PreparedQuery<'_>) -> Vec<usize> {
         let mut order: Vec<(TotalDist, usize)> = self
             .centroids
             .iter()
@@ -200,7 +200,7 @@ impl RangeQueryEngine for IvfIndex<'_> {
         let mut out = Vec::new();
         let norms = self.data.row_norms();
         let probe = self.metric.probe(q, eps);
-        for list_id in self.probe_order(q) {
+        for list_id in self.probe_order(probe.prepared()) {
             for &p in &self.lists[list_id] {
                 let i = p as usize;
                 if probe.within(self.data.row(i), norms.norm(i)) {
@@ -219,7 +219,7 @@ impl RangeQueryEngine for IvfIndex<'_> {
         let norms = self.data.row_norms();
         let prep = self.metric.prepare(q);
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
-        for list_id in self.probe_order(q) {
+        for list_id in self.probe_order(&prep) {
             for &p in &self.lists[list_id] {
                 let i = p as usize;
                 let d = prep.dist(self.data.row(i), norms.norm(i));

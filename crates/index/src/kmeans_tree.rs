@@ -16,7 +16,7 @@
 
 use crate::engine::{Neighbor, RangeQueryEngine, TotalDist};
 use crate::persist::{PersistError, PersistedEngine, PersistedKMeansTree, PersistedKmNode};
-use laf_vector::{ops, Dataset, Metric};
+use laf_vector::{ops, Dataset, Metric, PreparedQuery};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -262,15 +262,15 @@ impl<'a> KMeansTree<'a> {
     }
 
     /// Best-bin-first traversal visiting up to `leaf_budget` leaves; calls
-    /// `visit` with each leaf's point list. The query is prepared once; every
-    /// centroid comparison then costs a single dot product (centroid norms
-    /// are cached on the nodes). Adds the query's
+    /// `visit` with each leaf's point list. The caller prepares the query
+    /// once for both the traversal and its leaf scan; every centroid
+    /// comparison then costs a single dot product (centroid norms are cached
+    /// on the nodes). Adds the query's
     /// distance evaluations to the counter in one step: one per centroid
     /// compared, plus one per point of the visited leaves, which every caller
     /// scans in full.
-    fn traverse<F: FnMut(&[u32])>(&self, q: &[f32], mut visit: F) {
+    fn traverse<F: FnMut(&[u32])>(&self, prep: &PreparedQuery<'_>, mut visit: F) {
         let Some(root) = self.root else { return };
-        let prep = self.metric.prepare(q);
         let leaf_budget = ((self.n_leaves as f64) * self.leaf_ratio).ceil().max(1.0) as usize;
         let mut visited = 0usize;
         let mut evals = 0u64;
@@ -311,7 +311,7 @@ impl RangeQueryEngine for KMeansTree<'_> {
         let mut out = Vec::new();
         let norms = self.data.row_norms();
         let probe = self.metric.probe(q, eps);
-        self.traverse(q, |points| {
+        self.traverse(probe.prepared(), |points| {
             for &p in points {
                 let i = p as usize;
                 if probe.within(self.data.row(i), norms.norm(i)) {
@@ -330,7 +330,7 @@ impl RangeQueryEngine for KMeansTree<'_> {
         let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
         let norms = self.data.row_norms();
         let prep = self.metric.prepare(q);
-        self.traverse(q, |points| {
+        self.traverse(&prep, |points| {
             for &p in points {
                 let i = p as usize;
                 let d = prep.dist(self.data.row(i), norms.norm(i));

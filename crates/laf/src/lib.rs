@@ -17,9 +17,10 @@
 //! .generate()
 //! .unwrap();
 //!
-//! // 2. Train the learned cardinality estimator.
+//! // 2. Train the learned cardinality estimator: a one-stage RMI (one
+//! //    network); `RmiConfig::paper_stages` gives the paper's 1/2/4 layout.
 //! let training = TrainingSetBuilder::default().build(&data, &data).unwrap();
-//! let estimator = MlpEstimator::train(&training, &NetConfig::tiny());
+//! let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny()));
 //!
 //! // 3. Cluster with LAF-DBSCAN.
 //! let laf = LafDbscan::new(LafConfig::new(0.3, 4, 1.0), estimator);
@@ -157,8 +158,7 @@ pub mod prelude {
     pub use crate::Error;
     pub use laf_cardest::{
         CardinalityEstimator, ConstantEstimator, ExactEstimator, HistogramEstimator, Mlp,
-        MlpEstimator, NetConfig, RmiConfig, RmiEstimator, SamplingEstimator, TrainingSet,
-        TrainingSetBuilder,
+        NetConfig, RmiConfig, RmiEstimator, SamplingEstimator, TrainingSet, TrainingSetBuilder,
     };
     pub use laf_clustering::{
         BlockDbscan, BlockDbscanConfig, Clusterer, Clustering, Dbscan, DbscanConfig,

@@ -52,7 +52,8 @@
 //! decide each lane of the block's dots with `within_dot`. Every tile lane
 //! reproduces `ops::dot`'s accumulation order, so the tiles change how many
 //! pairs are in flight, never a bit of a result. [`RangeProbe`] stays
-//! opaque: callers hand it back, they never read its constants.
+//! opaque: callers hand it back, or rank tree nodes with its
+//! [`RangeProbe::prepared`] query, and never read its constants.
 //!
 //! No engine accepts a custom metric. The cover tree, whose traversal is not
 //! a row scan, evaluates [`Metric::dist`] per pair, and so does
@@ -161,19 +162,9 @@ pub struct PreparedQuery<'q> {
     norm: f32,
 }
 
-impl<'q> PreparedQuery<'q> {
-    /// The query vector this preparation belongs to.
-    pub fn query(&self) -> &'q [f32] {
-        self.q
-    }
-
-    /// The query's L2 norm.
-    pub fn norm(&self) -> f32 {
-        self.norm
-    }
-
-    /// Distance from the query to row `x` with cached norm `x_norm`,
-    /// bit-identical to `metric.dist(self.query(), x)`.
+impl PreparedQuery<'_> {
+    /// Distance from the prepared query `q` to row `x` with cached norm
+    /// `x_norm`, bit-identical to `metric.dist(q, x)`.
     ///
     /// `x_norm` must be the row's L2 norm as produced by
     /// [`crate::Dataset::row_norms`] (i.e. bit-identical to
@@ -209,18 +200,15 @@ pub struct RangeProbe<'q> {
 }
 
 impl<'q> RangeProbe<'q> {
-    /// The query vector this probe belongs to.
-    pub fn query(&self) -> &'q [f32] {
-        self.prepared.q
+    /// The probe's query prepared for distance evaluations, bit-identical
+    /// to `metric.prepare(q)`: the tree engines rank their nodes with it
+    /// instead of preparing the query a second time.
+    pub fn prepared(&self) -> &PreparedQuery<'q> {
+        &self.prepared
     }
 
-    /// The range threshold the probe was prepared for.
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-
-    /// The range predicate `metric.dist(self.query(), x) < self.eps()`, on
-    /// the prepared distance: one dot product for the cosine family, the
+    /// The range predicate `metric.dist(q, x) < eps` for the probe's query
+    /// `q` and threshold `eps`, on the prepared distance: one dot product for the cosine family, the
     /// exact subtract form for the Euclidean family (already a single fused
     /// pass over both vectors, so the dot-form pushdown only pays off behind
     /// a tile that computes the dot anyway: [`RangeProbe::within_dot`]).
@@ -237,7 +225,7 @@ impl<'q> RangeProbe<'q> {
     /// [`crate::tile`], and of every lane [`RangeBlock::hits`] does not
     /// decide in registers.
     ///
-    /// `dot` must be bit-identical to `ops::dot(self.query(), x)` — every
+    /// `dot` must be bit-identical to `ops::dot(q, x)` — every
     /// tile lane is — and `x_norm`/`x_sq` must come from
     /// [`crate::Dataset::row_norms`]. The cosine family then evaluates its
     /// formula from the dot; the Euclidean family decides clear rows in the
@@ -545,16 +533,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn probe_and_prepared_accessors() {
-        let q = [3.0f32, 4.0];
-        let prep = Metric::Cosine.prepare(&q);
-        assert_eq!(prep.query(), &q);
-        assert_eq!(prep.norm(), 5.0);
-        let probe = Metric::Cosine.probe(&q, 0.25);
-        assert_eq!(probe.query(), &q);
-        assert_eq!(probe.eps(), 0.25);
     }
 }

@@ -5,8 +5,8 @@
 //! cached lookup table — can gate DBSCAN's range queries. This example
 //! implements a tiny domain-specific estimator (distance to a set of pivot
 //! points → interpolated count) and compares it against the exact oracle and
-//! the learned MLP, including the false-negative analysis the paper uses to
-//! explain quality differences.
+//! the learned estimator (a one-stage RMI: one MLP), including the
+//! false-negative analysis the paper uses to explain quality differences.
 //!
 //! ```bash
 //! cargo run --release --example custom_estimator
@@ -100,7 +100,7 @@ fn main() {
     }
     .build(&data, &data)
     .expect("training set");
-    let mlp = MlpEstimator::train(&training, &NetConfig::small());
+    let learned = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::small()));
     let exact = ExactEstimator::new(&data, Metric::Cosine);
 
     // Core-prediction error analysis (the paper's Section 3.3 lens).
@@ -110,7 +110,7 @@ fn main() {
         "estimator", "FN", "FP", "precision", "recall", "skip%"
     );
     let estimators: Vec<(&str, &dyn CardinalityEstimator)> =
-        vec![("exact", &exact), ("mlp", &mlp), ("pivot", &pivot)];
+        vec![("exact", &exact), ("rmi", &learned), ("pivot", &pivot)];
     for (name, est) in &estimators {
         let report = calibrator.core_prediction(*est, &data, eps, tau, 1.0);
         println!(
@@ -138,8 +138,8 @@ fn main() {
         },
         {
             let (c, s) =
-                LafDbscan::new(LafConfig::new(eps, tau, 1.0), &mlp).cluster_with_stats(&data);
-            ("LAF-DBSCAN + mlp", c, s.skipped_range_queries)
+                LafDbscan::new(LafConfig::new(eps, tau, 1.0), &learned).cluster_with_stats(&data);
+            ("LAF-DBSCAN + rmi", c, s.skipped_range_queries)
         },
         {
             let (c, s) =

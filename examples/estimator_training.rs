@@ -1,5 +1,5 @@
-//! Cardinality-estimator comparison: exact oracle, RMI, single MLP,
-//! sampling and histogram baselines.
+//! Cardinality-estimator comparison: exact oracle, the paper's [1, 2, 4]
+//! RMI, a one-stage RMI (a single MLP), sampling and histogram baselines.
 //!
 //! The paper's framework is agnostic to the estimator; this example shows how
 //! the different estimators in `laf-cardest` trade accuracy (mean q-error
@@ -70,9 +70,10 @@ fn main() {
         t0.elapsed()
     );
 
-    // Train the learned estimators.
+    // Train the learned estimators: a one-stage RMI (one MLP) and the
+    // paper's three stages.
     let t0 = Instant::now();
-    let mlp = MlpEstimator::train(&training, &NetConfig::small());
+    let mlp = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::small()));
     let mlp_time = t0.elapsed();
     let t0 = Instant::now();
     let rmi = RmiEstimator::train(&training, &RmiConfig::paper_stages(NetConfig::small()));
@@ -108,8 +109,8 @@ fn main() {
         mlp_time, rmi_time
     );
     println!(
-        "model sizes  : MLP {} params, RMI {} member models",
-        mlp.net().param_count(),
+        "model sizes  : MLP {} member model, RMI {} member models",
+        mlp.model_count(),
         rmi.model_count()
     );
     println!(

@@ -54,7 +54,7 @@ fn main() {
     }
     .build(&data, &data)
     .expect("training set");
-    let estimator = MlpEstimator::train(&training, &NetConfig::small());
+    let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::small()));
     println!(
         "estimator   : trained on {} samples in {:.3?} (final MSE {:.4})",
         training.len(),

@@ -41,7 +41,7 @@ fn main() {
     }
     .build(&data, &data)
     .expect("training set");
-    let estimator = MlpEstimator::train(&training, &NetConfig::small());
+    let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::small()));
 
     // LAF-DBSCAN: sweep the error factor α (the paper varies 1.1–15).
     println!("\nLAF-DBSCAN trade-off (varying alpha):");

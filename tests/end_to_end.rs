@@ -31,7 +31,7 @@ fn every_preset_runs_through_the_full_pipeline() {
         }
         .build(&train, &train)
         .expect("training set builds");
-        let estimator = MlpEstimator::train(&training, &NetConfig::tiny());
+        let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny()));
 
         let eps = 0.4;
         let tau = 3;
@@ -64,7 +64,7 @@ fn laf_dbscan_executes_fewer_range_queries_than_dbscan() {
     }
     .build(&ds.data, &ds.data)
     .expect("training set");
-    let estimator = MlpEstimator::train(&training, &NetConfig::tiny());
+    let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny()));
     let (_, stats) =
         LafDbscan::new(LafConfig::new(eps, tau, 1.5), estimator).cluster_with_stats(&ds.data);
 
@@ -171,7 +171,7 @@ fn missed_cluster_report_matches_the_table_6_shape() {
     }
     .build(&ds.data, &ds.data)
     .expect("training set");
-    let estimator = MlpEstimator::train(&training, &NetConfig::tiny());
+    let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny()));
     let aggressive = LafDbscan::new(LafConfig::new(eps, tau, 6.0), estimator).cluster(&ds.data);
 
     let report = MissedClusterReport::compute(truth.labels(), aggressive.labels());

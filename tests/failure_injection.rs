@@ -89,7 +89,7 @@ fn extreme_alphas_are_safe_for_both_laf_algorithms() {
     }
     .build(&data, &data)
     .unwrap();
-    let estimator = MlpEstimator::train(&training, &NetConfig::tiny());
+    let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny()));
 
     for alpha in [0.0f32, 0.001, 100.0, 10_000.0] {
         let laf = LafDbscan::new(LafConfig::new(0.35, 3, alpha), &estimator);

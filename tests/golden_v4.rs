@@ -196,7 +196,11 @@ fn older_format_fixtures_still_decode() {
 /// The estimator section of each committed fixture, re-encoded.
 fn estimator_bytes(pipeline: &LafPipeline) -> Vec<u8> {
     let mut bytes = Vec::new();
-    pipeline.snapshot_arc().estimator.encode_binary(&mut bytes);
+    pipeline
+        .snapshot_arc()
+        .estimator
+        .encode_binary(&mut bytes)
+        .expect("a snapshot's estimator has one stage");
     bytes
 }
 

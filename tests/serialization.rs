@@ -45,12 +45,12 @@ fn trained_estimators_round_trip_through_json() {
     .build(&data, &data)
     .unwrap();
 
-    let mlp = MlpEstimator::train(&training, &NetConfig::tiny());
+    let one_stage = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny()));
     let rmi = RmiEstimator::train(&training, &RmiConfig::paper_stages(NetConfig::tiny()));
     let hist = HistogramEstimator::from_training(&training);
 
-    let mlp_back: MlpEstimator =
-        serde_json::from_str(&serde_json::to_string(&mlp).unwrap()).unwrap();
+    let one_stage_back: RmiEstimator =
+        serde_json::from_str(&serde_json::to_string(&one_stage).unwrap()).unwrap();
     let rmi_back: RmiEstimator =
         serde_json::from_str(&serde_json::to_string(&rmi).unwrap()).unwrap();
     let hist_back: HistogramEstimator =
@@ -59,7 +59,7 @@ fn trained_estimators_round_trip_through_json() {
     for i in (0..data.len()).step_by(13) {
         let q = data.row(i);
         for eps in [0.2f32, 0.5, 0.8] {
-            assert_eq!(mlp.estimate(q, eps), mlp_back.estimate(q, eps));
+            assert_eq!(one_stage.estimate(q, eps), one_stage_back.estimate(q, eps));
             assert_eq!(rmi.estimate(q, eps), rmi_back.estimate(q, eps));
             assert_eq!(hist.estimate(q, eps), hist_back.estimate(q, eps));
         }
@@ -75,8 +75,8 @@ fn persisted_estimator_produces_identical_clustering() {
     }
     .build(&data, &data)
     .unwrap();
-    let estimator = MlpEstimator::train(&training, &NetConfig::tiny());
-    let restored: MlpEstimator =
+    let estimator = RmiEstimator::train(&training, &RmiConfig::one_stage(NetConfig::tiny()));
+    let restored: RmiEstimator =
         serde_json::from_str(&serde_json::to_string(&estimator).unwrap()).unwrap();
 
     let a = LafDbscan::new(LafConfig::new(0.35, 3, 1.0), estimator).cluster(&data);
