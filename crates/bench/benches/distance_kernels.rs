@@ -3,12 +3,15 @@
 //! benchmark's `cluster` workload.
 //!
 //! Multiply-adds per iteration, for converting ns/iter into GMAC/s: `dim`
-//! for `dot`, `4 * dim` for `dot4`, `8 * dim` for `row_tile` and `16 * dim`
-//! for `probe_block` and `probe_block_hits`. The difference between the last
-//! two is the cost of deciding sixteen cosine lanes against one row.
+//! for `dot`, `4 * dim` for `dot4`, `8 * dim` for `row_tile`, `16 * dim`
+//! for `probe_block` and `probe_block_hits`, and `64 * dim` for
+//! `probe_block_hits4`. The difference between `probe_block` and
+//! `probe_block_hits` is the cost of deciding sixteen cosine lanes against
+//! one row; `probe_block_hits4` scores a group of four rows in one call, as
+//! the linear scan does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use laf_vector::tile::{self, ProbeBlock, BLOCK_PROBES, ROW_TILE};
+use laf_vector::tile::{self, ProbeBlock, BLOCK_PROBES, BLOCK_ROWS, ROW_TILE};
 use laf_vector::{ops, Metric};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,9 +62,9 @@ fn bench_distances(c: &mut Criterion) {
             })
         });
         // The linear scan's register tiles: one probe against eight rows
-        // (SSE2), and sixteen packed probes against one row (AVX2 when the
-        // CPU has it, else four `dot4` calls). Compare against 8x resp. 16x
-        // `dot`.
+        // (SSE2), and sixteen packed probes against one row (AVX-512 or AVX2
+        // when the CPU has it, else four `dot4` calls). Compare against 8x
+        // resp. 16x `dot`.
         let rows: Vec<f32> = (0..ROW_TILE)
             .flat_map(|_| random_unit(dim, &mut rng))
             .collect();
@@ -73,7 +76,7 @@ fn bench_distances(c: &mut Criterion) {
             .collect();
         let refs: Vec<&[f32]> = probes.iter().map(Vec::as_slice).collect();
         let block = ProbeBlock::new(&refs);
-        let mut out = [0.0f32; BLOCK_PROBES];
+        let mut out = [[0.0f32; BLOCK_PROBES]];
         group.bench_with_input(BenchmarkId::new("probe_block", dim), &dim, |bench, _| {
             bench.iter(|| {
                 block.dots(black_box(&b), &mut out);
@@ -81,13 +84,26 @@ fn bench_distances(c: &mut Criterion) {
             })
         });
         // The same sixteen probes as one cosine range block: the dots plus
-        // the hit mask (decided in registers on AVX2, per lane elsewhere).
+        // the hit mask (decided in registers on the packed tiers, per lane
+        // elsewhere), against one row and against a group of four.
         let range_block = Metric::Cosine.block(&refs, 0.35);
         let (b_norm, b_sq) = (ops::norm(&b), ops::dot(&b, &b));
         group.bench_with_input(
             BenchmarkId::new("probe_block_hits", dim),
             &dim,
-            |bench, _| bench.iter(|| black_box(range_block.hits(black_box(&b), b_norm, b_sq))),
+            |bench, _| {
+                bench.iter(|| black_box(range_block.hits(black_box(&b), &[b_norm], &[b_sq])))
+            },
+        );
+        let four = &rows[..BLOCK_ROWS * dim];
+        let four_norms: Vec<f32> = four.chunks_exact(dim).map(ops::norm).collect();
+        let four_sqs: Vec<f32> = four.chunks_exact(dim).map(|x| ops::dot(x, x)).collect();
+        group.bench_with_input(
+            BenchmarkId::new("probe_block_hits4", dim),
+            &dim,
+            |bench, _| {
+                bench.iter(|| black_box(range_block.hits(black_box(four), &four_norms, &four_sqs)))
+            },
         );
         // Norm-cached cosine: the prepared distance's per-row work (one dot
         // + O(1) epilogue) vs the 3-dot generic `cosine` above.

@@ -161,27 +161,32 @@ impl Dense {
 
     /// The layer over a batch: for the samples stored row-major in `xs`
     /// (`batch × in_dim`), `out[s * out_dim + o] = dot(w_o, x_s) + b_o`,
-    /// clamped at zero when `relu` holds. Each weight row is scored against
-    /// up to [`tile::BLOCK_PROBES`] samples per step.
+    /// clamped at zero when `relu` holds. Each group of up to
+    /// [`tile::BLOCK_ROWS`] weight rows is scored against up to
+    /// [`tile::BLOCK_PROBES`] samples per step.
     fn forward_batch(&self, xs: &[f32], relu: bool) -> Vec<f32> {
         let mut out = vec![0.0f32; xs.len() / self.in_dim * self.out_dim];
-        let mut lanes = [0.0f32; tile::BLOCK_PROBES];
+        let mut lanes = [[0.0f32; tile::BLOCK_PROBES]; tile::BLOCK_ROWS];
         let block_len = tile::BLOCK_PROBES * self.in_dim;
         for (block, samples) in xs.chunks(block_len).enumerate() {
             let probes: Vec<&[f32]> = samples.chunks_exact(self.in_dim).collect();
             let packed = ProbeBlock::new(&probes);
-            let lanes = &mut lanes[..probes.len()];
             let first = block * tile::BLOCK_PROBES;
-            let rows = self.w.chunks_exact(self.in_dim).zip(&self.b);
-            for (o, (row, &bias)) in rows.enumerate() {
-                // Lane s is dot(x_s, w_o), bit-identical to dot(w_o, x_s).
-                packed.dots(row, lanes);
-                for (s, &dot) in lanes.iter().enumerate() {
-                    let mut v = dot + bias;
-                    if relu && v < 0.0 {
-                        v = 0.0;
+            let rows = self.w.chunks(tile::BLOCK_ROWS * self.in_dim);
+            for (g, (rows, biases)) in rows.zip(self.b.chunks(tile::BLOCK_ROWS)).enumerate() {
+                let lanes = &mut lanes[..biases.len()];
+                // Lane s of row r is dot(x_s, w_o), bit-identical to
+                // dot(w_o, x_s).
+                packed.dots(rows, lanes);
+                for (r, (row_lanes, &bias)) in lanes.iter().zip(biases).enumerate() {
+                    let o = g * tile::BLOCK_ROWS + r;
+                    for (s, &dot) in row_lanes[..probes.len()].iter().enumerate() {
+                        let mut v = dot + bias;
+                        if relu && v < 0.0 {
+                            v = 0.0;
+                        }
+                        out[(first + s) * self.out_dim + o] = v;
                     }
-                    out[(first + s) * self.out_dim + o] = v;
                 }
             }
         }
@@ -304,8 +309,9 @@ impl Mlp {
     ///
     /// Shaped as a matrix-matrix sweep, every layer's weight row is streamed
     /// from memory once per [`tile::BLOCK_PROBES`] samples and scored
-    /// against all of them in one [`tile::ProbeBlock`] step, which is what
-    /// makes the LAF gate's batched prescan profitable.
+    /// against all of them, [`tile::BLOCK_ROWS`] weight rows per
+    /// [`tile::ProbeBlock`] call, which is what makes the LAF gate's batched
+    /// prescan profitable.
     ///
     /// # Panics
     /// Panics if any input's length differs from [`Mlp::input_dim`].
@@ -781,9 +787,11 @@ mod tests {
     #[test]
     fn predict_batch_is_bit_exact_with_scalar_forward_across_tile_shapes() {
         // Batch sizes straddling the 16-sample probe block: empty, partial,
-        // exactly one block, block + tail, several blocks. Every batched
-        // prediction must be bit-identical to the sample-at-a-time forward.
-        let mut net = Mlp::new(3, &[8, 5], 17);
+        // exactly one block, block + tail, several blocks. The layers' 10, 7
+        // and 1 outputs end their walk in groups of four weight rows on a
+        // short group of 2, 3 and 1 rows. Every batched prediction must be
+        // bit-identical to the sample-at-a-time forward.
+        let mut net = Mlp::new(3, &[10, 7], 17);
         let inputs: Vec<Vec<f32>> = (0..60)
             .map(|i| {
                 vec![

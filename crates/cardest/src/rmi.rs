@@ -77,7 +77,7 @@ impl Default for RmiConfig {
 /// [`CardinalityEstimator::estimate`] maps the leaf's prediction back
 /// through `expm1` and clamps it to be non-negative (a NaN prediction stays
 /// NaN, so the gate executes the query).
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct RmiEstimator {
     /// `stages[s][m]` is model `m` of stage `s`; `stages[0]` holds the root
     /// alone.
@@ -92,6 +92,52 @@ pub struct RmiEstimator {
     report: TrainReport,
     #[serde(skip)]
     predictions: AtomicU64,
+}
+
+/// Reads the derived serialized form, `{stages, data_dim, target_min,
+/// target_max, report}`, and refuses a layout that estimation would panic
+/// on: no stage, a root stage of other than one model, an empty later
+/// stage, or a member network whose input width is not `data_dim + 1`.
+impl Deserialize for RmiEstimator {
+    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::de::Error::expected("object", v))?;
+        let field = |name: &str| {
+            serde::value::find(obj, name).ok_or_else(|| {
+                serde::de::Error::msg(format!("missing RmiEstimator field `{name}`"))
+            })
+        };
+        let stages = Vec::<Vec<Mlp>>::from_value(field("stages")?)?;
+        let data_dim = usize::from_value(field("data_dim")?)?;
+        let invalid = |why: String| Err(serde::de::Error::msg(format!("invalid RMI: {why}")));
+        match stages.first().map(Vec::len) {
+            None => return invalid("no stages".into()),
+            Some(1) => {}
+            Some(n) => return invalid(format!("the root stage holds {n} models, not 1")),
+        }
+        if let Some(s) = stages.iter().position(Vec::is_empty) {
+            return invalid(format!("stage {s} holds no model"));
+        }
+        if let Some(net) = stages
+            .iter()
+            .flatten()
+            .find(|m| m.input_dim() != data_dim + 1)
+        {
+            return invalid(format!(
+                "a network's input width {} does not match data_dim {data_dim} + 1",
+                net.input_dim()
+            ));
+        }
+        Ok(Self {
+            stages,
+            data_dim,
+            target_min: f32::from_value(field("target_min")?)?,
+            target_max: f32::from_value(field("target_max")?)?,
+            report: TrainReport::from_value(field("report")?)?,
+            predictions: AtomicU64::new(0),
+        })
+    }
 }
 
 impl Clone for RmiEstimator {
@@ -263,17 +309,28 @@ impl RmiEstimator {
     /// has more than one stage: the form holds one network, and a reader
     /// would serve the root alone.
     pub fn encode_binary(&self, buf: &mut impl bytes::BufMut) -> Result<(), VectorError> {
+        self.check_binary_form()?;
+        buf.put_u32_le(self.data_dim as u32);
+        buf.put_u64_le(self.report.epochs as u64);
+        buf.put_f32_le(self.report.initial_loss);
+        buf.put_f32_le(self.report.final_loss);
+        self.stages[0][0].encode_binary(buf);
+        Ok(())
+    }
+
+    /// Whether [`RmiEstimator::encode_binary`] can encode this RMI, without
+    /// encoding it: a writer that must not start a file it cannot finish
+    /// asks first.
+    ///
+    /// # Errors
+    /// The error `encode_binary` returns for an RMI of more than one stage.
+    pub fn check_binary_form(&self) -> Result<(), VectorError> {
         if self.stages.len() != 1 {
             return Err(VectorError::InvalidParameter(format!(
                 "only a one-stage RMI has a binary form, this one has {} stages",
                 self.stages.len()
             )));
         }
-        buf.put_u32_le(self.data_dim as u32);
-        buf.put_u64_le(self.report.epochs as u64);
-        buf.put_f32_le(self.report.initial_loss);
-        buf.put_f32_le(self.report.final_loss);
-        self.stages[0][0].encode_binary(buf);
         Ok(())
     }
 
@@ -620,6 +677,36 @@ mod tests {
     fn one_stage_serde_round_trip_preserves_estimates() {
         let data = data();
         assert_serde_round_trip(&train_one_stage(&data), &data);
+    }
+
+    #[test]
+    fn serde_refuses_layouts_that_estimation_would_panic_on() {
+        use serde::value::Value;
+        let data = data();
+        let Value::Object(fields) = train_rmi(&data).to_value() else {
+            panic!("an RMI serializes as an object");
+        };
+        let with = |key: &str, value: Value| {
+            let mut bad = fields.clone();
+            bad.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+            Value::Object(bad)
+        };
+        let Some((_, Value::Array(stages))) = fields.iter().find(|(k, _)| k == "stages") else {
+            panic!("stages serialize as an array");
+        };
+        let empty = Value::Array(Vec::new());
+        let cases = [
+            with("stages", Value::Array(Vec::new())),
+            with("stages", Value::Array(vec![empty.clone()])),
+            with("stages", Value::Array(vec![stages[1].clone()])),
+            with("stages", Value::Array(vec![stages[0].clone(), empty])),
+            with("data_dim", (data.dim() + 1).to_value()),
+        ];
+        for bad in &cases {
+            assert!(RmiEstimator::from_value(bad).is_err(), "decoded {bad:?}");
+        }
+        let back = RmiEstimator::from_value(&Value::Object(fields)).unwrap();
+        assert_eq!(back.stage_sizes(), &[1, 2, 4]);
     }
 
     #[test]

@@ -135,8 +135,9 @@ impl<'a> CardEstGate<'a> {
     /// `calls == skips + executed` regardless of execution model.
     ///
     /// Both batched estimator paths run on the exact register tiles of
-    /// `laf_vector::tile`: each RMI model's `predict_batch` scores each weight row
-    /// against up to sixteen batch activations per `ProbeBlock` step, and
+    /// `laf_vector::tile`: each RMI model's `predict_batch` scores its weight
+    /// rows, four per `ProbeBlock` call, against up to sixteen batch
+    /// activations, and
     /// the exact oracle's `range_count_batch` goes through the linear
     /// scan's packed probe block — so the prescan inherits the kernel
     /// layer's speedups without any change here.

@@ -527,35 +527,8 @@ impl Snapshot {
     /// a sharded snapshot). Callers handing in a buffered writer should
     /// flush it afterwards (the [`Snapshot::save`] convenience does).
     pub fn encode_to_writer<W: Write>(&self, writer: &mut W) -> Result<(), SnapshotError> {
+        self.check_encodable()?;
         let sharded = !self.shards.is_empty();
-        if self.shards.len() > section_id::MAX_SHARDS as usize {
-            return Err(SnapshotError::Malformed(format!(
-                "{} shards exceed the format limit of {}",
-                self.shards.len(),
-                section_id::MAX_SHARDS
-            )));
-        }
-        if sharded {
-            if self.engine.is_some() {
-                return Err(SnapshotError::Malformed(
-                    "sharded snapshots persist engine structures per shard, not globally".into(),
-                ));
-            }
-            let total: usize = self.shards.iter().map(|s| s.data.len()).sum();
-            if total != self.data.len() {
-                return Err(SnapshotError::Malformed(format!(
-                    "shard row counts sum to {total} but the dataset holds {} rows",
-                    self.data.len()
-                )));
-            }
-            if let Some(s) = self.shards.iter().find(|s| s.data.dim() != self.data.dim()) {
-                return Err(SnapshotError::Malformed(format!(
-                    "shard dimensionality {} disagrees with the dataset's {}",
-                    s.data.dim(),
-                    self.data.dim()
-                )));
-            }
-        }
 
         // Section bodies: `Dataset` bodies are streamed, never materialized.
         enum Body<'a> {
@@ -1152,10 +1125,51 @@ impl Snapshot {
         Ok(())
     }
 
+    /// The checks [`Snapshot::encode_to_writer`] documents under its
+    /// errors, short of I/O: a snapshot that passes them encodes.
+    fn check_encodable(&self) -> Result<(), SnapshotError> {
+        self.estimator.check_binary_form()?;
+        if self.shards.len() > section_id::MAX_SHARDS as usize {
+            return Err(SnapshotError::Malformed(format!(
+                "{} shards exceed the format limit of {}",
+                self.shards.len(),
+                section_id::MAX_SHARDS
+            )));
+        }
+        if self.shards.is_empty() {
+            return Ok(());
+        }
+        if self.engine.is_some() {
+            return Err(SnapshotError::Malformed(
+                "sharded snapshots persist engine structures per shard, not globally".into(),
+            ));
+        }
+        let total: usize = self.shards.iter().map(|s| s.data.len()).sum();
+        if total != self.data.len() {
+            return Err(SnapshotError::Malformed(format!(
+                "shard row counts sum to {total} but the dataset holds {} rows",
+                self.data.len()
+            )));
+        }
+        if let Some(s) = self.shards.iter().find(|s| s.data.dim() != self.data.dim()) {
+            return Err(SnapshotError::Malformed(format!(
+                "shard dimensionality {} disagrees with the dataset's {}",
+                s.data.dim(),
+                self.data.dim()
+            )));
+        }
+        Ok(())
+    }
+
     /// Write the encoded snapshot to `path`, streaming via
     /// [`Snapshot::encode_to_writer`] so the file is never assembled in
     /// memory.
+    ///
+    /// A snapshot that cannot be encoded (see
+    /// [`Snapshot::encode_to_writer`]) is refused before `path` is opened,
+    /// so a file already there keeps its contents.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
+        self.check_encodable()?;
         let file = fs::File::create(path)?;
         let mut writer = std::io::BufWriter::new(file);
         self.encode_to_writer(&mut writer)?;
@@ -2102,7 +2116,16 @@ mod tests {
         snap.estimator =
             RmiEstimator::train(&training, &RmiConfig::paper_stages(NetConfig::tiny()));
         let mut sink: Vec<u8> = Vec::new();
-        for result in [snap.encode().map(drop), snap.encode_to_writer(&mut sink)] {
+        // Saved over a valid snapshot, the refused one leaves that file.
+        let valid = trained_snapshot();
+        let path = temp_path("refused.lafs");
+        valid.save(&path).unwrap();
+        let results = [
+            snap.encode().map(drop),
+            snap.encode_to_writer(&mut sink),
+            snap.save(&path),
+        ];
+        for result in results {
             assert!(
                 matches!(
                     result,
@@ -2116,6 +2139,9 @@ mod tests {
             "a refused encode wrote {} bytes",
             sink.len()
         );
+        let kept = Snapshot::load(&path).unwrap();
+        assert_eq!(kept.encode().unwrap(), valid.encode().unwrap());
+        fs::remove_file(path).ok();
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //! * a single query scores eight rows per step ([`tile::dot_rows8`]), and
 //!   each row is decided by [`laf_vector::RangeProbe::within_dot`];
 //! * from [`tile::BLOCK_PROBES`] queries on, the batch entry points pack
-//!   blocks of up to that many queries once ([`Metric::block`]) and
-//!   take one hit mask per row against the whole block
-//!   ([`laf_vector::RangeBlock::hits`]; cosine lanes are decided in
-//!   registers on AVX2), then walk its set bits in query order.
+//!   blocks of up to that many queries once ([`Metric::block`]) and walk
+//!   the dataset [`tile::BLOCK_ROWS`] rows at a time, the last `n % 4` rows
+//!   as one short group: each call returns the group's hit masks against
+//!   the whole block ([`laf_vector::RangeBlock::hits`]; cosine lanes are
+//!   decided in registers on AVX-512, which scores the four rows per step,
+//!   and on AVX2), and the scan walks each row's set bits in query order.
 //!
 //! The tiles keep `ops::dot`'s accumulation order per pair and both
 //! decisions equal the scalar predicate, so results are bit-identical to the
@@ -25,15 +27,15 @@
 use crate::engine::{Neighbor, RangeQueryEngine};
 use crate::persist::PersistedEngine;
 use crate::topk::TopK;
-use laf_vector::tile::{self, ROW_TILE};
+use laf_vector::tile::{self, BLOCK_ROWS, ROW_TILE};
 use laf_vector::{Dataset, Metric};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of queries processed per cache block in the batched kernels: the
-/// block is packed once by [`Metric::block`] and each dataset row gets
-/// one hit mask against all of it ([`laf_vector::RangeBlock::hits`]) while
-/// the row is hot.
+/// block is packed once by [`Metric::block`] and each group of dataset rows
+/// gets its hit masks against all of it ([`laf_vector::RangeBlock::hits`])
+/// while the rows are hot.
 const QUERY_BLOCK: usize = tile::BLOCK_PROBES;
 
 /// Exact linear-scan engine.
@@ -136,17 +138,22 @@ impl<'a> LinearScan<'a> {
 
     /// The block scan: calls `hit(slot, i)`, rows in ascending order, for
     /// every row `i` within `eps` of `block[slot]`. The block is packed once;
-    /// each row is decided against all of it in one
-    /// [`laf_vector::RangeBlock::hits`] call, whose set bits are walked in
-    /// slot order.
+    /// each group of [`BLOCK_ROWS`] rows (the last one shorter) is decided
+    /// against all of it in one [`laf_vector::RangeBlock::hits`] call, and
+    /// each row's set bits are walked in slot order.
     fn scan_block(&self, block: &[&[f32]], eps: f32, mut hit: impl FnMut(usize, usize)) {
         let norms = self.data.row_norms();
         let block = self.metric.block(block, eps);
-        for (i, x) in self.data.rows().enumerate() {
-            let mut mask = block.hits(x, norms.norm(i), norms.sq(i));
-            while mask != 0 {
-                hit(mask.trailing_zeros() as usize, i);
-                mask &= mask - 1;
+        let rows = self.data.as_flat().chunks(BLOCK_ROWS * self.data.dim());
+        let x_norms = norms.norms().chunks(BLOCK_ROWS);
+        let x_sqs = norms.sq_norms().chunks(BLOCK_ROWS);
+        for (g, ((rows, x_norms), x_sqs)) in rows.zip(x_norms).zip(x_sqs).enumerate() {
+            // The masks past a short group are clear.
+            for (r, mut mask) in block.hits(rows, x_norms, x_sqs).into_iter().enumerate() {
+                while mask != 0 {
+                    hit(mask.trailing_zeros() as usize, g * BLOCK_ROWS + r);
+                    mask &= mask - 1;
+                }
             }
         }
     }

@@ -46,12 +46,14 @@
 //! [`RangeProbe::within`] bit for bit. [`RangeProbe::within_dot`] decides
 //! one pair from a dot the caller computed in a tile (the row tile of
 //! [`crate::tile`]). [`Metric::block`] packs up to sixteen queries into a
-//! [`RangeBlock`], whose [`RangeBlock::hits`] returns one row's hit mask
-//! against all of them: on AVX2, cosine lanes are decided in registers with
-//! `within_dot`'s IEEE operations in its order; other tiers and metrics
-//! decide each lane of the block's dots with `within_dot`. Every tile lane
-//! reproduces `ops::dot`'s accumulation order, so the tiles change how many
-//! pairs are in flight, never a bit of a result. [`RangeProbe`] stays
+//! [`RangeBlock`], whose [`RangeBlock::hits`] returns the hit masks of a
+//! group of up to four consecutive rows against all of them: on the packed
+//! tiers (AVX-512, which scores the whole group per step, and AVX2), cosine
+//! lanes are decided in registers with `within_dot`'s IEEE operations in its
+//! order; other tiers and metrics decide each lane of the group's dots with
+//! `within_dot`. Every tile lane reproduces `ops::dot`'s accumulation order,
+//! so the tiles change how many pairs are in flight, never a bit of a
+//! result. [`RangeProbe`] stays
 //! opaque: callers hand it back, or rank tree nodes with its
 //! [`RangeProbe::prepared`] query, and never read its constants.
 //!
@@ -62,7 +64,7 @@
 
 use crate::distance::Metric;
 use crate::ops;
-use crate::tile::{CosineTest, ProbeBlock, Tier, BLOCK_PROBES};
+use crate::tile::{CosineTest, ProbeBlock, Tier, BLOCK_PROBES, BLOCK_ROWS};
 
 /// Relative half-width of the certified error band used by the Euclidean
 /// threshold pushdown, as a multiple of `dim · f32::EPSILON` (see
@@ -280,12 +282,12 @@ impl<'q> RangeProbe<'q> {
 
 /// Up to [`BLOCK_PROBES`] range probes sharing one metric and threshold,
 /// packed into one [`ProbeBlock`]: [`RangeBlock::hits`] decides all of them
-/// against one row per call.
+/// against a group of up to [`BLOCK_ROWS`] consecutive rows per call.
 #[derive(Debug, Clone)]
 pub struct RangeBlock<'q> {
     probes: Vec<RangeProbe<'q>>,
     block: ProbeBlock<'q>,
-    /// The cosine test the block decides in registers (AVX2 only).
+    /// The cosine test the block decides in registers (packed tiers only).
     fused: Option<CosineTest>,
 }
 
@@ -295,7 +297,8 @@ impl<'q> RangeBlock<'q> {
     pub(crate) fn with_tier(metric: Metric, queries: &[&'q [f32]], eps: f32, tier: Tier) -> Self {
         let block = ProbeBlock::with_tier(queries, tier);
         let probes: Vec<RangeProbe<'q>> = queries.iter().map(|q| metric.probe(q, eps)).collect();
-        let fused = (tier == Tier::Avx2 && metric == Metric::Cosine).then(|| CosineTest {
+        let packed = tier.probes_per_load().is_some();
+        let fused = (packed && metric == Metric::Cosine).then(|| CosineTest {
             norms: std::array::from_fn(|p| probes.get(p).map_or(0.0, |probe| probe.prepared.norm)),
             eps,
         });
@@ -306,27 +309,40 @@ impl<'q> RangeBlock<'q> {
         }
     }
 
-    /// Bit `p` is set iff [`RangeProbe::within`] holds for query `p` against
-    /// row `x`; higher bits are clear. `x_norm`/`x_sq` must come from
+    /// Bit `p` of `masks[r]` is set iff [`RangeProbe::within`] holds for
+    /// query `p` against row `r` of the `norms.len()` rows stored back to
+    /// back in `rows` (row `r` is `rows[r * dim..(r + 1) * dim]`); higher
+    /// bits, and the masks past the group, are clear. `norms[r]`/`sqs[r]`
+    /// are row `r`'s norm and squared norm from
     /// [`crate::Dataset::row_norms`].
     ///
     /// # Panics
-    /// Panics if `x.len()` differs from the queries' length.
+    /// Panics unless `1 <= norms.len() <= BLOCK_ROWS`, `sqs.len()` equals
+    /// it, and `rows` holds that many rows of the queries' length.
     #[inline]
-    pub fn hits(&self, x: &[f32], x_norm: f32, x_sq: f32) -> u32 {
+    pub fn hits(&self, rows: &[f32], norms: &[f32], sqs: &[f32]) -> [u32; BLOCK_ROWS] {
+        assert_eq!(
+            norms.len(),
+            sqs.len(),
+            "RangeBlock::hits: norm count mismatch"
+        );
         if let Some(test) = &self.fused {
-            return self.block.lane_hits(test, x, x_norm);
+            return self.block.lane_hits(test, rows, norms);
         }
-        let mut dots = [0.0f32; BLOCK_PROBES];
-        let dots = &mut dots[..self.probes.len()];
-        self.block.dots(x, dots);
-        let mut mask = 0;
-        for (p, (probe, &dot)) in self.probes.iter().zip(dots.iter()).enumerate() {
-            if probe.within_dot(dot, x, x_norm, x_sq) {
-                mask |= 1 << p;
+        let mut dots = [[0.0f32; BLOCK_PROBES]; BLOCK_ROWS];
+        let group = norms.len();
+        self.block.dots(rows, &mut dots[..group]);
+        let dim = rows.len() / group;
+        let mut masks = [0; BLOCK_ROWS];
+        for (r, (mask, row_dots)) in masks.iter_mut().zip(&dots[..group]).enumerate() {
+            let x = &rows[r * dim..(r + 1) * dim];
+            for (p, (probe, &dot)) in self.probes.iter().zip(row_dots).enumerate() {
+                if probe.within_dot(dot, x, norms[r], sqs[r]) {
+                    *mask |= 1 << p;
+                }
             }
         }
-        mask
+        masks
     }
 }
 
@@ -452,7 +468,8 @@ mod tests {
     /// guard), a NaN, a +∞ and a −∞ coordinate, subnormal and signed-zero
     /// vectors. The rows hold the same edge cases, ordinary rows, and copies
     /// of the probes (distance 0), one scaled and one negated (similarities
-    /// that round past ±1).
+    /// that round past ±1): fourteen of them, so a walk in groups of three
+    /// or four rows ends on a short group.
     fn block_vectors(dim: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
         let plain = |seed: usize| -> Vec<f32> {
             (0..dim)
@@ -493,10 +510,9 @@ mod tests {
         let tiers: Vec<Tier> = Tier::ALL.into_iter().filter(|t| t.is_supported()).collect();
         for dim in 0..=70usize {
             let (probes, rows) = block_vectors(dim);
-            let norms: Vec<(f32, f32)> = rows
-                .iter()
-                .map(|x| (ops::norm(x), ops::dot(x, x)))
-                .collect();
+            let flat = rows.concat();
+            let x_norms: Vec<f32> = rows.iter().map(|x| ops::norm(x)).collect();
+            let x_sqs: Vec<f32> = rows.iter().map(|x| ops::dot(x, x)).collect();
             let queries: Vec<&[f32]> = probes.iter().map(Vec::as_slice).collect();
             for metric in Metric::ALL {
                 // Two thresholds sit exactly on a computed distance.
@@ -511,8 +527,8 @@ mod tests {
                         queries.iter().map(|q| metric.probe(q, eps)).collect();
                     let want: Vec<u32> = rows
                         .iter()
-                        .zip(&norms)
-                        .map(|(x, &(x_norm, _))| {
+                        .zip(&x_norms)
+                        .map(|(x, &x_norm)| {
                             scalar.iter().enumerate().fold(0, |mask, (p, probe)| {
                                 mask | u32::from(probe.within(x, x_norm)) << p
                             })
@@ -521,12 +537,24 @@ mod tests {
                     for &tier in &tiers {
                         for len in 1..=BLOCK_PROBES {
                             let block = RangeBlock::with_tier(metric, &queries[..len], eps, tier);
-                            for (r, (x, &(x_norm, x_sq))) in rows.iter().zip(&norms).enumerate() {
-                                assert_eq!(
-                                    block.hits(x, x_norm, x_sq),
-                                    want[r] & ((1 << len) - 1),
-                                    "{tier:?} {metric:?} dim {dim} probes {len} eps {eps} row {r}"
+                            let size = 1 + len % BLOCK_ROWS;
+                            for start in (0..rows.len()).step_by(size) {
+                                let group = start..(start + size).min(rows.len());
+                                let masks = block.hits(
+                                    &flat[start * dim..group.end * dim],
+                                    &x_norms[group.clone()],
+                                    &x_sqs[group.clone()],
                                 );
+                                // Masks past the group stay clear.
+                                let want = want[group.clone()].iter().chain([&0; BLOCK_ROWS]);
+                                for (k, (&mask, &want)) in masks.iter().zip(want).enumerate() {
+                                    assert_eq!(
+                                        mask,
+                                        want & ((1 << len) - 1),
+                                        "{tier:?} {metric:?} dim {dim} probes {len} eps {eps} row {} of {group:?}",
+                                        group.start + k
+                                    );
+                                }
                             }
                         }
                     }

@@ -21,14 +21,14 @@
 //!   ([`Dataset::row_norms`]), the norm-cached distance
 //!   ([`Metric::prepare`]), dot-only predicates with threshold pushdown
 //!   ([`Metric::probe`]), and the decisions of tiled scans — one pair from a
-//!   tiled dot ([`RangeProbe::within_dot`]) or a packed block's hit mask
-//!   against one row ([`Metric::block`], [`RangeBlock::hits`]) — all
-//!   bit-identical to [`Metric::dist`].
+//!   tiled dot ([`RangeProbe::within_dot`]) or a packed block's hit masks
+//!   against a group of up to four rows ([`Metric::block`],
+//!   [`RangeBlock::hits`]) — all bit-identical to [`Metric::dist`].
 //! * [`tile`] — the exact register tiles of the linear scan: one probe
 //!   against eight rows ([`tile::dot_rows8`]) and up to sixteen packed
-//!   probes against one row ([`tile::ProbeBlock`]), on SSE2 resp. AVX2
-//!   chosen by runtime CPU detection and the [`ops::dot`] / [`ops::dot4`]
-//!   loops elsewhere. They score several independent pairs per step under
+//!   probes against up to four rows ([`tile::ProbeBlock`]), on SSE2 resp.
+//!   AVX-512 or AVX2 chosen by runtime CPU detection and the [`ops::dot`] /
+//!   [`ops::dot4`] loops elsewhere. They score several independent pairs per step under
 //!   [`ops::dot`]'s unchanged accumulation order, so every lane keeps its
 //!   bits.
 //! * [`DeltaSegment`] and [`TombstoneSet`] — the mutable-plane substrate:

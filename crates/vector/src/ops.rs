@@ -49,7 +49,8 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// partial sums plus a tail, combined as `s0 + s1 + s2 + s3 + tail`), so each
 /// returned value is **bit-identical** to the corresponding scalar `dot`
 /// call. The packed probe block's fallback ([`crate::tile::ProbeBlock`]
-/// without AVX2) relies on this for its byte-identical-results guarantee.
+/// without AVX-512 or AVX2) relies on this for its byte-identical-results
+/// guarantee.
 ///
 /// # Panics
 /// Panics if any slice length differs from `x.len()`.

@@ -10,7 +10,7 @@
 //! hit masks of `Metric::block` are held to the same contract, NaN,
 //! infinities and subnormals included.
 
-use laf_vector::tile::{self, ProbeBlock, BLOCK_PROBES, ROW_TILE};
+use laf_vector::tile::{self, ProbeBlock, BLOCK_PROBES, BLOCK_ROWS, ROW_TILE};
 use laf_vector::{ops, Dataset, Metric};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -74,6 +74,13 @@ fn norms_of(row: &[f32]) -> (f32, f32) {
     (ops::norm(row), ops::dot(row, row))
 }
 
+/// Rows per block call for a block of `len` probes: every size 1..=4 over
+/// the sixteen block sizes. The row counts below are rarely a multiple of
+/// it, so a walk usually ends on a short group.
+fn group_size(len: usize) -> usize {
+    1 + len % BLOCK_ROWS
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -82,9 +89,11 @@ proptest! {
     /// `RangeProbe::within_dot` against `RangeProbe::within`, for all
     /// five metrics. Dims 0..=70 cover the tails and dim < 4; the row count
     /// (`random + 7`) is rarely a multiple of 8, and the row tile slides over
-    /// every window of eight consecutive rows; blocks take 1..=16 probes.
-    /// The same blocks as `Metric::block`s, on the detected tier, must
-    /// set exactly the hit bits `within` gives.
+    /// every window of eight consecutive rows; blocks take 1..=16 probes
+    /// and score the rows in groups of 1..=4 ([`group_size`]). The same
+    /// blocks as `Metric::block`s, on the detected tier, must set exactly
+    /// the hit bits `within` gives, and leave the masks past a short group
+    /// clear.
     #[test]
     fn dot4_is_bit_identical_to_dot(
         dim in 0usize..=70,
@@ -125,11 +134,15 @@ proptest! {
         for len in 1..=BLOCK_PROBES {
             let first = len % (probes.len() - len + 1);
             let block = ProbeBlock::new(&refs[first..first + len]);
-            let mut out = vec![0.0f32; len];
-            for (r, row) in rows.iter().enumerate() {
-                block.dots(row, &mut out);
-                for (k, &lane) in out.iter().enumerate() {
-                    block_lanes[first + k][r].push(lane);
+            let size = group_size(len);
+            for start in (0..rows.len()).step_by(size) {
+                let group = start..(start + size).min(rows.len());
+                let mut out = [[0.0f32; BLOCK_PROBES]; BLOCK_ROWS];
+                block.dots(&flat[start * dim..group.end * dim], &mut out[..group.len()]);
+                for (lanes, r) in out.iter().zip(group) {
+                    for (k, &lane) in lanes[..len].iter().enumerate() {
+                        block_lanes[first + k][r].push(lane);
+                    }
                 }
             }
         }
@@ -168,16 +181,28 @@ proptest! {
                 for eps in [eps_raw, metric.dist(queries[0], &rows[0])] {
                     let scalar: Vec<_> = queries.iter().map(|q| metric.probe(q, eps)).collect();
                     let block = metric.block(queries, eps);
-                    for (r, row) in rows.iter().enumerate() {
-                        let (x_norm, x_sq) = norms_of(row);
-                        let want = scalar.iter().enumerate().fold(0u32, |mask, (k, probe)| {
-                            mask | u32::from(probe.within(row, x_norm)) << k
-                        });
-                        prop_assert_eq!(
-                            block.hits(row, x_norm, x_sq),
-                            want,
-                            "{:?} dim {} probes {}..{} row {} eps {}", metric, dim, first, first + len, r, eps
-                        );
+                    let size = group_size(len);
+                    for start in (0..rows.len()).step_by(size) {
+                        let group = start..(start + size).min(rows.len());
+                        let (x_norms, x_sqs): (Vec<f32>, Vec<f32>) =
+                            rows[group.clone()].iter().map(|row| norms_of(row)).unzip();
+                        let masks = block.hits(&flat[start * dim..group.end * dim], &x_norms, &x_sqs);
+                        for (k, &mask) in masks.iter().enumerate() {
+                            let r = start + k;
+                            // The masks past the group stay clear.
+                            let want = if group.contains(&r) {
+                                scalar.iter().enumerate().fold(0u32, |mask, (p, probe)| {
+                                    mask | u32::from(probe.within(&rows[r], x_norms[k])) << p
+                                })
+                            } else {
+                                0
+                            };
+                            prop_assert_eq!(
+                                mask,
+                                want,
+                                "{:?} dim {} probes {}..{} row {} eps {}", metric, dim, first, first + len, r, eps
+                            );
+                        }
                     }
                 }
             }
@@ -207,9 +232,9 @@ proptest! {
         let packed: Vec<Vec<f32>> = vs
             .iter()
             .map(|x| {
-                let mut out = vec![0.0f32; ROW_TILE];
+                let mut out = [[0.0f32; BLOCK_PROBES]];
                 block.dots(x, &mut out);
-                out
+                out[0][..ROW_TILE].to_vec()
             })
             .collect();
         for (i, a) in vs.iter().enumerate() {
@@ -319,9 +344,10 @@ fn euclid_tile_agrees_in_subnormal_range() {
             let (x_norm, x_sq) = (norms.norm(0), norms.sq(0));
             let exact = metric.dist(&q, &row);
             let row_dots = tile::dot_rows8(&q, &row.repeat(ROW_TILE));
-            let mut block_dots = [0.0f32; BLOCK_PROBES];
+            let mut block_dots = [[0.0f32; BLOCK_PROBES]];
             let queries = [q.as_slice(); BLOCK_PROBES];
             ProbeBlock::new(&queries).dots(&row, &mut block_dots);
+            let block_dots = block_dots[0];
             for mult in [0.5f32, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0] {
                 let eps = exact * mult;
                 let expected = exact < eps;
@@ -334,7 +360,7 @@ fn euclid_tile_agrees_in_subnormal_range() {
                         }
                     }
                 }
-                let mask = metric.block(&queries, eps).hits(&row, x_norm, x_sq);
+                let mask = metric.block(&queries, eps).hits(&row, &[x_norm], &[x_sq])[0];
                 if mask != if expected { 0xFFFF } else { 0 } {
                     diverged.push((metric, "hits", scale, eps, exact, mask != 0, expected));
                 }
